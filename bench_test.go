@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -307,11 +308,10 @@ func BenchmarkLeakprofAnalysisThroughput(b *testing.B) {
 	f := fleet.New(time.Unix(0, 0).UTC(), configs)
 	f.AdvanceDay()
 	snaps := f.SnapshotsAggregated()
-	analyzer := &leakprof.Analyzer{}
 	b.ResetTimer()
 	var found int
 	for i := 0; i < b.N; i++ {
-		found = len(analyzer.Analyze(snaps))
+		found = len(analyze(snaps))
 	}
 	b.StopTimer()
 	if found != 10 {
@@ -416,14 +416,13 @@ func BenchmarkAggregateFleet(b *testing.B) {
 	}
 	f := fleet.New(time.Unix(0, 0).UTC(), configs)
 	f.AdvanceDay()
-	analyzer := &leakprof.Analyzer{}
+	pipe := leakprof.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var swept, found int
 	for i := 0; i < b.N; i++ {
-		agg := analyzer.NewAggregator()
-		swept = f.SweepInto(agg)
-		found = len(agg.Findings(analyzer.Ranking))
+		sweep, _ := pipe.Sweep(context.Background(), f.Source())
+		swept, found = sweep.Profiles, len(sweep.Findings)
 	}
 	b.StopTimer()
 	if swept != 5000 || found != 10 {
@@ -461,10 +460,9 @@ func BenchmarkAblationThresholdSweep(b *testing.B) {
 	for _, threshold := range []int{100, 1000, 10000, 100000} {
 		threshold := threshold
 		b.Run(fmt.Sprintf("threshold-%d", threshold), func(b *testing.B) {
-			analyzer := &leakprof.Analyzer{Threshold: threshold}
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(analyzer.Analyze(snaps))
+				n = len(analyze(snaps, leakprof.WithThreshold(threshold)))
 			}
 			b.ReportMetric(float64(n), "findings")
 		})
@@ -482,10 +480,9 @@ func BenchmarkAblationRanking(b *testing.B) {
 	for _, r := range []leakprof.Ranking{leakprof.RankRMS, leakprof.RankMean, leakprof.RankMax, leakprof.RankTotal} {
 		r := r
 		b.Run(r.String(), func(b *testing.B) {
-			analyzer := &leakprof.Analyzer{Ranking: r}
 			var impact float64
 			for i := 0; i < b.N; i++ {
-				if fs := analyzer.Analyze(snaps); len(fs) > 0 {
+				if fs := analyze(snaps, leakprof.WithRanking(r)); len(fs) > 0 {
 					impact = fs[0].Impact
 				}
 			}
@@ -530,15 +527,13 @@ func heartbeat(ctx context.Context) {
 			name = "filter-on"
 		}
 		b.Run(name, func(b *testing.B) {
-			analyzer := &leakprof.Analyzer{}
+			var opts []leakprof.Option
 			if withFilter {
-				analyzer.Filters = []leakprof.OpFilter{
-					leakprof.FilterTransientSelects([]*astcheck.File{file}),
-				}
+				opts = append(opts, leakprof.WithFilters(leakprof.FilterTransientSelects([]*astcheck.File{file})))
 			}
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(analyzer.Analyze(snaps))
+				n = len(analyze(snaps, opts...))
 			}
 			b.ReportMetric(float64(n), "findings")
 		})
@@ -566,13 +561,13 @@ func BenchmarkAblationMinWaitFilter(b *testing.B) {
 	for _, minWait := range []time.Duration{0, 10 * time.Minute} {
 		minWait := minWait
 		b.Run(fmt.Sprintf("minwait-%s", minWait), func(b *testing.B) {
-			analyzer := &leakprof.Analyzer{Threshold: 5000}
+			opts := []leakprof.Option{leakprof.WithThreshold(5000)}
 			if minWait > 0 {
-				analyzer.Filters = []leakprof.OpFilter{leakprof.FilterMinWait(minWait)}
+				opts = append(opts, leakprof.WithFilters(leakprof.FilterMinWait(minWait)))
 			}
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(analyzer.Analyze([]*gprofile.Snapshot{snap}))
+				n = len(analyze([]*gprofile.Snapshot{snap}, opts...))
 			}
 			b.ReportMetric(float64(n), "findings")
 		})
@@ -600,12 +595,11 @@ func BenchmarkAblationTrendTracker(b *testing.B) {
 	var growing int
 	for i := 0; i < b.N; i++ {
 		f := fleet.New(time.Unix(0, 0).UTC(), configs)
-		analyzer := &leakprof.Analyzer{Threshold: 1000}
 		tr := &leakprof.TrendTracker{}
 		at := time.Unix(0, 0)
 		for day := 0; day < 6; day++ {
 			f.AdvanceDay()
-			tr.Observe(at, analyzer.Analyze(f.SnapshotsAggregated()))
+			tr.Observe(at, analyze(f.SnapshotsAggregated(), leakprof.WithThreshold(1000)))
 			at = at.Add(24 * time.Hour)
 		}
 		growing = len(tr.Growing())

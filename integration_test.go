@@ -58,12 +58,6 @@ func TestFig3WorkflowEndToEnd(t *testing.T) {
 	endpoints, shutdown := prod.Serve()
 	defer shutdown()
 
-	collector := &leakprof.Collector{Parallelism: 4}
-	snaps := leakprof.Snapshots(collector.Collect(context.Background(), endpoints))
-	if len(snaps) != 3 {
-		t.Fatalf("collected %d/3 profiles", len(snaps))
-	}
-
 	// Criterion-2 filter from the service's (synthetic) source: a timer
 	// heartbeat select that must never be reported.
 	src := `package orders
@@ -79,11 +73,19 @@ func heartbeat(ctx context.Context) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzer := &leakprof.Analyzer{
-		Threshold: 2000,
-		Filters:   []leakprof.OpFilter{leakprof.FilterTransientSelects([]*astcheck.File{file})},
+	pipe := leakprof.New(
+		leakprof.WithParallelism(4),
+		leakprof.WithThreshold(2000),
+		leakprof.WithFilters(leakprof.FilterTransientSelects([]*astcheck.File{file})),
+	)
+	sweep, err := pipe.Sweep(context.Background(), leakprof.StaticEndpoints(endpoints...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	findings := analyzer.Analyze(snaps)
+	if sweep.Profiles != 3 {
+		t.Fatalf("collected %d/3 profiles", sweep.Profiles)
+	}
+	findings := sweep.Findings
 	if len(findings) != 1 {
 		t.Fatalf("production findings = %d, want 1: %+v", len(findings), findings)
 	}
@@ -105,9 +107,12 @@ func heartbeat(ctx context.Context) {
 	prod.Services[0].Cfg.FixDay = prod.Day
 	prod.Services[0].Cfg.DeployEveryDays = 1
 	prod.AdvanceDay()
-	snaps = leakprof.Snapshots(collector.Collect(context.Background(), endpoints))
-	if post := analyzer.Analyze(snaps); len(post) != 0 {
-		t.Fatalf("post-fix findings: %+v", post)
+	sweep, err = pipe.Sweep(context.Background(), leakprof.StaticEndpoints(endpoints...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post := sweep.Findings; sweep.Profiles != 3 || len(post) != 0 {
+		t.Fatalf("post-fix sweep: %d profiles, findings %+v", sweep.Profiles, post)
 	}
 	db.SetStatus(alerts[0].Bug.Key, report.StatusFixed)
 	if got := db.CountByStatus()[report.StatusFixed]; got != 1 {
@@ -181,18 +186,24 @@ func TestTrendOnLeakyFleet(t *testing.T) {
 		},
 	}
 	f := fleet.New(time.Unix(0, 0).UTC(), configs)
-	analyzer := &leakprof.Analyzer{Threshold: 1000}
 	tr := &leakprof.TrendTracker{}
 	at := time.Unix(0, 0)
 	for day := 0; day < 6; day++ {
 		f.AdvanceDay()
-		tr.Observe(at, analyzer.Analyze(f.SnapshotsAggregated()))
+		tr.Observe(at, analyze(f.SnapshotsAggregated(), leakprof.WithThreshold(1000)))
 		at = at.Add(24 * time.Hour)
 	}
 	growing := tr.Growing()
 	if len(growing) != 1 || !strings.Contains(growing[0], "services/leaky/h.go:3") {
 		t.Fatalf("growing keys = %v", growing)
 	}
+}
+
+// analyze sweeps materialised snapshots through a sinkless Pipeline
+// and returns its findings.
+func analyze(snaps []*gprofile.Snapshot, opts ...leakprof.Option) []*leakprof.Finding {
+	sweep, _ := leakprof.New(opts...).Sweep(context.Background(), leakprof.FromSnapshots(snaps))
+	return sweep.Findings
 }
 
 // countOfKind counts live goroutines of one blocking kind.
@@ -243,8 +254,7 @@ func TestSuppressionListLifecycleAcrossTools(t *testing.T) {
 	// path, grown to a cluster, is reported.
 	gs := patterns.MissingReceiver.Stacks(1, 12000)
 	patterns.Relocate(gs, "services/legacy/send.go", 5)
-	analyzer := &leakprof.Analyzer{}
-	findings := analyzer.Analyze([]*gprofile.Snapshot{{
+	findings := analyze([]*gprofile.Snapshot{{
 		Service: "legacy", Instance: "i1", Goroutines: gs,
 	}})
 	if len(findings) != 1 {

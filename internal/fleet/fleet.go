@@ -243,8 +243,8 @@ func (in *Instance) snapshotAggregated(at time.Time) *gprofile.Snapshot {
 }
 
 // SnapshotsAggregated captures one sweep in the pre-aggregated form,
-// materialising the per-instance slice. Platform-scale sweeps should use
-// SweepInto, which streams instances into an aggregator instead.
+// materialising the per-instance slice. Platform-scale sweeps should
+// sweep Source, which streams instances into the pipeline instead.
 func (f *Fleet) SnapshotsAggregated() []*gprofile.Snapshot {
 	at := f.origin.Add(time.Duration(f.Day) * 24 * time.Hour)
 	var out []*gprofile.Snapshot
@@ -252,22 +252,6 @@ func (f *Fleet) SnapshotsAggregated() []*gprofile.Snapshot {
 		out = append(out, in.snapshotAggregated(at))
 	}
 	return out
-}
-
-// SweepInto folds one collection sweep directly into agg, instance by
-// instance, without materialising the sweep as a snapshot slice — the
-// simulator twin of Collector.CollectInto. It returns the number of
-// instances swept.
-func (f *Fleet) SweepInto(agg *leakprof.Aggregator) int {
-	at := f.origin.Add(time.Duration(f.Day) * 24 * time.Hour)
-	n := 0
-	for _, s := range f.Services {
-		for _, in := range s.instances {
-			agg.Add(in.snapshotAggregated(at))
-			n++
-		}
-	}
-	return n
 }
 
 // Source returns a leakprof.Source sweeping the fleet's current day

@@ -92,13 +92,20 @@ func TestSnapshotsFeedAnalyzer(t *testing.T) {
 	cfg := leakyConfig(3)
 	cfg.LeakPerDay = 600
 	f := New(time.Unix(0, 0), []ServiceConfig{cfg})
-	analyzer := &leakprof.Analyzer{Threshold: 500}
+	pipe := leakprof.New(leakprof.WithThreshold(500))
+	analyze := func() []*leakprof.Finding {
+		sweep, err := pipe.Sweep(context.Background(), leakprof.FromSnapshots(f.Snapshots()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweep.Findings
+	}
 	// Day 0: nothing.
-	if findings := analyzer.Analyze(f.Snapshots()); len(findings) != 0 {
+	if findings := analyze(); len(findings) != 0 {
 		t.Fatalf("pre-leak findings: %v", findings)
 	}
 	f.AdvanceDay()
-	findings := analyzer.Analyze(f.Snapshots())
+	findings := analyze()
 	if len(findings) != 1 {
 		t.Fatalf("findings = %d, want 1", len(findings))
 	}
@@ -121,14 +128,15 @@ func TestServeEndToEndOverHTTP(t *testing.T) {
 	if len(endpoints) != 2 {
 		t.Fatalf("endpoints = %d", len(endpoints))
 	}
-	collector := &leakprof.Collector{}
-	results := collector.Collect(context.Background(), endpoints)
-	snaps := leakprof.Snapshots(results)
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d (errors: %v)", len(snaps), results)
+	sweep, err := leakprof.New(leakprof.WithThreshold(150)).
+		Sweep(context.Background(), leakprof.StaticEndpoints(endpoints...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	analyzer := &leakprof.Analyzer{Threshold: 150}
-	findings := analyzer.Analyze(snaps)
+	if sweep.Profiles != 2 {
+		t.Fatalf("profiles = %d (failures: %v)", sweep.Profiles, sweep.Failures)
+	}
+	findings := sweep.Findings
 	if len(findings) != 1 || findings[0].Location != "services/svc/worker.go:17" {
 		t.Fatalf("findings over HTTP = %+v", findings)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/patterns"
@@ -39,25 +40,23 @@ type Fig6Point struct {
 	Detected       bool
 }
 
-// RunFig6 advances the incident for days days, sweeping with the analyzer
-// daily; Detected marks the first day the location crosses the reporting
-// threshold.
+// RunFig6 advances the incident for days days, sweeping with the default
+// pipeline (10K threshold, RMS) daily; Detected marks the first day the
+// location crosses the reporting threshold.
 func RunFig6(days int) []Fig6Point {
 	f := New(time.Unix(0, 0).UTC(), []ServiceConfig{Fig6Config()})
-	analyzer := &leakprof.Analyzer{} // default 10K threshold, RMS
+	pipe := leakprof.New()
 	var series []Fig6Point
 	for d := 0; d < days; d++ {
 		f.AdvanceDay()
 		svc := f.Services[0]
 		_, max := svc.MaxBlocked()
-		agg := analyzer.NewAggregator()
-		f.SweepInto(agg)
-		findings := agg.Findings(analyzer.Ranking)
+		sweep, _ := pipe.Sweep(context.Background(), f.Source())
 		series = append(series, Fig6Point{
 			Day:            f.Day,
 			Representative: max,
 			FleetTotal:     svc.TotalBlocked(),
-			Detected:       len(findings) > 0,
+			Detected:       len(sweep.Findings) > 0,
 		})
 	}
 	return series
@@ -144,7 +143,7 @@ func RunYear(seed int64) YearOutcome {
 	}
 
 	f := New(time.Unix(0, 0).UTC(), configs)
-	analyzer := &leakprof.Analyzer{}
+	pipe := leakprof.New()
 	db := report.NewDB()
 	reporter := &leakprof.Reporter{DB: db, TopN: 50}
 
@@ -155,9 +154,8 @@ func RunYear(seed int64) YearOutcome {
 		if day%7 != 0 {
 			continue // weekly sweeps keep the simulation fast
 		}
-		agg := analyzer.NewAggregator()
-		f.SweepInto(agg)
-		alerts := reporter.Report(agg.Findings(analyzer.Ranking))
+		sweep, _ := pipe.Sweep(context.Background(), f.Source())
+		alerts := reporter.Report(sweep.Findings)
 		for _, a := range alerts {
 			if pat, isReal := patternOf[a.Bug.Service]; isReal {
 				db.SetStatus(a.Bug.Key, report.StatusAcknowledged)

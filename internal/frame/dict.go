@@ -4,10 +4,10 @@ import "encoding/binary"
 
 // Dict is a segment-scoped string dictionary: one cumulative table
 // shared by every dictionary-referencing frame in a journal segment.
-// Where StringTable re-encodes a record's strings into every frame,
-// a Dict lets each frame carry only the strings the segment has not
-// seen yet — steady-state delta frames that keep touching the same hot
-// stack locations shrink to pure references.
+// Where a per-record table re-encodes a record's strings into every
+// frame, a Dict lets each frame carry only the strings the segment has
+// not seen yet — steady-state delta frames that keep touching the same
+// hot stack locations shrink to pure references.
 //
 // The growth protocol mirrors the on-disk layout exactly: a frame's
 // serialized prefix lists the strings it appends, in first-encounter
@@ -61,7 +61,9 @@ func (d *Dict) Extend(strs []string) {
 	}
 }
 
-// DictTable is the per-frame write view over a segment Dict. Ref
+// DictTable is the per-frame write view over a segment Dict; over a
+// fresh Dict it is a plain per-record string table, the form shard
+// reports and the findings index use. Ref
 // resolves strings against the dictionary, recording each miss as one
 // of the frame's appended strings with its future cumulative index.
 // The appends become durable in two steps: AppendTo serializes them
@@ -96,14 +98,16 @@ func (t *DictTable) Ref(s string) uint64 {
 	return i
 }
 
-// Appended returns how many strings this frame appends.
-func (t *DictTable) Appended() int { return len(t.added) }
-
 // AppendTo serializes the frame's appended strings (count, then
-// length-prefixed strings — the StringTable layout). It must precede
-// the sections that reference the dictionary so decoding is one pass.
+// length-prefixed strings, the layout Reader.StringTable reads). It
+// must precede the sections that reference the dictionary so decoding
+// is one pass.
 func (t *DictTable) AppendTo(b []byte) []byte {
-	b = appendStringList(b, t.added)
+	b = binary.AppendUvarint(b, uint64(len(t.added)))
+	for _, s := range t.added {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
 	return b
 }
 
@@ -113,15 +117,4 @@ func (t *DictTable) Commit() {
 	t.dict.Extend(t.added)
 	t.added = nil
 	t.index = nil
-}
-
-// appendStringList writes count + length-prefixed strings, the shared
-// serialization of StringTable.AppendTo and DictTable.AppendTo.
-func appendStringList(b []byte, strs []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(strs)))
-	for _, s := range strs {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	return b
 }

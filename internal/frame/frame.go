@@ -15,14 +15,17 @@
 // The body primitives are the binary-codec building blocks: varints
 // (zigzag for signed), 8-byte little-endian IEEE floats, presence-byte
 // timestamps (so the zero time survives a round trip), and a
-// deduplicating string table serialized ahead of the sections that
-// reference it. Reader walks such a body with bounds checking: corrupt
-// input (which the CRC should have caught, but defense costs little)
-// must produce an error, never a panic or an absurd allocation.
+// deduplicating string table (DictTable) serialized ahead of the
+// sections that reference it. Reader walks such a body with bounds
+// checking: corrupt input (which the CRC should have caught, but
+// defense costs little) must produce an error, never a panic or an
+// absurd allocation. Every format wraps its body in the shared payload
+// envelope (Format.Seal and Format.Open).
 package frame
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,15 +64,9 @@ func New(payload []byte) []byte {
 	return out
 }
 
-// Write frames payload and writes it to w in two writes (header, body).
+// Write frames payload and writes it to w.
 func Write(w io.Writer, payload []byte) error {
-	var header [HeaderSize]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	_, err := w.Write(New(payload))
 	return err
 }
 
@@ -82,22 +79,11 @@ func Write(w io.Writer, payload []byte) error {
 // construction, so no allocation is made for it — a corrupt length
 // prefix must not become a gigabyte allocation during recovery.
 func Read(br *bufio.Reader, remaining int64) ([]byte, int64, error) {
-	var header [HeaderSize]byte
-	if _, err := io.ReadFull(br, header[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, ErrTorn
-		}
+	length, sum, err := readHeader(br)
+	if err != nil {
 		return nil, 0, err
 	}
-	length := binary.BigEndian.Uint32(header[0:4])
-	sum := binary.BigEndian.Uint32(header[4:8])
 	frameLen := HeaderSize + int64(length)
-	if length == 0 || length > MaxPayload {
-		return nil, 0, fmt.Errorf("%w: implausible frame length %d", ErrTorn, length)
-	}
 	if frameLen > remaining {
 		return nil, 0, fmt.Errorf("%w: frame of %d bytes extends past end of segment", ErrTorn, frameLen)
 	}
@@ -118,37 +104,52 @@ func Read(br *bufio.Reader, remaining int64) ([]byte, int64, error) {
 	return payload, frameLen, nil
 }
 
-// StringTable deduplicates strings across one record: the service, op,
-// and stack-key strings a large record repeats thousands of times are
-// stored once and referenced by index.
-type StringTable struct {
-	index map[string]uint64
-	strs  []string
+// readChunk caps the buffer ReadOne reserves before payload bytes
+// arrive.
+const readChunk = 64 << 10
+
+// ReadOne reads exactly one frame from r and returns its checksummed
+// payload. It is the reader for inputs holding a single frame (an HTTP
+// body, an index file), where no segment length bounds the claim in the
+// length prefix: the buffer grows only as payload bytes arrive, so an
+// 8-byte input claiming a gigabyte allocates almost nothing. A clean end
+// before the header is io.EOF; a frame cut short is ErrTorn; a checksum
+// failure is ErrCorrupt.
+func ReadOne(r io.Reader) ([]byte, error) {
+	length, sum, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(min(length, readChunk)))
+	if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("%w: input ends %d bytes into a %d-byte payload", ErrTorn, buf.Len(), length)
+		}
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(buf.Bytes()) != sum {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return buf.Bytes(), nil
 }
 
-// Ref returns the table index for s, interning it on first use.
-func (t *StringTable) Ref(s string) uint64 {
-	if i, ok := t.index[s]; ok {
-		return i
+// readHeader reads one frame header and returns the payload length and
+// checksum it declares. io.EOF means a clean end; a header cut short,
+// or a length no frame may have, is ErrTorn.
+func readHeader(r io.Reader) (length, sum uint32, err error) {
+	var header [HeaderSize]byte
+	if _, err := io.ReadFull(r, header[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return 0, 0, ErrTorn
+		}
+		return 0, 0, err
 	}
-	if t.index == nil {
-		t.index = make(map[string]uint64)
+	length = binary.BigEndian.Uint32(header[0:4])
+	if length == 0 || length > MaxPayload {
+		return 0, 0, fmt.Errorf("%w: implausible frame length %d", ErrTorn, length)
 	}
-	i := uint64(len(t.strs))
-	t.index[s] = i
-	t.strs = append(t.strs, s)
-	return i
-}
-
-// AppendTo serializes the table (count, then length-prefixed strings).
-// It must precede the sections that reference it so decoding is one pass.
-func (t *StringTable) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(t.strs)))
-	for _, s := range t.strs {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	return b
+	return length, binary.BigEndian.Uint32(header[4:8]), nil
 }
 
 // AppendTime appends a presence byte plus a zigzag varint of UnixNano,
@@ -166,114 +167,129 @@ func AppendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// Reader walks a binary body with bounds checking.
+// Reader walks a binary body with bounds checking. The first error
+// sticks: every later call returns a zero value, and Count returns 0 so
+// no loop runs over bytes past the damage. A decoder reads its fields
+// unconditionally and checks Err once, at the end.
 type Reader struct {
 	b   []byte
 	off int
+	err error
 }
 
 // NewReader returns a Reader over body.
 func NewReader(body []byte) *Reader { return &Reader{b: body} }
 
+// Err returns the first error the reader hit, or nil.
+func (r *Reader) Err() error { return r.err }
+
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // Uvarint decodes one unsigned varint.
-func (r *Reader) Uvarint() (uint64, error) {
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, ErrTruncated
+		r.fail(ErrTruncated)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
 // Varint decodes one zigzag varint.
-func (r *Reader) Varint() (int64, error) {
+func (r *Reader) Varint() int64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		return 0, ErrTruncated
+		r.fail(ErrTruncated)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
+
+// Int decodes one zigzag varint as an int.
+func (r *Reader) Int() int { return int(r.Varint()) }
 
 // Count decodes an element count, refusing counts that could not fit in
 // the remaining bytes at elemMin bytes per element.
-func (r *Reader) Count(elemMin int) (int, error) {
-	v, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *Reader) Count(elemMin int) int {
+	v := r.Uvarint()
 	// A count cannot exceed the bytes left to encode its elements.
 	if max := len(r.b) - r.off; elemMin > 0 && v > uint64(max/elemMin)+1 {
-		return 0, fmt.Errorf("frame: binary record claims %d elements with %d bytes left", v, max)
+		r.fail(fmt.Errorf("frame: binary record claims %d elements with %d bytes left", v, max))
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-// Take returns the next n raw bytes.
-func (r *Reader) Take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, ErrTruncated
+// take returns the next n raw bytes, or nil past the end.
+func (r *Reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b)-r.off {
+		r.fail(ErrTruncated)
+		return nil
 	}
 	out := r.b[r.off : r.off+n]
 	r.off += n
-	return out, nil
+	return out
+}
+
+// Byte decodes one raw byte.
+func (r *Reader) Byte() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 // Float64 decodes an 8-byte little-endian IEEE float.
-func (r *Reader) Float64() (float64, error) {
-	raw, err := r.Take(8)
-	if err != nil {
-		return 0, err
+func (r *Reader) Float64() float64 {
+	if raw := r.take(8); raw != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(raw))
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw)), nil
+	return 0
 }
 
 // Time decodes a presence-byte timestamp written by AppendTime.
-func (r *Reader) Time() (time.Time, error) {
-	flag, err := r.Take(1)
-	if err != nil {
-		return time.Time{}, err
+func (r *Reader) Time() time.Time {
+	if r.Byte() == 0 {
+		return time.Time{}
 	}
-	if flag[0] == 0 {
-		return time.Time{}, nil
-	}
-	n, err := r.Varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	return time.Unix(0, n).UTC(), nil
+	return time.Unix(0, r.Varint()).UTC()
 }
 
 // Str decodes a string-table reference against tbl.
-func (r *Reader) Str(tbl []string) (string, error) {
-	i, err := r.Uvarint()
-	if err != nil {
-		return "", err
-	}
+func (r *Reader) Str(tbl []string) string {
+	i := r.Uvarint()
 	if i >= uint64(len(tbl)) {
-		return "", fmt.Errorf("frame: binary record references string %d of %d", i, len(tbl))
+		r.fail(fmt.Errorf("frame: binary record references string %d of %d", i, len(tbl)))
+		return ""
 	}
-	return tbl[i], nil
+	return tbl[i]
 }
 
-// StringTable decodes a serialized table (the AppendTo layout) from the
-// reader's current position.
-func (r *Reader) StringTable() ([]string, error) {
-	n, err := r.Count(1)
-	if err != nil {
-		return nil, err
-	}
-	tbl := make([]string, n)
+// StringTable decodes a serialized table (the DictTable.AppendTo layout)
+// from the reader's current position; it returns nil once the reader
+// has failed.
+func (r *Reader) StringTable() []string {
+	tbl := make([]string, r.Count(1))
 	for i := range tbl {
-		length, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.Take(int(length))
-		if err != nil {
-			return nil, err
-		}
-		tbl[i] = string(raw)
+		tbl[i] = string(r.take(int(r.Uvarint())))
 	}
-	return tbl, nil
+	if r.err != nil {
+		return nil
+	}
+	return tbl
 }

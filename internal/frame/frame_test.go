@@ -30,7 +30,7 @@ func readAll(t *testing.T, data []byte) ([][]byte, error) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	want := [][]byte{[]byte("a"), bytes.Repeat([]byte{0xAB}, 4096), []byte("tail")}
+	want := [][]byte{[]byte("a"), bytes.Repeat([]byte{0xAB}, 4096), bytes.Repeat([]byte{0xCD}, 3*readChunk), []byte("tail")}
 	for _, p := range want {
 		if err := Write(&buf, p); err != nil {
 			t.Fatal(err)
@@ -56,6 +56,15 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d mismatch", i)
 		}
 	}
+	// ReadOne consumes exactly one frame per call, then reports io.EOF.
+	for i := range want {
+		if p, err := ReadOne(&buf); err != nil || !bytes.Equal(p, want[i]) {
+			t.Fatalf("ReadOne frame %d = %d bytes, %v", i, len(p), err)
+		}
+	}
+	if _, err := ReadOne(&buf); err != io.EOF {
+		t.Fatalf("ReadOne at the end: err = %v, want io.EOF", err)
+	}
 }
 
 func TestFrameTornTail(t *testing.T) {
@@ -70,6 +79,9 @@ func TestFrameTornTail(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("cut=%d: the complete frame before the tear must decode", cut)
 		}
+		if _, err := ReadOne(bytes.NewReader(next[:cut])); !errors.Is(err, ErrTorn) {
+			t.Fatalf("cut=%d: ReadOne err = %v, want ErrTorn", cut, err)
+		}
 	}
 }
 
@@ -79,6 +91,9 @@ func TestFrameCorruptMiddle(t *testing.T) {
 	_, err := readAll(t, data)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt for a damaged frame with data following", err)
+	}
+	if _, err := ReadOne(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadOne err = %v, want ErrCorrupt", err)
 	}
 	// The same damage on the last frame is a torn append, not corruption.
 	tail := New([]byte("only"))
@@ -94,11 +109,14 @@ func TestFrameImplausibleLengthDoesNotAllocate(t *testing.T) {
 	if _, err := readAll(t, header); !errors.Is(err, ErrTorn) {
 		t.Fatalf("err = %v, want ErrTorn for a length past MaxPayload", err)
 	}
+	if _, err := ReadOne(bytes.NewReader(header)); !errors.Is(err, ErrTorn) {
+		t.Fatalf("ReadOne err = %v, want ErrTorn for a length past MaxPayload", err)
+	}
 }
 
 func TestBodyPrimitivesRoundTrip(t *testing.T) {
 	at := time.Date(2026, 8, 7, 12, 0, 0, 42, time.UTC)
-	var tbl StringTable
+	tbl := NewDictTable(NewDict())
 	refs := []uint64{tbl.Ref("svc"), tbl.Ref("op"), tbl.Ref("svc")}
 	if refs[0] != refs[2] {
 		t.Fatal("Ref did not deduplicate")
@@ -113,47 +131,64 @@ func TestBodyPrimitivesRoundTrip(t *testing.T) {
 	body = AppendTime(body, time.Time{})
 
 	r := NewReader(body)
-	strs, err := r.StringTable()
-	if err != nil || len(strs) != 2 {
-		t.Fatalf("StringTable: %v (%d strings)", err, len(strs))
+	strs := r.StringTable()
+	if len(strs) != 2 {
+		t.Fatalf("StringTable: %v (%d strings)", r.Err(), len(strs))
 	}
 	for i, want := range []string{"svc", "op", "svc"} {
-		got, err := r.Str(strs)
-		if err != nil || got != want {
-			t.Fatalf("ref %d: got %q err %v", i, got, err)
+		if got := r.Str(strs); got != want {
+			t.Fatalf("ref %d: got %q err %v", i, got, r.Err())
 		}
 	}
-	if v, err := r.Varint(); err != nil || v != -7 {
-		t.Fatalf("Varint: %d, %v", v, err)
+	if v := r.Varint(); v != -7 {
+		t.Fatalf("Varint: %d, %v", v, r.Err())
 	}
-	if f, err := r.Float64(); err != nil || f != math.Pi {
-		t.Fatalf("Float64: %v, %v", f, err)
+	if f := r.Float64(); f != math.Pi {
+		t.Fatalf("Float64: %v, %v", f, r.Err())
 	}
-	if ts, err := r.Time(); err != nil || !ts.Equal(at) {
-		t.Fatalf("Time: %v, %v", ts, err)
+	if ts := r.Time(); !ts.Equal(at) {
+		t.Fatalf("Time: %v, %v", ts, r.Err())
 	}
-	if ts, err := r.Time(); err != nil || !ts.IsZero() {
-		t.Fatalf("zero Time did not survive: %v, %v", ts, err)
+	if ts := r.Time(); !ts.IsZero() {
+		t.Fatalf("zero Time did not survive: %v, %v", ts, r.Err())
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReaderRejectsCorruptBodies(t *testing.T) {
 	// A truncated varint.
-	if _, err := NewReader([]byte{0x80}).Uvarint(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Uvarint on a dangling continuation byte: %v", err)
+	r := NewReader([]byte{0x80})
+	if r.Uvarint(); !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Uvarint on a dangling continuation byte: %v", r.Err())
 	}
 	// A count that cannot fit in the remaining bytes.
-	body := appendUvarint(nil, 1<<20)
-	if _, err := NewReader(body).Count(8); err == nil {
-		t.Fatal("Count accepted an implausible element count")
+	r = NewReader(appendUvarint(nil, 1<<20))
+	if n := r.Count(8); n != 0 || r.Err() == nil {
+		t.Fatalf("Count accepted an implausible element count: %d", n)
 	}
 	// A string reference past the table.
-	if _, err := NewReader(appendUvarint(nil, 9)).Str([]string{"only"}); err == nil {
+	r = NewReader(appendUvarint(nil, 9))
+	if r.Str([]string{"only"}); r.Err() == nil {
 		t.Fatal("Str accepted an out-of-range table reference")
 	}
-	// Take past the end.
-	if _, err := NewReader([]byte{1, 2}).Take(3); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Take past end: %v", err)
+	// A read past the end.
+	r = NewReader([]byte{1, 2})
+	if r.Float64(); !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Float64 past end: %v", r.Err())
+	}
+	// A string length that overflows the offset arithmetic.
+	r = NewReader(appendUvarint([]byte{1}, math.MaxInt64))
+	if strs := r.StringTable(); strs != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("StringTable with an overflowing length: %q, %v", strs, r.Err())
+	}
+	// The first error sticks: later reads yield zero values and counts,
+	// even over bytes that would decode.
+	r = NewReader(append([]byte{0x80}, appendUvarint(nil, 5)...))
+	r.Uvarint()
+	if v, n := r.Uvarint(), r.Count(1); v != 0 || n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("after an error: Uvarint %d, Count %d, err %v", v, n, r.Err())
 	}
 }
 

@@ -18,8 +18,6 @@ package staticindex
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -195,49 +193,24 @@ func ScanTree(root string) (*Index, error) {
 	return idx, nil
 }
 
-// On-disk format. The outer framing is the journal's (internal/frame): a
-// 4-byte big-endian payload length plus a 4-byte CRC-32 of the payload.
-// The payload is:
-//
-//	byte 0: indexMagic (0xB3 — journal frames are 0xB1, shard reports 0xB2)
-//	byte 1: indexVersion
-//	byte 2: flags (indexFlagFlate: the body is a flate stream)
-//	rest:   body
-//
-// The body reuses the journal codec's primitives — one string table
-// shared by every finding (detector ids and file paths repeat heavily),
-// varints, presence-byte timestamps.
-const (
-	indexMagic     = 0xB3
-	indexVersion   = 1
-	indexFlagFlate = 1 << 0
-	indexFlateMin  = 4 << 10
-)
+// On-disk format: one internal/frame frame (length prefix and CRC-32)
+// around a payload envelope of magic 0xB3 (journal records are 0xB1,
+// shard reports 0xB2), version, and flags, with the body flate-
+// compressed once it reaches frame.FlateMin. The body reuses the journal
+// codec's primitives — one string table shared by every finding
+// (detector ids and file paths repeat heavily), varints, presence-byte
+// timestamps. Version 1 is the only version this build reads or writes.
+var indexFormat = frame.Format{Name: "findings index", Magic: 0xB3, Version: 1}
 
 // WriteTo writes the index as one framed record.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	var tbl frame.StringTable
-	body := idx.encodeBody(&tbl)
+	tbl := frame.NewDictTable(frame.NewDict())
+	body := idx.encodeBody(tbl)
 	full := tbl.AppendTo(make([]byte, 0, len(body)+64))
 	full = append(full, body...)
-
-	payload := []byte{indexMagic, indexVersion, 0}
-	if len(full) >= indexFlateMin {
-		payload[2] |= indexFlagFlate
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-		if err != nil {
-			return 0, fmt.Errorf("staticindex: codec: %w", err)
-		}
-		if _, err := zw.Write(full); err != nil {
-			return 0, fmt.Errorf("staticindex: codec: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return 0, fmt.Errorf("staticindex: codec: %w", err)
-		}
-		payload = append(payload, buf.Bytes()...)
-	} else {
-		payload = append(payload, full...)
+	payload, err := indexFormat.Seal(full, len(full) >= frame.FlateMin)
+	if err != nil {
+		return 0, fmt.Errorf("staticindex: %w", err)
 	}
 	if err := frame.Write(w, payload); err != nil {
 		return 0, fmt.Errorf("staticindex: writing index: %w", err)
@@ -245,7 +218,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(frame.HeaderSize + len(payload)), nil
 }
 
-func (idx *Index) encodeBody(tbl *frame.StringTable) []byte {
+func (idx *Index) encodeBody(tbl *frame.DictTable) []byte {
 	b := make([]byte, 0, 64*len(idx.Findings)+64)
 	b = binary.AppendUvarint(b, tbl.Ref(idx.Root))
 	b = frame.AppendTime(b, idx.GeneratedAt)
@@ -263,9 +236,7 @@ func (idx *Index) encodeBody(tbl *frame.StringTable) []byte {
 // ReadFrom reads one framed index written by WriteTo. The reader may
 // hold trailing data; exactly one frame is consumed.
 func ReadFrom(r io.Reader) (*Index, error) {
-	// No segment bound applies here, so pass the loosest remaining that
-	// still rejects implausible lengths.
-	payload, _, err := frame.Read(bufio.NewReader(r), int64(frame.MaxPayload)+frame.HeaderSize)
+	payload, err := frame.ReadOne(r)
 	if err != nil {
 		return nil, fmt.Errorf("staticindex: reading index: %w", err)
 	}
@@ -273,60 +244,28 @@ func ReadFrom(r io.Reader) (*Index, error) {
 }
 
 func decodeIndex(payload []byte) (*Index, error) {
-	if len(payload) < 3 {
-		return nil, frame.ErrTruncated
-	}
-	if payload[0] != indexMagic {
-		return nil, fmt.Errorf("staticindex: not a findings index (leading byte 0x%02x)", payload[0])
-	}
-	if payload[1] > indexVersion {
-		return nil, fmt.Errorf("staticindex: index version %d, newer than supported %d", payload[1], indexVersion)
-	}
-	flags, body := payload[2], payload[3:]
-	if flags&indexFlagFlate != 0 {
-		var err error
-		if body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body))); err != nil {
-			return nil, fmt.Errorf("staticindex: inflating index: %w", err)
-		}
+	body, err := indexFormat.Open(payload)
+	if err != nil {
+		return nil, fmt.Errorf("staticindex: %w", err)
 	}
 	r := frame.NewReader(body)
-	tbl, err := r.StringTable()
-	if err != nil {
-		return nil, err
-	}
+	tbl := r.StringTable()
 	idx := &Index{}
-	if idx.Root, err = r.Str(tbl); err != nil {
-		return nil, err
-	}
-	if idx.GeneratedAt, err = r.Time(); err != nil {
-		return nil, err
-	}
-	n, err := r.Count(5)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
+	idx.Root = r.Str(tbl)
+	idx.GeneratedAt = r.Time()
+	if n := r.Count(5); n > 0 {
 		idx.Findings = make([]Finding, n)
 	}
 	for i := range idx.Findings {
 		f := &idx.Findings[i]
-		if f.Detector, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		if f.File, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		if f.Function, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		line, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		f.Line = int(line)
-		if f.Reason, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
+		f.Detector = r.Str(tbl)
+		f.File = r.Str(tbl)
+		f.Function = r.Str(tbl)
+		f.Line = r.Int()
+		f.Reason = r.Str(tbl)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return idx, nil
 }
@@ -353,13 +292,14 @@ func (idx *Index) Save(path string) error {
 
 // Load reads an index file written by Save.
 func Load(path string) (*Index, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("staticindex: loading index: %w", err)
 	}
-	payload, _, err := frame.Read(bufio.NewReader(bytes.NewReader(raw)), int64(len(raw)))
+	defer f.Close()
+	idx, err := ReadFrom(bufio.NewReader(f))
 	if err != nil {
 		return nil, fmt.Errorf("staticindex: loading index %s: %w", path, err)
 	}
-	return decodeIndex(payload)
+	return idx, nil
 }

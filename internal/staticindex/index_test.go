@@ -119,7 +119,7 @@ func TestIndexRejectsForeignAndNewer(t *testing.T) {
 		t.Fatalf("foreign magic error = %v", err)
 	}
 	buf.Reset()
-	buf.Write(frame.New([]byte{indexMagic, indexVersion + 1, 0}))
+	buf.Write(frame.New([]byte{indexFormat.Magic, indexFormat.Version + 1, 0}))
 	if _, err := ReadFrom(&buf); err == nil || !strings.Contains(err.Error(), "newer than supported") {
 		t.Fatalf("newer version error = %v", err)
 	}

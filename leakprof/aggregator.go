@@ -25,8 +25,9 @@ const defaultShards = 32
 // For each (service, operation, location) group it maintains exactly the
 // moments the impact statistics need — total, instance count, count of
 // instances at or above the threshold, sum of squared counts, and the
-// max-count representative instance — so Findings can produce the same
-// ranked output Analyzer.Analyze produces from materialised snapshots.
+// max-count representative instance — so Findings produces the same
+// ranked output as a per-instance-map computation over materialised
+// snapshots (the reference TestAggregatorMatchesReference checks).
 type Aggregator struct {
 	threshold int
 	filters   []OpFilter
@@ -62,7 +63,7 @@ type locStats struct {
 // NewAggregator returns an empty aggregator. A non-positive threshold
 // means DefaultThreshold. Filters are applied to each instance's
 // operations — before wait times are folded away, so duration-sensitive
-// filters see them — exactly as Analyzer applies them.
+// filters see them — exactly as WithFilters configures a Pipeline.
 func NewAggregator(threshold int, filters ...OpFilter) *Aggregator {
 	if threshold <= 0 {
 		threshold = DefaultThreshold

@@ -125,8 +125,7 @@ func TestAggregatorMatchesReference(t *testing.T) {
 		snaps := randomSweep(rng)
 		threshold := 1 + rng.Intn(200)
 		for _, ranking := range []Ranking{RankRMS, RankMean, RankMax, RankTotal} {
-			a := &Analyzer{Threshold: threshold, Ranking: ranking}
-			got := a.Analyze(snaps)
+			got := analyze(t, snaps, WithThreshold(threshold), WithRanking(ranking))
 			want := refAnalyze(threshold, ranking, nil, snaps)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d ranking %s: %d findings, want %d", trial, ranking, len(got), len(want))
@@ -171,13 +170,12 @@ func TestAggregatorConcurrentAdds(t *testing.T) {
 		}
 	}
 
-	analyzer := &Analyzer{Threshold: 50}
-	serial := analyzer.NewAggregator()
+	serial := NewAggregator(50)
 	for _, s := range uniq {
 		serial.Add(s)
 	}
 
-	concurrent := analyzer.NewAggregator()
+	concurrent := NewAggregator(50)
 	var wg sync.WaitGroup
 	for _, s := range uniq {
 		wg.Add(1)

@@ -1,10 +1,8 @@
 package leakprof
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/gprofile"
 	"repro/internal/stack"
 )
 
@@ -49,22 +47,6 @@ func (r Ranking) String() string {
 // typically backed by the AST analyses in internal/astcheck.
 type OpFilter func(op stack.BlockedOp) bool
 
-// Analyzer implements the detection stage.
-//
-// Deprecated: Analyzer remains as a thin compatibility wrapper over the
-// Pipeline engine; its three fields are the WithThreshold, WithFilters,
-// and WithRanking pipeline options.
-type Analyzer struct {
-	// Threshold is the per-instance suspicious-concentration bound;
-	// zero means DefaultThreshold.
-	Threshold int
-	// Filters mark operations as harmless; an operation dropped by any
-	// filter is never reported regardless of concentration.
-	Filters []OpFilter
-	// Ranking picks the impact statistic; default RankRMS.
-	Ranking Ranking
-}
-
 // Finding is one suspicious blocked operation aggregated fleet-wide.
 type Finding struct {
 	// Service is the owning service.
@@ -100,28 +82,6 @@ type Finding struct {
 // service+operation+location.
 func (f *Finding) Key() string {
 	return f.Service + "\x00" + f.Op + "\x00" + f.Location
-}
-
-// NewAggregator returns an empty streaming Aggregator configured with
-// this analyzer's threshold and filters. Feed it per-instance snapshots
-// (from any goroutine) as they are collected, then call Findings: the
-// streaming pipeline's equivalent of buffering a sweep and calling
-// Analyze.
-func (a *Analyzer) NewAggregator() *Aggregator {
-	return NewAggregator(a.Threshold, a.Filters...)
-}
-
-// Analyze runs detection over one fully collected sweep. Snapshots from
-// the same Service are aggregated together; the returned findings are
-// ordered by descending impact.
-//
-// Deprecated: Analyze is a thin wrapper driving a sinkless Pipeline over
-// a FromSnapshots source; collection paths that can stream should sweep
-// a Pipeline directly and skip materialising the slice.
-func (a *Analyzer) Analyze(snaps []*gprofile.Snapshot) []*Finding {
-	p := New(WithThreshold(a.Threshold), WithRanking(a.Ranking), WithFilters(a.Filters...))
-	sweep, _ := p.Sweep(context.Background(), FromSnapshots(snaps))
-	return sweep.Findings
 }
 
 // impact computes the ranking statistic over per-instance counts. The

@@ -1,6 +1,7 @@
 package leakprof
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -39,6 +40,17 @@ func snap(service, instance string, blocked map[stack.BlockedOp]int) *gprofile.S
 	return s
 }
 
+// analyze sweeps materialised snapshots through a sinkless Pipeline
+// and returns its findings.
+func analyze(t testing.TB, snaps []*gprofile.Snapshot, opts ...Option) []*Finding {
+	t.Helper()
+	sweep, err := New(opts...).Sweep(context.Background(), FromSnapshots(snaps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweep.Findings
+}
+
 func atoiTail(loc string) int {
 	var n int
 	fmt.Sscanf(loc[len(loc)-1:], "%d", &n)
@@ -56,8 +68,7 @@ func TestAnalyzeThreshold(t *testing.T) {
 		snap("svc", "i1", map[stack.BlockedOp]int{leaky: 150, benign: 3}),
 		snap("svc", "i2", map[stack.BlockedOp]int{leaky: 80, benign: 2}),
 	}
-	a := &Analyzer{Threshold: 100}
-	findings := a.Analyze(snaps)
+	findings := analyze(t, snaps, WithThreshold(100))
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want 1: %+v", len(findings), findings)
 	}
@@ -86,8 +97,7 @@ func TestAnalyzeBelowThresholdEverywhere(t *testing.T) {
 		snap("svc", "i1", map[stack.BlockedOp]int{leaky: 99}),
 		snap("svc", "i2", map[stack.BlockedOp]int{leaky: 99}),
 	}
-	a := &Analyzer{Threshold: 100}
-	if findings := a.Analyze(snaps); len(findings) != 0 {
+	if findings := analyze(t, snaps, WithThreshold(100)); len(findings) != 0 {
 		t.Errorf("sub-threshold location reported: %+v", findings)
 	}
 }
@@ -97,14 +107,13 @@ func TestAnalyzeDefaultThreshold(t *testing.T) {
 	snaps := []*gprofile.Snapshot{
 		snap("svc", "i1", map[stack.BlockedOp]int{leaky: DefaultThreshold}),
 	}
-	a := &Analyzer{}
-	if findings := a.Analyze(snaps); len(findings) != 1 {
+	if findings := analyze(t, snaps); len(findings) != 1 {
 		t.Errorf("10K cluster not reported with default threshold")
 	}
 	snaps = []*gprofile.Snapshot{
 		snap("svc", "i1", map[stack.BlockedOp]int{leaky: DefaultThreshold - 1}),
 	}
-	if findings := a.Analyze(snaps); len(findings) != 0 {
+	if findings := analyze(t, snaps); len(findings) != 0 {
 		t.Errorf("9999 cluster reported with default threshold")
 	}
 }
@@ -115,13 +124,9 @@ func TestAnalyzeOpFilter(t *testing.T) {
 	snaps := []*gprofile.Snapshot{
 		snap("svc", "i1", map[stack.BlockedOp]int{tick: 500, leak: 500}),
 	}
-	a := &Analyzer{
-		Threshold: 100,
-		Filters: []OpFilter{func(o stack.BlockedOp) bool {
-			return o.Function == "svc.ticker" // criterion 2: provably transient
-		}},
-	}
-	findings := a.Analyze(snaps)
+	findings := analyze(t, snaps, WithThreshold(100), WithFilters(func(o stack.BlockedOp) bool {
+		return o.Function == "svc.ticker" // criterion 2: provably transient
+	}))
 	if len(findings) != 1 || findings[0].Function != "svc.leak" {
 		t.Errorf("findings = %+v", findings)
 	}
@@ -133,8 +138,7 @@ func TestAnalyzeSeparatesServices(t *testing.T) {
 		snap("svcA", "a1", map[stack.BlockedOp]int{loc: 200}),
 		snap("svcB", "b1", map[stack.BlockedOp]int{loc: 300}),
 	}
-	a := &Analyzer{Threshold: 100}
-	findings := a.Analyze(snaps)
+	findings := analyze(t, snaps, WithThreshold(100))
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2 (one per service)", len(findings))
 	}
@@ -160,8 +164,7 @@ func TestRMSHighlightsConcentration(t *testing.T) {
 		snaps = append(snaps, snap("svcB", fmt.Sprintf("b%d", i+1), map[stack.BlockedOp]int{diffuse: 1000}))
 	}
 
-	a := &Analyzer{Threshold: 1000}
-	findings := a.Analyze(snaps)
+	findings := analyze(t, snaps, WithThreshold(1000))
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings: %+v", len(findings), findings)
 	}
@@ -174,8 +177,7 @@ func TestRMSHighlightsConcentration(t *testing.T) {
 	}
 
 	// Under RankTotal the two tie; under RankMax concentrated still wins.
-	at := &Analyzer{Threshold: 1000, Ranking: RankTotal}
-	ft := at.Analyze(snaps)
+	ft := analyze(t, snaps, WithThreshold(1000), WithRanking(RankTotal))
 	if ft[0].Impact != ft[1].Impact {
 		t.Errorf("totals should tie: %f vs %f", ft[0].Impact, ft[1].Impact)
 	}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/gprofile"
-	"repro/internal/stack"
 )
 
 // Endpoint identifies one profiled service instance.
@@ -28,96 +26,6 @@ type Endpoint struct {
 // a truncated profile would silently undercount exactly the instances
 // LEAKPROF most needs to see.
 const DefaultMaxProfileBytes = 256 << 20
-
-// Collector fetches goroutine profiles from a fleet of instances.
-//
-// Deprecated: Collector remains as a thin compatibility wrapper over the
-// Pipeline engine. New code should build a Pipeline (leakprof.New) and
-// sweep an Endpoints source; every Collector knob has a pipeline option
-// (WithTimeout, WithParallelism, WithRetry, WithErrorBudget, ...).
-type Collector struct {
-	// Client is the HTTP client; nil means a client with Timeout.
-	Client *http.Client
-	// Timeout bounds each fetch; zero means 30 seconds.
-	Timeout time.Duration
-	// Parallelism bounds concurrent fetches; zero means 32.
-	Parallelism int
-	// Now supplies timestamps; nil means time.Now (simulations inject a
-	// fake clock).
-	Now func() time.Time
-	// MaxProfileBytes bounds one profile body; a larger body fails the
-	// fetch rather than truncating. Zero means DefaultMaxProfileBytes.
-	MaxProfileBytes int64
-	// Retry bounds per-endpoint retries; the zero value means one
-	// attempt.
-	Retry RetryPolicy
-	// ErrorBudget short-circuits a service's remaining instances once
-	// this many of its instances failed in one sweep; zero means
-	// unlimited.
-	ErrorBudget int
-	// Intern optionally shares one bounded string pool across all of
-	// the collector's profile scans.
-	Intern *stack.InternPool
-}
-
-// config maps the collector's fields onto the engine configuration the
-// Pipeline uses — Collector entry points and Pipeline sweeps run the
-// identical fetch loop.
-func (c *Collector) config() Config {
-	return Config{
-		Client:          c.Client,
-		Timeout:         c.Timeout,
-		Parallelism:     c.Parallelism,
-		MaxProfileBytes: c.MaxProfileBytes,
-		Now:             c.Now,
-		Retry:           c.Retry,
-		ErrorBudget:     c.ErrorBudget,
-		Intern:          c.Intern,
-	}
-}
-
-// CollectResult pairs a snapshot with its per-endpoint error; a fleet
-// sweep must tolerate unreachable instances (deploys, crashes) without
-// aborting.
-type CollectResult struct {
-	Endpoint Endpoint
-	Snapshot *gprofile.Snapshot
-	Err      error
-}
-
-// Collect sweeps all endpoints and returns one result per endpoint, in
-// input order.
-//
-// Deprecated: sweeps that fold results into an aggregator should use a
-// Pipeline over an Endpoints source, which retains nothing per endpoint.
-func (c *Collector) Collect(ctx context.Context, endpoints []Endpoint) []CollectResult {
-	cfg := c.config()
-	results := make([]CollectResult, len(endpoints))
-	fetchFleet(ctx, &cfg, nil, endpoints, func(i int, snap *gprofile.Snapshot, err error) {
-		results[i] = CollectResult{Endpoint: endpoints[i], Snapshot: snap, Err: err}
-	})
-	return results
-}
-
-// CollectInto sweeps all endpoints, folding each instance's profile into
-// agg as its fetch completes — collection and aggregation overlap, and no
-// per-instance state survives the fetch. It returns one error slot per
-// endpoint, nil for successes.
-//
-// Deprecated: use a Pipeline over an Endpoints source; Pipeline.Sweep
-// owns the aggregator and reports failures in the Sweep result.
-func (c *Collector) CollectInto(ctx context.Context, endpoints []Endpoint, agg *Aggregator) []error {
-	cfg := c.config()
-	errs := make([]error, len(endpoints))
-	fetchFleet(ctx, &cfg, nil, endpoints, func(i int, snap *gprofile.Snapshot, err error) {
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		agg.Add(snap)
-	})
-	return errs
-}
 
 // fetchOne streams one instance's profile body straight into the scanner;
 // the body is never materialised.
@@ -149,15 +57,4 @@ func fetchOne(ctx context.Context, cfg *Config, client *http.Client, ep Endpoint
 		return nil, fmt.Errorf("leakprof: %s/%s profile exceeds %d bytes", ep.Service, ep.Instance, max)
 	}
 	return snap, nil
-}
-
-// Snapshots extracts the successful snapshots from a sweep.
-func Snapshots(results []CollectResult) []*gprofile.Snapshot {
-	out := make([]*gprofile.Snapshot, 0, len(results))
-	for _, r := range results {
-		if r.Err == nil && r.Snapshot != nil {
-			out = append(out, r.Snapshot)
-		}
-	}
-	return out
 }

@@ -17,6 +17,23 @@ func profileServer(gs []*stack.Goroutine) *httptest.Server {
 	return httptest.NewServer(gprofile.Handler{Stacks: func() []*stack.Goroutine { return gs }})
 }
 
+// snapshotSink keeps every snapshot a sweep streams past it. A sink
+// runs on one worker goroutine and Sweep drains it before returning, so
+// reading snaps after Sweep needs no lock.
+type snapshotSink struct{ snaps []*gprofile.Snapshot }
+
+func (s *snapshotSink) Snapshot(snap *gprofile.Snapshot) { s.snaps = append(s.snaps, snap) }
+func (s *snapshotSink) SweepDone(*Sweep) error           { return nil }
+
+// collect sweeps eps through a Pipeline built from opts and returns the
+// sweep with the snapshots it collected.
+func collect(t *testing.T, ctx context.Context, eps []Endpoint, opts ...Option) (*Sweep, []*gprofile.Snapshot) {
+	t.Helper()
+	sink := &snapshotSink{}
+	sweep, _ := New(opts...).AddSinks(sink).Sweep(ctx, StaticEndpoints(eps...))
+	return sweep, sink.snaps
+}
+
 func TestCollectFetchesAndScans(t *testing.T) {
 	gs := []*stack.Goroutine{
 		{ID: 1, State: "chan send", Frames: []stack.Frame{{Function: "svc.leak", File: "/svc/l.go", Line: 5}}},
@@ -25,34 +42,33 @@ func TestCollectFetchesAndScans(t *testing.T) {
 	srv := profileServer(gs)
 	defer srv.Close()
 
-	c := &Collector{Now: func() time.Time { return time.Unix(42, 0) }}
-	results := c.Collect(context.Background(), []Endpoint{
+	sweep, snaps := collect(t, context.Background(), []Endpoint{
 		{Service: "svc", Instance: "i1", URL: srv.URL + "?debug=2"},
-	})
-	if len(results) != 1 {
-		t.Fatalf("got %d results", len(results))
+	}, WithClock(func() time.Time { return time.Unix(42, 0) }))
+	if sweep.Errors != 0 {
+		t.Fatal(sweep.Failures)
 	}
-	r := results[0]
-	if r.Err != nil {
-		t.Fatal(r.Err)
+	if len(snaps) != 1 {
+		t.Fatalf("got %d snapshots", len(snaps))
 	}
-	if r.Snapshot.Service != "svc" || r.Snapshot.Instance != "i1" {
-		t.Errorf("snapshot meta = %+v", r.Snapshot)
+	snap := snaps[0]
+	if snap.Service != "svc" || snap.Instance != "i1" {
+		t.Errorf("snapshot meta = %+v", snap)
 	}
-	if !r.Snapshot.TakenAt.Equal(time.Unix(42, 0)) {
-		t.Errorf("timestamp = %v", r.Snapshot.TakenAt)
+	if !snap.TakenAt.Equal(time.Unix(42, 0)) {
+		t.Errorf("timestamp = %v", snap.TakenAt)
 	}
 	// The body streamed through the scanner: the snapshot is compact,
 	// carrying aggregates rather than goroutine records.
-	if len(r.Snapshot.Goroutines) != 0 {
-		t.Errorf("snapshot retained %d goroutine records", len(r.Snapshot.Goroutines))
+	if len(snap.Goroutines) != 0 {
+		t.Errorf("snapshot retained %d goroutine records", len(snap.Goroutines))
 	}
-	if r.Snapshot.NumGoroutines() != 2 {
-		t.Errorf("total goroutines = %d, want 2", r.Snapshot.NumGoroutines())
+	if snap.NumGoroutines() != 2 {
+		t.Errorf("total goroutines = %d, want 2", snap.NumGoroutines())
 	}
 	want := stack.BlockedOp{Op: "send", Location: "/svc/l.go:5", Function: "svc.leak"}
-	if n := r.Snapshot.PreAggregated[want]; n != 1 {
-		t.Errorf("aggregates = %+v, want %+v -> 1", r.Snapshot.PreAggregated, want)
+	if n := snap.PreAggregated[want]; n != 1 {
+		t.Errorf("aggregates = %+v, want %+v -> 1", snap.PreAggregated, want)
 	}
 }
 
@@ -71,28 +87,24 @@ func TestCollectIntoStreamsAggregates(t *testing.T) {
 	}))
 	defer bad.Close()
 
-	analyzer := &Analyzer{Threshold: 100}
-	agg := analyzer.NewAggregator()
-	c := &Collector{}
-	errs := c.CollectInto(context.Background(), []Endpoint{
-		{Service: "svc", Instance: "i1", URL: srv.URL + "?debug=2"},
-		{Service: "svc", Instance: "i2", URL: srv.URL + "?debug=2"},
-		{Service: "svc", Instance: "down", URL: bad.URL},
-	}, agg)
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("good endpoints errored: %v, %v", errs[0], errs[1])
+	sweep, err := New(WithThreshold(100)).Sweep(context.Background(), StaticEndpoints(
+		Endpoint{Service: "svc", Instance: "i1", URL: srv.URL + "?debug=2"},
+		Endpoint{Service: "svc", Instance: "i2", URL: srv.URL + "?debug=2"},
+		Endpoint{Service: "svc", Instance: "down", URL: bad.URL},
+	))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errs[2] == nil {
-		t.Error("failing endpoint did not error")
+	if sweep.Errors != 1 || len(sweep.Failures) != 1 || sweep.Failures[0].Instance != "down" {
+		t.Fatalf("failures = %+v, want only the failing endpoint", sweep.Failures)
 	}
-	if agg.Profiles() != 2 {
-		t.Errorf("profiles = %d, want 2", agg.Profiles())
+	if sweep.Profiles != 2 {
+		t.Errorf("profiles = %d, want 2", sweep.Profiles)
 	}
-	findings := agg.Findings(RankRMS)
-	if len(findings) != 1 {
-		t.Fatalf("findings = %+v", findings)
+	if len(sweep.Findings) != 1 {
+		t.Fatalf("findings = %+v", sweep.Findings)
 	}
-	f := findings[0]
+	f := sweep.Findings[0]
 	if f.Location != "/svc/l.go:5" || f.TotalBlocked != 600 || f.Instances != 2 || f.SuspiciousInstances != 2 {
 		t.Errorf("finding = %+v", f)
 	}
@@ -106,21 +118,16 @@ func TestCollectToleratesFailures(t *testing.T) {
 	}))
 	defer bad.Close()
 
-	c := &Collector{}
-	results := c.Collect(context.Background(), []Endpoint{
+	sweep, snaps := collect(t, context.Background(), []Endpoint{
 		{Service: "a", Instance: "a1", URL: good.URL + "?debug=2"},
 		{Service: "b", Instance: "b1", URL: bad.URL},
 		{Service: "c", Instance: "c1", URL: "http://127.0.0.1:1/unreachable"},
 	})
-	if results[0].Err != nil {
-		t.Errorf("good endpoint failed: %v", results[0].Err)
+	if sweep.Errors != 2 || sweep.FailedByService["b"] != 1 || sweep.FailedByService["c"] != 1 {
+		t.Errorf("failures = %+v, want b1 and c1", sweep.Failures)
 	}
-	if results[1].Err == nil || results[2].Err == nil {
-		t.Error("failing endpoints did not error")
-	}
-	snaps := Snapshots(results)
 	if len(snaps) != 1 || snaps[0].Service != "a" {
-		t.Errorf("Snapshots = %+v", snaps)
+		t.Errorf("snapshots = %+v", snaps)
 	}
 }
 
@@ -140,16 +147,13 @@ func TestCollectBoundedParallelism(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Collector{Parallelism: 3}
 	endpoints := make([]Endpoint, 12)
 	for i := range endpoints {
 		endpoints[i] = Endpoint{Service: "s", Instance: string(rune('a' + i)), URL: srv.URL}
 	}
-	results := c.Collect(context.Background(), endpoints)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
+	sweep, _ := collect(t, context.Background(), endpoints, WithParallelism(3))
+	if sweep.Errors != 0 {
+		t.Fatal(sweep.Failures)
 	}
 	if got := maxInFlight.Load(); got > 3 {
 		t.Errorf("max in-flight = %d, want <= 3", got)
@@ -169,26 +173,25 @@ func TestCollectRejectsOversizedProfile(t *testing.T) {
 		_, _ = w.Write([]byte(body))
 	}))
 	defer srv.Close()
+	eps := []Endpoint{{Service: "s", Instance: "i", URL: srv.URL}}
 
 	// A body over the cap must fail the fetch — truncating would
 	// silently undercount the leakiest instances.
-	c := &Collector{MaxProfileBytes: int64(len(body) - 1)}
-	results := c.Collect(context.Background(), []Endpoint{{Service: "s", Instance: "i", URL: srv.URL}})
-	if results[0].Err == nil {
+	sweep, _ := collect(t, context.Background(), eps, WithMaxProfileBytes(int64(len(body)-1)))
+	if len(sweep.Failures) != 1 {
 		t.Fatal("oversized profile did not error")
 	}
-	if !strings.Contains(results[0].Err.Error(), "exceeds") {
-		t.Errorf("error = %v, want size-limit error", results[0].Err)
+	if err := sweep.Failures[0].Err; !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("error = %v, want size-limit error", err)
 	}
 
 	// At exactly the cap the profile is complete and must succeed.
-	c = &Collector{MaxProfileBytes: int64(len(body))}
-	results = c.Collect(context.Background(), []Endpoint{{Service: "s", Instance: "i", URL: srv.URL}})
-	if results[0].Err != nil {
-		t.Fatalf("at-limit profile errored: %v", results[0].Err)
+	sweep, snaps := collect(t, context.Background(), eps, WithMaxProfileBytes(int64(len(body))))
+	if sweep.Errors != 0 {
+		t.Fatalf("at-limit profile errored: %v", sweep.Failures)
 	}
-	if results[0].Snapshot.NumGoroutines() != 50 {
-		t.Errorf("goroutines = %d, want 50", results[0].Snapshot.NumGoroutines())
+	if snaps[0].NumGoroutines() != 50 {
+		t.Errorf("goroutines = %d, want 50", snaps[0].NumGoroutines())
 	}
 }
 
@@ -199,9 +202,8 @@ func TestCollectHonoursContext(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	c := &Collector{}
-	results := c.Collect(ctx, []Endpoint{{Service: "s", Instance: "i", URL: srv.URL}})
-	if results[0].Err == nil {
+	sweep, _ := collect(t, ctx, []Endpoint{{Service: "s", Instance: "i", URL: srv.URL}})
+	if sweep.Errors != 1 {
 		t.Error("cancelled fetch should error")
 	}
 }

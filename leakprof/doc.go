@@ -78,23 +78,19 @@
 // filed or re-sighted (report.DB.TakeDirty), the trend observations it
 // added (TrendTracker.TakeNew), and the sweep outcome. Persisting a
 // sweep therefore costs O(what the sweep changed); at a 100K-key steady
-// state the v1 rewrite-everything model paid ~10,000x more bytes per
-// sweep (see BenchmarkStateJournal), and BenchmarkSweepCriticalPath
-// measures the end-to-end sweep latency the remaining knobs buy back.
+// state rewriting the whole state every sweep costs ~10,000x more bytes
+// (see BenchmarkStateJournal), and BenchmarkSweepCriticalPath measures
+// the end-to-end sweep latency the remaining knobs buy back.
 //
-// Frame encoding is negotiated per journal (format version 3). New
-// journals write the binary codec — varint-packed fields, a string
-// table for the keys a record repeats, flate-compressed snapshot
-// bodies — several-fold smaller than the JSON it replaces at a
-// 100K-key steady state. JSON remains the v2-compatible fallback
-// (WithStateCodec), every frame self-describes in its first payload
-// byte, and recovery accepts both in one pass, so a journal whose
-// history mixes codecs — JSON deltas from an old binary, binary frames
-// appended after an upgrade — replays seamlessly. The journal.json
-// manifest records the negotiated codec; a reopened store keeps the
-// journal's dialect unless explicitly switched, and a journal that
-// stays pure JSON keeps the version-2 manifest so v2-era readers can
-// still open it.
+// Frames are binary (StateVersion 3): varint-packed fields, strings as
+// references into a per-segment dictionary, and flate-compressed
+// snapshot bodies, all inside the internal/frame payload envelope
+// shared with shard reports and the static findings index. A build
+// reads exactly the format it writes. A state dir in any other format —
+// a format-1 state.json, a format-2 manifest or JSON frame, a binary
+// frame of another version — fails the open with an error naming what
+// it found and the version it supports, rather than opening empty and
+// re-alerting every owner of every bug the journal had filed.
 //
 // Durability is a policy, not a tax (WithStateSync). SyncEverySweep,
 // the default, fsyncs inside every RecordSweep: no recorded sweep is
@@ -114,16 +110,20 @@
 // The log is kept bounded by compaction, and compaction is concurrent.
 // The active segment rolls over past a size bound, and once more than a
 // bounded number of segments are live (WithStateCompaction) the store
-// folds them: the full state is copied under the lock, encoded and
-// written as one snapshot frame into a fresh segment off it, the
-// journal.json manifest pointer swings to that segment atomically (temp
-// file + rename), and the old segments are deleted. Sweeps recorded
-// while the fold runs append to an in-memory side buffer and land right
-// behind the snapshot — no sweep ever blocks on the fold. Snapshot
-// frames replay by replacement, so a crash anywhere in that sequence
-// recovers cleanly: before the pointer swing the old segments are still
-// live and the half-written snapshot is a torn tail; after it, the
-// leftovers below the pointer are swept up on open.
+// folds them. Under the lock it captures only the key sets, reserves
+// the next segment number for the snapshot, and rolls appends onto the
+// segment after it. Off the lock the fold fetches the values in chunks,
+// encodes one snapshot frame, stages it to a temp file renamed into the
+// reserved slot, swings the journal.json manifest pointer to it (temp
+// file + rename), and deletes the old segments. Sweeps recorded while
+// the fold runs append through the normal path onto the segment past
+// the reserved slot — as durable as the sync policy promises, and
+// replaying behind the snapshot — so no sweep ever blocks on the fold.
+// Snapshot frames replay by replacement, so a crash anywhere in that
+// sequence recovers cleanly: before the rename, the open deletes the
+// unreferenced staging file; before the pointer swing, the complete
+// snapshot replays harmlessly after the segments it folded; after it,
+// the leftovers below the pointer are swept up on open.
 //
 // Two retention windows keep state from growing with the age of the
 // deployment. WithTrendRetention keeps only the last N trend
@@ -132,11 +132,6 @@
 // of memory, delta frames, and compaction folds once unseen for the
 // window; open bugs never age out, so dedup against a still-open report
 // holds forever.
-//
-// A state dir written by the v1 format (one monolithic state.json,
-// rewritten atomically every sweep) opens seamlessly: the v1 journal is
-// loaded, and the next recorded sweep folds everything into the first
-// snapshot segment and removes the old file.
 //
 // Wire the store's journal-backed components into the sinks at startup:
 //
@@ -287,7 +282,7 @@
 // stack.Current scans its capture buffer in place for the same reason:
 // no whole-dump string copy on the goleak verification path.
 //
-// Dictionary-compressed segments. The binary journal codec writes a
+// Dictionary-compressed segments. The journal codec writes a
 // per-segment string dictionary: the first frame after a segment roll
 // seeds the hot strings (keys, locations, service names), and
 // subsequent frames reference them by ordinal instead of repeating
@@ -380,39 +375,4 @@
 // the combined ranker strictly beating either half alone on precision
 // at equal recall: static pays for hard negatives, dynamic pays for
 // congestion, and the join dismisses both failure modes.
-//
-// # Migrating from the pre-Pipeline API
-//
-// The original five loosely-coupled structs remain as thin deprecated
-// wrappers over the engine; existing code keeps working. New code should
-// use the Pipeline surface:
-//
-//	old API                            Pipeline equivalent
-//	-------------------------------    ----------------------------------------
-//	Collector{Parallelism: n}          New(WithParallelism(n), ...)
-//	Collector{Timeout: d}              New(WithTimeout(d), ...)
-//	Collector.Collect(ctx, eps)        Sweep(ctx, StaticEndpoints(eps...))
-//	Collector.CollectInto(ctx, e, a)   Sweep(ctx, Endpoints(enum)) — the
-//	                                   engine owns the aggregator
-//	Analyzer{Threshold, Filters,       New(WithThreshold(t), WithFilters(f...),
-//	  Ranking}                           WithRanking(r))
-//	Analyzer.Analyze(snaps)            Sweep(ctx, FromSnapshots(snaps)).Findings
-//	gprofile.LoadDir + Analyze         Sweep(ctx, Archive(dir))
-//	Reporter.Report(findings)          AddSinks(&ReportSink{Reporter: rep})
-//	TrendTracker.Observe(at, fs)       AddSinks(&TrendSink{Tracker: tr})
-//	gprofile.SaveDir after sweep       AddSinks(archiveSink) — write-through
-//	Scheduler{Interval: d}.Run(ctx)    New(WithInterval(d), ...).Run(ctx, src)
-//	Scheduler.Sweep(ctx)               Pipeline.Sweep(ctx, src)
-//
-// New capabilities have no old-API equivalent: WithRetry (bounded
-// attempts with jittered exponential backoff), WithErrorBudget (a
-// fleet-wide outage costs the sweep a bounded number of timeouts per
-// service), WithSharedIntern (one bounded string pool across all of a
-// sweep's profile scans), WithStateDir (the durable segmented journal
-// described under "Durability & state"), WithStateSync and
-// WithStateCodec (the journal's fsync policy and frame codec),
-// WithStateCompaction, WithTrendRetention, and WithBugRetention (the
-// journal's bounds), WithSinkQueue (the concurrent sink fan-out's
-// per-sink queue bound), and WithDetachedSinks (sink lag spanning
-// sweeps, drained at Pipeline.Flush/Close).
 package leakprof

@@ -3,13 +3,16 @@ package leakprof
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/gprofile"
 	"repro/internal/report"
 	"repro/internal/stack"
@@ -34,7 +37,7 @@ func frameEnds(t *testing.T, path string) []int64 {
 	var ends []int64
 	var off int64
 	for {
-		_, n, err := readFrame(br, remaining)
+		_, n, err := frame.Read(br, remaining)
 		if err == io.EOF {
 			return ends
 		}
@@ -210,81 +213,26 @@ func TestStateStoreCrashRecoveryPerSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestStateStoreMixedCodecJournal pins one-pass recovery of a journal
-// whose frames span codecs: JSON deltas from a v2-era run with binary
-// deltas appended behind them, in the same segment.
+// TestStateStoreMixedCodecJournal pins recovery's answer to a segment
+// whose frames mix codecs: a JSON frame a format-2 build appended, a
+// binary frame behind it. Format 2 wrote no manifest before its first
+// compaction, so the frames are the only signal: the open fails on the
+// JSON frame and leaves the segment as it was.
 func TestStateStoreMixedCodecJournal(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStateStore(dir, StateFrameCodec(StateCodecJSON))
+	jsonFrame, _ := json.Marshal(map[string]any{"kind": recordDelta, "bugs": []report.Bug{{Key: svcKey("/json.go:1")}}})
+	binFrame, err := encodeBinaryRecord(codecSampleRecord(recordDelta))
 	if err != nil {
 		t.Fatal(err)
 	}
-	journalSweep(t, store, 1, map[string]int{"/json1.go:1": 100})
-	journalSweep(t, store, 2, map[string]int{"/json2.go:1": 50})
-	store.Close()
-
-	// The same journal reopened with the binary codec appends binary
-	// frames to the same segment.
-	store2, err := OpenStateStore(dir, StateFrameCodec(StateCodecBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	journalSweep(t, store2, 3, map[string]int{"/bin1.go:1": 25})
-	journalSweep(t, store2, 4, map[string]int{"/bin2.go:1": 12})
-	store2.Close()
-
-	// The segment is literally mixed: JSON frames open with '{', binary
-	// frames with the magic byte.
-	f, err := os.Open(store.segmentPath(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	fi, _ := f.Stat()
-	br := bufio.NewReader(f)
-	remaining := fi.Size()
-	var kinds []byte
-	for {
-		payload, n, err := readFrame(br, remaining)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		remaining -= n
-		kinds = append(kinds, payload[0])
-	}
-	want := []byte{'{', '{', binaryFrameMagic, binaryFrameMagic}
-	if len(kinds) != len(want) {
-		t.Fatalf("mixed segment holds %d frames (%v), want %d", len(kinds), kinds, len(want))
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("frame %d codec byte = 0x%02x, want 0x%02x", i, kinds[i], want[i])
-		}
-	}
-
-	// One recovery pass replays all four.
-	re, err := OpenStateStore(dir)
-	if err != nil {
-		t.Fatalf("mixed-codec journal failed recovery: %v", err)
-	}
-	defer re.Close()
-	for _, loc := range []string{"/json1.go:1", "/json2.go:1", "/bin1.go:1", "/bin2.go:1"} {
-		if _, ok := re.BugDB().Get(svcKey(loc)); !ok {
-			t.Errorf("frame for %s lost in mixed-codec recovery", loc)
-		}
-	}
+	assertSegmentRefused(t, "offset 0: not a journal record (leading byte 0x7b", jsonFrame, binFrame)
 }
 
-// TestStateStoreCodecNegotiation pins the manifest negotiation: a journal
-// compacted under JSON keeps JSON on reopen (so v2-era readers stay
-// compatible) until the caller explicitly switches, and a fresh store
-// defaults to binary.
+// TestStateStoreCodecNegotiation pins the end of codec negotiation:
+// manifests carry no codec field, and the one earlier builds wrote
+// beside format 3 is read past, so their state dirs still open.
 func TestStateStoreCodecNegotiation(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir, StateFrameCodec(StateCodecJSON))
+	store, err := OpenStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,42 +241,23 @@ func TestStateStoreCodecNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Close()
-
-	m, err := store.readManifest()
-	if err != nil {
+	manifest := filepath.Join(dir, StateManifestName)
+	written, err := os.ReadFile(manifest)
+	if err != nil || strings.Contains(string(written), "codec") {
+		t.Fatalf("manifest = %s, %v; want no codec field", written, err)
+	}
+	earlier := strings.Replace(string(written), "}", `,"codec":"binary"}`, 1)
+	if err := os.WriteFile(manifest, []byte(earlier), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if m.Codec != StateCodecJSON || m.FormatVersion != stateVersionJSON {
-		t.Errorf("JSON journal manifest = version %d codec %q, want %d/%q", m.FormatVersion, m.Codec, stateVersionJSON, StateCodecJSON)
-	}
-
-	// Reopen without pinning a codec: the store adopts the manifest's.
 	re, err := OpenStateStore(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("manifest %s failed to load: %v", earlier, err)
 	}
-	if re.codec != StateCodecJSON {
-		t.Errorf("reopened store negotiated codec %q, want the journal's json", re.codec)
+	defer re.Close()
+	if _, ok := re.BugDB().Get(svcKey("/a.go:1")); !ok {
+		t.Error("journaled bug lost behind a manifest with a codec field")
 	}
-	re.Close()
-
-	// A fresh store defaults to binary, and its compacted manifest
-	// advertises the current version so old readers refuse cleanly.
-	fresh, err := OpenStateStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.codec != StateCodecBinary {
-		t.Errorf("fresh store codec = %q, want binary", fresh.codec)
-	}
-	journalSweep(t, fresh, 1, map[string]int{"/a.go:1": 1})
-	if err := fresh.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := fresh.readManifest(); err != nil || m.FormatVersion != StateVersion || m.Codec != StateCodecBinary {
-		t.Errorf("binary journal manifest = %+v, %v; want version %d codec binary", m, err, StateVersion)
-	}
-	fresh.Close()
 }
 
 // TestStateStoreMidFoldSweepDurability pins the concurrent-compaction

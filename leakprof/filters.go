@@ -43,8 +43,8 @@ func FilterTransientSource(root string) (OpFilter, error) {
 // information (WaitTime zero) are kept.
 //
 // Note: grouping in CountByLocation folds wait times away, so this
-// filter only has effect through Analyzer.Filters, which run on the
-// per-goroutine BlockedOp before aggregation.
+// filter only has effect as a pipeline filter (WithFilters), which runs
+// on the per-goroutine BlockedOp before aggregation.
 func FilterMinWait(d time.Duration) OpFilter {
 	return func(op stack.BlockedOp) bool {
 		return op.WaitTime != 0 && time.Duration(op.WaitTime) < d

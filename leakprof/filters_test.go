@@ -61,8 +61,7 @@ func handler(ctx context.Context, ch chan int) {
 	snapTransient := mk("svc.heartbeat", "svc/worker.go:5", 5, 500)
 	snapBlocking := mk("svc.handler", "svc/worker.go:13", 13, 500)
 
-	a := &Analyzer{Threshold: 100, Filters: []OpFilter{filter}}
-	findings := a.Analyze([]*gprofile.Snapshot{snapTransient, snapBlocking})
+	findings := analyze(t, []*gprofile.Snapshot{snapTransient, snapBlocking}, WithThreshold(100), WithFilters(filter))
 	if len(findings) != 1 {
 		t.Fatalf("findings = %d, want 1 (transient select suppressed): %+v", len(findings), findings)
 	}
@@ -87,8 +86,7 @@ func TestFilterMinWait(t *testing.T) {
 	snap := &gprofile.Snapshot{Service: "svc", Instance: "i1",
 		Goroutines: []*stack.Goroutine{longBlocked, justBlocked, noWaitInfo}}
 
-	a := &Analyzer{Threshold: 1, Filters: []OpFilter{FilterMinWait(time.Minute)}}
-	findings := a.Analyze([]*gprofile.Snapshot{snap})
+	findings := analyze(t, []*gprofile.Snapshot{snap}, WithThreshold(1), WithFilters(FilterMinWait(time.Minute)))
 	got := map[string]bool{}
 	for _, f := range findings {
 		got[f.Function] = true

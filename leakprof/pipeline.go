@@ -81,9 +81,6 @@ type Config struct {
 	// StateSync is the state journal's fsync policy (see WithStateSync);
 	// the zero value is SyncEverySweep.
 	StateSync SyncPolicy
-	// StateCodec pins the journal frame codec (see WithStateCodec);
-	// empty negotiates via the journal manifest, defaulting to binary.
-	StateCodec StateCodec
 	// SinkErr observes each sink error as the sink's worker hits it (see
 	// WithSinkErrorFunc); nil drops nothing — errors still accumulate for
 	// the barriers.
@@ -302,15 +299,6 @@ func WithStateSync(p SyncPolicy) Option {
 	return func(c *Config) { c.StateSync = p }
 }
 
-// WithStateCodec pins the journal frame encoding (StateCodecBinary or
-// StateCodecJSON). Unset, the store keeps the dialect its journal
-// already speaks (negotiated via the manifest) and defaults new journals
-// to binary. Reading always accepts both, so mixed-codec journals
-// recover in one pass.
-func WithStateCodec(c StateCodec) Option {
-	return func(cfg *Config) { cfg.StateCodec = c }
-}
-
 // WithSinkErrorFunc registers a per-sink error callback invoked from the
 // sink's worker goroutine the moment SweepDone fails. Under
 // WithDetachedSinks errors otherwise surface only at the Flush/Close
@@ -414,17 +402,13 @@ func (p *Pipeline) State() (*StateStore, error) {
 	p.stateOnce.Do(func() {
 		// The store inherits the pipeline's clock so journal frames are
 		// stamped with the same (possibly fake) time the sweeps use.
-		opts := []StateOption{
+		p.store, p.stateErr = OpenStateStore(p.cfg.StateDir,
 			StateClock(p.cfg.now),
 			StateCompaction(p.cfg.StateSegmentBytes, p.cfg.StateMaxSegments),
 			StateTrendRetention(p.cfg.TrendRetention),
 			StateSync(p.cfg.StateSync),
 			StateBugRetention(p.cfg.BugRetention),
-		}
-		if p.cfg.StateCodec.valid() {
-			opts = append(opts, StateFrameCodec(p.cfg.StateCodec))
-		}
-		p.store, p.stateErr = OpenStateStore(p.cfg.StateDir, opts...)
+		)
 	})
 	return p.store, p.stateErr
 }

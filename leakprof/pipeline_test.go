@@ -246,27 +246,6 @@ func TestTrendVarianceAwareBand(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchPipeline pins the compatibility contract:
-// Analyzer.Analyze over materialised snapshots returns exactly what the
-// pipeline returns over the same data.
-func TestDeprecatedWrappersMatchPipeline(t *testing.T) {
-	op := stack.BlockedOp{Op: "send", Function: "pay.leak", Location: "/pay/l.go:5"}
-	snaps := []*gprofile.Snapshot{
-		{Service: "pay", Instance: "i1", PreAggregated: map[stack.BlockedOp]int{op: 250}},
-		{Service: "pay", Instance: "i2", PreAggregated: map[stack.BlockedOp]int{op: 120}},
-	}
-	analyzer := &Analyzer{Threshold: 100, Ranking: RankRMS}
-	old := analyzer.Analyze(snaps)
-	sweep, err := New(WithThreshold(100), WithRanking(RankRMS)).
-		Sweep(context.Background(), FromSnapshots(snaps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, sweep.Findings) {
-		t.Errorf("Analyze = %+v, pipeline = %+v", old[0], sweep.Findings[0])
-	}
-}
-
 // TestObserveMomentsMergesSameKey: aggregation groups by the full
 // operation while trend keys fold Function/NilChannel away, so one sweep
 // can yield several moments per key — they must merge into a single

@@ -30,7 +30,7 @@ type Reporter struct {
 }
 
 // Report files the findings and returns the alerts for newly discovered
-// defects. Findings must already be impact-ordered (Analyzer.Analyze
+// defects. Findings must already be impact-ordered (Sweep.Findings
 // guarantees this); re-sighted defects update the DB but do not re-alert.
 func (r *Reporter) Report(findings []*Finding) []*report.Alert {
 	topN := r.TopN

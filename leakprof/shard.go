@@ -294,7 +294,7 @@ func PostShardReportAuth(ctx context.Context, client *http.Client, url, token st
 // as ShardSweep assigns) at or below the highest sequence already
 // accepted from its shard is dropped with 409 Conflict — the worker
 // learns its report landed and stops retrying. Unsequenced or unnamed
-// reports (v1 frames, hand-built reports) are never deduplicated.
+// (hand-built) reports are never deduplicated.
 type ShardInbox struct {
 	// Token, when non-empty, is the shared secret every POST must carry
 	// in X-Leakprof-Token (constant-time compared; mismatches are 401s

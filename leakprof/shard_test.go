@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/gprofile"
 )
 
@@ -123,7 +126,8 @@ func TestShardReportWireRoundTrip(t *testing.T) {
 }
 
 // TestShardReportWireRejectsCorruption flips a payload byte and expects
-// the CRC to catch it.
+// the CRC to catch it, and refuses a well-formed frame of the retired
+// version 1 with an error naming both versions.
 func TestShardReportWireRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteShardReport(&buf, &ShardReport{Shard: "s", Profiles: 1}); err != nil {
@@ -133,6 +137,59 @@ func TestShardReportWireRejectsCorruption(t *testing.T) {
 	raw[len(raw)-1] ^= 0x40
 	if _, err := ReadShardReport(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted frame decoded cleanly")
+	}
+
+	// A version-1 frame had no sequence number. Derive one from a v2
+	// encoding whose trailing fields are all empty: dropping the single
+	// zero Seq byte and stamping version 1 yields exactly what a v1
+	// writer produced.
+	buf.Reset()
+	if err := WriteShardReport(&buf, &ShardReport{Shard: "old", Profiles: 3}); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()[frame.HeaderSize:]
+	if payload[len(payload)-5] != 0 {
+		t.Fatal("layout drift: expected the Seq byte fifth from the end (before four empty section counts)")
+	}
+	v1 := append([]byte(nil), payload[:len(payload)-5]...)
+	v1 = append(v1, payload[len(payload)-4:]...) // drop the Seq byte
+	v1[1] = 1                                    // stamp the old version
+	_, err := ReadShardReport(bytes.NewReader(frame.New(v1)))
+	if !errors.Is(err, frame.ErrVersion) || !strings.Contains(err.Error(), "version 1, older than supported 2") {
+		t.Fatalf("v1 frame: err = %v, want a refusal naming versions 1 and 2", err)
+	}
+
+	// A checksummed frame whose one table string claims a length that
+	// overflows the decoder's offset arithmetic.
+	hostile := binary.AppendUvarint([]byte{payload[0], payload[1], 0, 1}, math.MaxInt64)
+	if _, err := ReadShardReport(bytes.NewReader(frame.New(hostile))); !errors.Is(err, frame.ErrTruncated) {
+		t.Fatalf("overflowing string length: err = %v, want frame.ErrTruncated", err)
+	}
+}
+
+// TestShardInboxHostileLengthPrefix POSTs 8 bytes whose length prefix
+// claims a 1 GiB payload: the inbox must answer 400 without allocating
+// the claim. The allocation counter is process-wide, so the least of
+// three POSTs is checked: other goroutines cannot inflate all three.
+func TestShardInboxHostileLengthPrefix(t *testing.T) {
+	var body [frame.HeaderSize]byte
+	binary.BigEndian.PutUint32(body[0:4], frame.MaxPayload)
+	inbox := NewShardInbox(1)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body[:]))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		inbox.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", rec.Code)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<20 {
+		t.Fatalf("an 8-byte POST allocated %d bytes, want < 1 MiB", least)
 	}
 }
 
@@ -387,7 +444,7 @@ func TestShardInboxDedupsDuplicatePost(t *testing.T) {
 		t.Fatalf("other shard's POST: %v", err)
 	}
 
-	// Unsequenced reports (v1 frames, hand-built) never deduplicate.
+	// Unsequenced (hand-built) reports never deduplicate.
 	legacy := &ShardReport{Shard: "legacy", Profiles: 1}
 	for i := 0; i < 2; i++ {
 		if err := PostShardReport(ctx, nil, srv.URL, legacy); err != nil {
@@ -396,42 +453,6 @@ func TestShardInboxDedupsDuplicatePost(t *testing.T) {
 	}
 	if got := len(inbox.ch); got != 5 {
 		t.Fatalf("inbox holds %d reports, want 5 (seq1, seq2, shard-1, 2x legacy)", got)
-	}
-}
-
-// TestShardReportV1FrameDecodes pins backward compatibility: a frame
-// written with the v1 layout (no sequence number) must decode with
-// Seq 0, never an error. The v1 frame is derived from a v2 encoding of
-// a report whose trailing fields are all empty: dropping the single
-// zero Seq byte and stamping version 1 yields exactly what a v1 writer
-// produced.
-func TestShardReportV1FrameDecodes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteShardReport(&buf, &ShardReport{Shard: "old", Profiles: 3}); err != nil {
-		t.Fatal(err)
-	}
-	framed := buf.Bytes()
-	payload := framed[frameHeaderSize:]
-	if payload[len(payload)-5] != 0 {
-		t.Fatal("layout drift: expected the Seq byte fifth from the end (before four empty section counts)")
-	}
-	v1 := append([]byte(nil), payload[:len(payload)-5]...)
-	v1 = append(v1, payload[len(payload)-4:]...) // drop the Seq byte
-	v1[1] = 1                                    // stamp the old version
-
-	var reframed bytes.Buffer
-	var header [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(v1)))
-	binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(v1))
-	reframed.Write(header[:])
-	reframed.Write(v1)
-
-	got, err := ReadShardReport(&reframed)
-	if err != nil {
-		t.Fatalf("v1 frame failed to decode: %v", err)
-	}
-	if got.Shard != "old" || got.Profiles != 3 || got.Seq != 0 {
-		t.Fatalf("v1 decode = %+v, want Shard=old Profiles=3 Seq=0", got)
 	}
 }
 

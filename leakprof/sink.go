@@ -60,14 +60,11 @@ type Sweep struct {
 	moments     []Moment
 }
 
-// Instances is the number of instances the sweep attempted.
-func (s *Sweep) Instances() int { return s.Profiles + s.Errors }
-
 // Moments returns the aggregator's raw per-group streaming moments —
 // every observed (service, operation, location) group, suspicious or
 // not — for consumers that want pre-threshold signal (trend tracking,
-// metrics). Computed lazily on first call: sinkless sweeps (the
-// deprecated Analyze wrapper, benchmarks) never pay for the export.
+// metrics). Computed lazily on first call: sinkless sweeps (detection
+// over materialised snapshots, benchmarks) never pay for the export.
 func (s *Sweep) Moments() []Moment {
 	s.momentsOnce.Do(func() {
 		if s.agg != nil {

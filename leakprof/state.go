@@ -18,31 +18,24 @@ import (
 	"repro/internal/report"
 )
 
-// StateFileName is the v1 monolithic journal file: one JSON document
-// rewritten after every sweep. Opening a state dir that still carries one
-// loads it seamlessly; the next persisted sweep migrates it into the
-// segmented journal and removes it.
-const StateFileName = "state.json"
-
 // StateManifestName is the segmented journal's manifest: a tiny pointer
-// document naming the first live segment and the codec new frames are
-// written with. Compaction makes its fold atomic by writing the new
-// snapshot segment first and then swinging this pointer; only segments at
-// or after the pointer are live.
+// document naming the first live segment. Compaction makes its fold
+// atomic by writing the new snapshot segment first and then swinging
+// this pointer; only segments at or after the pointer are live.
 const StateManifestName = "journal.json"
 
-// StateVersion is the current journal format version: 3 is the segmented
-// log carrying binary-codec frames (negotiated via the manifest's codec
-// field); 2 was the same segment layout with JSON-only frames, and 1 the
-// monolithic state.json. A store refuses to load a journal from the
-// future rather than silently misreading it, reads versions 1–3, and
-// keeps writing version-2 manifests while the journal stays JSON so a
-// v2-era reader can still open it.
+// StateVersion is the journal format version: a segmented log of binary
+// frames with segment-scoped string dictionaries. It is the only format
+// this build reads or writes. A state dir in any other format — format 1
+// was a monolithic state.json, format 2 the segmented log with JSON
+// frames — is refused at open with an error naming both versions, never
+// opened empty: an empty store would re-alert every owner of every bug
+// the journal had filed.
 const StateVersion = 3
 
-// stateVersionJSON is the manifest version written while every frame in
-// the journal is JSON: the compatibility dialect older readers accept.
-const stateVersionJSON = 2
+// legacyStateFile is format 1's monolithic journal; its presence in a
+// state dir fails the open.
+const legacyStateFile = "state.json"
 
 // Compaction defaults: the active segment rolls over past
 // DefaultStateSegmentBytes, and once more than DefaultStateMaxSegments
@@ -52,17 +45,6 @@ const (
 	DefaultStateMaxSegments  = 8
 )
 
-// maxFrameBytes bounds one journal frame; a length prefix beyond it is
-// treated as corruption rather than an allocation request. It, the
-// frame header, and the torn/corrupt distinction live in internal/frame,
-// which the shard-report wire format and the static findings index
-// share.
-const maxFrameBytes = frame.MaxPayload
-
-// frameHeaderSize is the per-frame framing overhead: a 4-byte big-endian
-// payload length followed by a 4-byte CRC-32 (IEEE) of the payload.
-const frameHeaderSize = frame.HeaderSize
-
 // journalRecord is one frame's payload. A "delta" frame carries what one
 // sweep changed — the dirty bugs, the new trend observations, the sweep
 // outcome — and replays by accumulation; a "snapshot" frame carries the
@@ -70,11 +52,11 @@ const frameHeaderSize = frame.HeaderSize
 // (and its crash windows) safe: replaying old deltas and then a snapshot
 // yields exactly the snapshot's state.
 type journalRecord struct {
-	Kind    string                        `json:"kind"` // "delta" or "snapshot"
-	SavedAt time.Time                     `json:"saved_at"`
-	Bugs    []report.Bug                  `json:"bugs,omitempty"`
-	Trend   map[string][]TrendObservation `json:"trend,omitempty"`
-	Sweep   *SweepRecord                  `json:"sweep,omitempty"`
+	Kind    string // recordDelta or recordSnapshot
+	SavedAt time.Time
+	Bugs    []report.Bug
+	Trend   map[string][]TrendObservation
+	Sweep   *SweepRecord
 }
 
 const (
@@ -82,27 +64,14 @@ const (
 	recordSnapshot = "snapshot"
 )
 
-// stateManifest is the on-disk form of StateManifestName.
+// stateManifest is the on-disk form of StateManifestName. Decoding
+// ignores unknown fields, so the "codec" field earlier builds wrote
+// beside a format-3 manifest is read past.
 type stateManifest struct {
 	FormatVersion int `json:"format_version"`
 	// BaseSegment is the first live segment. Segments below it are
 	// pre-compaction leftovers, deleted on open.
 	BaseSegment int `json:"base_segment"`
-	// Codec names the encoding new frames are appended with ("json" or
-	// "binary"). Reading never needs it — frames self-describe — but a
-	// reopened store adopts it so a journal keeps one dialect unless the
-	// caller explicitly switches, and a v2-era reader is version-gated
-	// away from binary frames it cannot decode.
-	Codec StateCodec `json:"codec,omitempty"`
-}
-
-// stateJournalV1 is the legacy monolithic journal, kept for migration.
-type stateJournalV1 struct {
-	FormatVersion int                           `json:"format_version"`
-	SavedAt       time.Time                     `json:"saved_at"`
-	Bugs          []report.Bug                  `json:"bugs,omitempty"`
-	Trend         map[string][]TrendObservation `json:"trend,omitempty"`
-	LastSweep     *SweepRecord                  `json:"last_sweep,omitempty"`
 }
 
 // SweepRecord is the journaled outcome of one sweep: the operational
@@ -217,25 +186,22 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // blind.
 //
 // On disk the store is a segmented append-only log. Every recorded sweep
-// appends one length-prefixed, CRC-checksummed frame — the sweep's
-// delta — to the active segment-NNNN.log, so the per-sweep write cost is
-// proportional to what the sweep changed, not to every key ever tracked.
-// Frames are encoded with the negotiated StateCodec (binary by default,
-// JSON as the v2-compatible fallback; frames self-describe, so
-// mixed-codec journals replay). Durability follows the SyncPolicy:
-// by default every append is fsynced before RecordSweep returns, and
-// under group commit one fsync covers a whole window of sweeps.
-// Recovery replays segments in order; a torn tail frame (a crash mid-
-// append) is truncated rather than failing the open, losing at most the
-// unsynced window. When the active segment outgrows its size bound the
-// store rolls to the next segment, and once more than a bounded number
-// of segments are live it compacts concurrently: the full state is
-// folded from a copy while sweeps keep appending — onto a segment past
-// the snapshot's reserved slot, so they stay durable and replay behind
-// it — and the journal.json manifest pointer swings to the snapshot
-// segment atomically. No sweep ever blocks on the fold. A state dir still holding the v1 monolithic
-// state.json opens seamlessly and is migrated to segments by the next
-// persisted sweep.
+// appends one length-prefixed, CRC-checksummed binary frame — the
+// sweep's delta — to the active segment-NNNN.log, so the per-sweep write
+// cost is proportional to what the sweep changed, not to every key ever
+// tracked. Durability follows the SyncPolicy: by default every append is
+// fsynced before RecordSweep returns, and under group commit one fsync
+// covers a whole window of sweeps. Recovery replays segments in order; a
+// torn tail frame (a crash mid-append) is truncated rather than failing
+// the open, losing at most the unsynced window. When the active segment
+// outgrows its size bound the store rolls to the next segment, and once
+// more than a bounded number of segments are live it compacts
+// concurrently: only the key sets are captured under the lock, the fold
+// goroutine fetches their values in chunks off it, and sweeps keep
+// appending — onto a segment past the snapshot's reserved slot, so they
+// stay durable and replay behind it — until the journal.json manifest
+// pointer swings to the snapshot segment atomically. No sweep ever
+// blocks on the fold.
 //
 // Open a store, wire its BugDB and Tracker into the sinks, and attach it
 // to the pipeline:
@@ -248,19 +214,16 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 //	)
 //
 // (Pipeline.State returns the same store the pipeline opened — with the
-// pipeline's clock, compaction thresholds, sync policy, codec, and
-// retention windows wired in — so the explicit OpenStateStore call is
-// optional.)
+// pipeline's clock, compaction thresholds, sync policy, and retention
+// windows wired in — so the explicit OpenStateStore call is optional.)
 type StateStore struct {
 	dir string
 	now func() time.Time
 
-	segmentBytes  int64 // roll the active segment beyond this size
-	maxSegments   int   // compact once more than this many segments are live
-	syncPolicy    SyncPolicy
-	codec         StateCodec
-	codecExplicit bool          // caller pinned the codec; manifest does not override
-	bugRetention  time.Duration // age-out window for closed bugs (0 = keep forever)
+	segmentBytes int64 // roll the active segment beyond this size
+	maxSegments  int   // compact once more than this many segments are live
+	syncPolicy   SyncPolicy
+	bugRetention time.Duration // age-out window for closed bugs (0 = keep forever)
 
 	mu      sync.Mutex
 	db      *report.DB
@@ -272,7 +235,6 @@ type StateStore struct {
 	active      *os.File // open append handle for the active segment
 	activeSize  int64
 	segCount    int       // live segments on disk
-	legacy      bool      // a v1 state.json is loaded/stale; next persist compacts it away
 	appended    int64     // total frame bytes appended since open (telemetry)
 	syncs       int64     // total fsyncs issued since open (telemetry)
 	unsynced    int       // frames appended to the active segment since its last sync
@@ -280,13 +242,13 @@ type StateStore struct {
 	foldPauses  int64     // concurrent-fold input captures since open (telemetry)
 	foldPauseNS int64     // cumulative store-lock pause of those captures
 
-	// Segment string dictionary (binary codec): the cumulative table the
-	// active segment's version-3 frames reference and append to. A roll
-	// resets it, carrying a bounded seed over via a dictionary frame at
-	// the new segment's head; recovery rebuilds it by replaying the
-	// active segment. Appended strings commit only after their frame's
-	// write succeeds, so the dictionary never references strings the
-	// on-disk segment does not declare.
+	// Segment string dictionary: the cumulative table the active
+	// segment's frames reference and append to. A roll resets it,
+	// carrying a bounded seed over via a dictionary frame at the new
+	// segment's head; recovery rebuilds it by replaying the active
+	// segment. Appended strings commit only after their frame's write
+	// succeeds, so the dictionary never references strings the on-disk
+	// segment does not declare.
 	segDict     *frame.Dict
 	pendingSeed []string // dictionary seed owed to the head of a fresh segment
 
@@ -353,18 +315,6 @@ func StateSync(p SyncPolicy) StateOption {
 	return func(s *StateStore) { s.syncPolicy = p }
 }
 
-// StateFrameCodec pins the codec new frames are written with, overriding
-// what the journal's manifest negotiated. Reading is codec-agnostic
-// either way.
-func StateFrameCodec(c StateCodec) StateOption {
-	return func(s *StateStore) {
-		if c.valid() {
-			s.codec = c
-			s.codecExplicit = true
-		}
-	}
-}
-
 // StateBugRetention ages closed (fixed or rejected) bugs out of the
 // store once their last sighting is older than age: they leave the
 // in-memory database, stop riding delta frames, and are excluded from
@@ -381,13 +331,12 @@ func StateBugRetention(age time.Duration) StateOption {
 
 // OpenStateStore creates dir if needed and recovers its journal. The
 // returned store's BugDB and Tracker are pre-seeded with everything the
-// journal recorded; a missing journal yields an empty store, and a v1
-// state.json is loaded for migration. A corrupt or future-versioned
-// journal is an error — silently discarding filed bugs would re-alert
-// every owner on the next sweep — with one deliberate exception: a torn
-// tail frame in the active segment (a crash mid-append) is truncated, so
-// recovery loses at most the frames the sync policy had not yet made
-// durable.
+// journal recorded; a missing journal yields an empty store. A corrupt
+// journal, or one in any format but StateVersion, is an error —
+// silently discarding filed bugs would re-alert every owner on the next
+// sweep — with one deliberate exception: a torn tail frame in the active
+// segment (a crash mid-append) is truncated, so recovery loses at most
+// the frames the sync policy had not yet made durable.
 func OpenStateStore(dir string, opts ...StateOption) (*StateStore, error) {
 	if dir == "" {
 		return nil, errors.New("leakprof: state dir must be non-empty")
@@ -401,7 +350,6 @@ func OpenStateStore(dir string, opts ...StateOption) (*StateStore, error) {
 		segmentBytes: DefaultStateSegmentBytes,
 		maxSegments:  DefaultStateMaxSegments,
 		syncPolicy:   SyncEverySweep,
-		codec:        StateCodecBinary,
 		db:           report.NewDB(),
 		tracker:      &TrendTracker{},
 	}
@@ -423,22 +371,18 @@ func OpenStateStore(dir string, opts ...StateOption) (*StateStore, error) {
 }
 
 // recover loads the on-disk journal into the store: manifest, leftover
-// deletion, segment replay (with tail truncation), and the v1 fallback.
+// deletion, and segment replay (with tail truncation).
 func (s *StateStore) recover() error {
+	if _, err := os.Stat(filepath.Join(s.dir, legacyStateFile)); err == nil {
+		return fmt.Errorf("leakprof: state dir %s holds a format-1 %s journal; this build reads only format %d",
+			s.dir, legacyStateFile, StateVersion)
+	}
 	manifest, err := s.readManifest()
 	if err != nil {
 		return err
 	}
 	if manifest != nil {
 		s.base = manifest.BaseSegment
-		// Codec negotiation: keep writing the journal's dialect unless
-		// the caller explicitly switched it.
-		if !s.codecExplicit && manifest.Codec.valid() {
-			s.codec = manifest.Codec
-		} else if !s.codecExplicit && manifest.FormatVersion <= stateVersionJSON {
-			// A v2 manifest predates the codec field: its journal is JSON.
-			s.codec = StateCodecJSON
-		}
 	}
 	seqs, err := s.listSegments()
 	if err != nil {
@@ -473,7 +417,7 @@ func (s *StateStore) recover() error {
 			return fmt.Errorf("leakprof: state manifest %s points at segment %d but its segments are missing",
 				filepath.Join(s.dir, StateManifestName), s.base)
 		}
-		return s.loadV1()
+		return nil
 	}
 	for i, seq := range live {
 		if err := s.replaySegment(seq, i == len(live)-1); err != nil {
@@ -485,39 +429,6 @@ func (s *StateStore) recover() error {
 	if fi, err := os.Stat(s.segmentPath(s.activeSeq)); err == nil {
 		s.activeSize = fi.Size()
 	}
-	// A v1 state.json alongside segments is a migration interrupted
-	// after the fold became durable; the segments win, and the stale
-	// file goes with the next compaction.
-	if _, err := os.Stat(filepath.Join(s.dir, StateFileName)); err == nil {
-		s.legacy = true
-	}
-	return nil
-}
-
-// loadV1 loads the legacy monolithic state.json, marking the store for
-// migration: the next persisted sweep compacts the whole state into the
-// first snapshot segment and removes the file.
-func (s *StateStore) loadV1() error {
-	path := filepath.Join(s.dir, StateFileName)
-	body, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("leakprof: reading state journal: %w", err)
-	}
-	var j stateJournalV1
-	if err := json.Unmarshal(body, &j); err != nil {
-		return fmt.Errorf("leakprof: decoding state journal %s: %w", path, err)
-	}
-	if j.FormatVersion > 1 {
-		return fmt.Errorf("leakprof: state journal %s has format version %d; monolithic journals end at version 1 (current format %d is segmented)",
-			path, j.FormatVersion, StateVersion)
-	}
-	s.db.Restore(j.Bugs)
-	s.tracker.Restore(j.Trend)
-	s.last = j.LastSweep
-	s.legacy = true
 	return nil
 }
 
@@ -534,8 +445,8 @@ func (s *StateStore) readManifest() (*stateManifest, error) {
 	if err := json.Unmarshal(body, &m); err != nil {
 		return nil, fmt.Errorf("leakprof: decoding state manifest %s: %w", path, err)
 	}
-	if m.FormatVersion > StateVersion {
-		return nil, fmt.Errorf("leakprof: state manifest %s has format version %d, newer than supported %d",
+	if m.FormatVersion != StateVersion {
+		return nil, fmt.Errorf("leakprof: state manifest %s has format version %d; this build reads only format %d",
 			path, m.FormatVersion, StateVersion)
 	}
 	if m.BaseSegment <= 0 {
@@ -545,35 +456,39 @@ func (s *StateStore) readManifest() (*stateManifest, error) {
 }
 
 func (s *StateStore) writeManifest(base int) error {
-	version := StateVersion
-	if s.codec == StateCodecJSON {
-		// While the journal speaks pure JSON, keep the manifest at the
-		// v2 dialect so older readers are not locked out needlessly.
-		version = stateVersionJSON
-	}
-	body, err := json.Marshal(&stateManifest{FormatVersion: version, BaseSegment: base, Codec: s.codec})
+	body, err := json.Marshal(&stateManifest{FormatVersion: StateVersion, BaseSegment: base})
 	if err != nil {
 		return fmt.Errorf("leakprof: encoding state manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".journal-*")
-	if err != nil {
-		return fmt.Errorf("leakprof: staging state manifest: %w", err)
-	}
-	_, werr := tmp.Write(append(body, '\n'))
-	if serr := tmp.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), filepath.Join(s.dir, StateManifestName))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("leakprof: writing state manifest: %w", werr)
+	if err := writeFileAtomic(s.dir, ".journal-*", filepath.Join(s.dir, StateManifestName), append(body, '\n')); err != nil {
+		return fmt.Errorf("leakprof: writing state manifest: %w", err)
 	}
 	return nil
+}
+
+// writeFileAtomic stages data in a temp file in dir, syncs it, and
+// renames it to path: on disk path holds either its old content or all
+// of data. It touches no store state, so the concurrent fold runs it off
+// the lock.
+func writeFileAtomic(dir, pattern, path string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if serr := tmp.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 func (s *StateStore) segmentPath(seq int) string {
@@ -608,24 +523,16 @@ func (s *StateStore) listSegments() ([]int, error) {
 	return seqs, nil
 }
 
-// errTornFrame marks a frame consistent with a crash mid-append: it
-// ends at (or claims to extend past) the end of the segment.
-var errTornFrame = frame.ErrTorn
-
-// errCorruptFrame marks a frame that fails its checksum while complete
-// frames follow it: that cannot be a torn append (the store is a single
-// O_APPEND writer, so only the final frame can be half-written) — it is
-// bit rot over durable data, and truncating it would silently discard
-// the valid frames behind it.
-var errCorruptFrame = frame.ErrCorrupt
-
 // replaySegment replays one segment's frames into the in-memory state.
-// In the final (active) segment a torn tail frame — one that stops at
-// end-of-file — is truncated away, everything before it already
-// replayed. A checksum-failed frame with data after it, or any bad
-// frame in an earlier segment, is corruption and fails the open:
-// compaction is the only path that removes old segments, and it never
-// leaves a torn one behind the manifest pointer.
+// In the final (active) segment a torn tail frame (frame.ErrTorn: one
+// that stops at end-of-file) is truncated away, everything before it
+// already replayed. A checksum-failed frame with data after it
+// (frame.ErrCorrupt: the store is a single O_APPEND writer, so only the
+// final frame can be half-written — this is bit rot over durable data,
+// and truncating it would silently discard the valid frames behind it),
+// or any bad frame in an earlier segment, fails the open: compaction is
+// the only path that removes old segments, and it never leaves a torn
+// one behind the manifest pointer.
 func (s *StateStore) replaySegment(seq int, isLast bool) error {
 	path := s.segmentPath(seq)
 	f, err := os.Open(path)
@@ -639,18 +546,17 @@ func (s *StateStore) replaySegment(seq int, isLast bool) error {
 	}
 	size := fi.Size()
 	br := bufio.NewReader(f)
-	// Each segment owns a fresh string dictionary; version-3 frames
-	// extend it as they decode (a seed frame at the segment head carries
-	// strings rolled over from the previous segment), while JSON and
-	// version-1/2 frames are self-contained and leave it untouched.
+	// Each segment owns a fresh string dictionary that its frames extend
+	// as they decode (a seed frame at the segment head carries strings
+	// rolled over from the previous segment).
 	var dec segDecoder
 	var off int64
 	for {
-		payload, n, err := readFrame(br, size-off)
+		payload, n, err := frame.Read(br, size-off)
 		if err == io.EOF {
 			break
 		}
-		if errors.Is(err, errTornFrame) {
+		if errors.Is(err, frame.ErrTorn) {
 			if !isLast {
 				return fmt.Errorf("leakprof: journal segment %s: %w at offset %d (not the active segment; refusing to guess)", path, err, off)
 			}
@@ -665,7 +571,7 @@ func (s *StateStore) replaySegment(seq int, isLast bool) error {
 		rec, derr := dec.decodePayload(payload)
 		if derr != nil {
 			// The checksum matched, so this is not torn — it is a frame
-			// this version cannot understand.
+			// this build cannot read (another format version, say).
 			return fmt.Errorf("leakprof: journal segment %s: decoding frame at offset %d: %w", path, off, derr)
 		}
 		if rec != nil { // nil: a dictionary seed frame, no record to apply
@@ -711,31 +617,6 @@ func (s *StateStore) applyRecord(rec *journalRecord) error {
 	return nil
 }
 
-// readFrame decodes one frame from br, with remaining the bytes left in
-// the segment from the frame's start. It returns (payload, total frame
-// length, error): io.EOF means a clean segment end, errTornFrame a frame
-// that stops at end-of-file (a crash mid-append), and errCorruptFrame a
-// checksum failure with data following it (bit rot, not a torn tail).
-// A frame whose claimed length extends past the end of the segment is
-// torn by construction, so no allocation is made for it — a corrupt
-// length prefix must not become a gigabyte allocation during recovery.
-func readFrame(br *bufio.Reader, remaining int64) ([]byte, int64, error) {
-	return frame.Read(br, remaining)
-}
-
-// encodeFrame renders one record as a framed, checksummed byte slice in
-// the given codec.
-func encodeFrame(rec *journalRecord, codec StateCodec) ([]byte, error) {
-	payload, err := encodePayload(rec, codec)
-	if err != nil {
-		return nil, fmt.Errorf("leakprof: encoding journal record: %w", err)
-	}
-	if len(payload) > maxFrameBytes {
-		return nil, fmt.Errorf("leakprof: journal record of %d bytes exceeds frame bound", len(payload))
-	}
-	return frame.New(payload), nil
-}
-
 // maxDictSeedStrings bounds the dictionary seed a roll carries into a
 // fresh segment. Small steady-state dictionaries (hot stack locations a
 // few deltas keep naming) are worth re-declaring once per segment; a
@@ -748,10 +629,6 @@ const maxDictSeedStrings = 4096
 // segment, carrying the outgoing dictionary's strings over as the seed
 // a dictionary frame will declare at the segment's head.
 func (s *StateStore) rollDictLocked() {
-	if s.codec != StateCodecBinary {
-		s.segDict, s.pendingSeed = nil, nil
-		return
-	}
 	var seed []string
 	if s.segDict != nil && s.segDict.Len() > 0 && s.segDict.Len() <= maxDictSeedStrings {
 		seed = s.segDict.Strings()
@@ -761,26 +638,18 @@ func (s *StateStore) rollDictLocked() {
 }
 
 // encodeActiveFrame renders one record as a framed byte slice destined
-// for the active segment. Under the binary codec the frame references
-// the segment dictionary; the returned commit publishes the frame's
-// appended strings into it, and must run only after the frame's write
-// succeeded so the dictionary never references strings the on-disk
-// segment does not declare.
+// for the active segment. The frame references the segment dictionary;
+// the returned commit publishes the frame's appended strings into it,
+// and must run only after the frame's write succeeded so the dictionary
+// never references strings the on-disk segment does not declare.
 func (s *StateStore) encodeActiveFrame(rec *journalRecord) ([]byte, func(), error) {
-	if s.codec != StateCodecBinary {
-		buf, err := encodeFrame(rec, s.codec)
-		return buf, func() {}, err
-	}
 	if s.segDict == nil {
 		s.segDict = frame.NewDict()
 	}
 	dt := frame.NewDictTable(s.segDict)
 	payload, err := encodeBinaryRecordDict(rec, dt)
 	if err != nil {
-		return nil, nil, fmt.Errorf("leakprof: encoding journal record: %w", err)
-	}
-	if len(payload) > maxFrameBytes {
-		return nil, nil, fmt.Errorf("leakprof: journal record of %d bytes exceeds frame bound", len(payload))
+		return nil, nil, err
 	}
 	return frame.New(payload), dt.Commit, nil
 }
@@ -797,7 +666,7 @@ func (s *StateStore) writePendingSeedLocked() error {
 	}
 	payload, err := encodeDictSeedPayload(s.pendingSeed)
 	if err != nil {
-		return fmt.Errorf("leakprof: encoding dictionary seed: %w", err)
+		return err
 	}
 	buf := frame.New(payload)
 	if _, err := s.active.Write(buf); err != nil {
@@ -1057,15 +926,10 @@ func (s *StateStore) Flush() error {
 }
 
 // appendPendingLocked journals un-recorded state as a sweep-less delta
-// frame, if any exists. A store still carrying a v1 journal compacts
-// instead: a bare delta behind an unmigrated state.json would be lost to
-// recovery, which ignores v1 content once segments exist.
+// frame, if any exists.
 func (s *StateStore) appendPendingLocked() error {
 	if s.db.DirtyCount() == 0 && !s.tracker.hasPending() {
 		return nil
-	}
-	if s.legacy {
-		return s.compactLocked()
 	}
 	rec := &journalRecord{
 		Kind:    recordDelta,
@@ -1146,8 +1010,7 @@ func (s *StateStore) LastFailureCounts() map[string]int {
 // weakens this: while a fold is in flight, deltas append to a segment
 // numbered after the snapshot's slot, as durable as any other append
 // and replaying behind the snapshot on recovery. Crossing the
-// segment-count threshold starts that concurrent fold; a pending v1
-// migration compacts synchronously (one-time).
+// segment-count threshold starts that concurrent fold.
 func (s *StateStore) RecordSweep(sweep *Sweep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1158,12 +1021,6 @@ func (s *StateStore) RecordSweep(sweep *Sweep) error {
 		Errors:          sweep.Errors,
 		Findings:        len(sweep.Findings),
 		FailedByService: copyCounts(sweep.FailedByService),
-	}
-	if s.legacy {
-		// First persist after a v1 load: fold everything — the migrated
-		// state plus this sweep — into the first snapshot segment and
-		// retire state.json. One-time, then deltas take over.
-		return s.compactLocked()
 	}
 	rec := &journalRecord{
 		Kind:    recordDelta,
@@ -1205,15 +1062,17 @@ func (s *StateStore) Save() error {
 }
 
 // Compact folds the live segments into one snapshot segment: the full
-// state is appended as a single snapshot frame to a fresh segment, the
-// manifest pointer swings to it atomically, and the old segments (and any
-// migrated v1 state.json) are deleted. A crash before the pointer swing
-// leaves the old segments live and the half-written snapshot as a torn
-// tail to truncate; a crash after it leaves only already-folded leftovers
-// to sweep up — either way, recovery loses at most the unsynced window.
-// Compact runs the fold synchronously; the threshold-triggered folds
-// inside RecordSweep run the same steps on a background goroutine with
-// sweeps buffering aside (see StateStore's doc).
+// state is written as a single snapshot frame to a staged segment that
+// is renamed into place, the manifest pointer swings to it atomically,
+// and the old segments are deleted. A crash before the rename leaves a
+// staging file that the next open deletes; a crash before the pointer
+// swing leaves the old segments live beside a complete snapshot that
+// replays harmlessly by replacement; a crash after it leaves only
+// already-folded leftovers to sweep up — either way, recovery loses at
+// most the unsynced window. Compact runs the fold synchronously; the
+// threshold-triggered folds inside RecordSweep run the same steps on a
+// background goroutine while sweeps keep appending past the snapshot's
+// reserved segment (see StateStore's doc).
 func (s *StateStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1221,15 +1080,15 @@ func (s *StateStore) Compact() error {
 	return s.compactLocked()
 }
 
-// startFoldLocked launches the concurrent compaction. The fold inputs
-// are copied under the lock; the expensive encode and write happen off
-// it. Crucially, sweeps recorded during the fold stay exactly as durable
-// as the sync policy promises: the store reserves the next segment
-// number for the snapshot and rolls its appends onto the segment after
-// it, so mid-fold deltas hit disk through the normal append path and
-// replay behind the snapshot whether or not the fold survives. The
-// snapshot itself lands by atomic rename, so on disk it is either absent
-// or complete — never a torn middle segment.
+// startFoldLocked launches the concurrent compaction. Only the key sets
+// are captured under the lock; fetching their values, the encode, and
+// the write happen off it. Crucially, sweeps recorded during the fold
+// stay exactly as durable as the sync policy promises: the store
+// reserves the next segment number for the snapshot and rolls its
+// appends onto the segment after it, so mid-fold deltas hit disk through
+// the normal append path and replay behind the snapshot whether or not
+// the fold survives. The snapshot itself lands by atomic rename, so on
+// disk it is either absent or complete — never a torn middle segment.
 func (s *StateStore) startFoldLocked() {
 	if s.folding {
 		return
@@ -1294,7 +1153,7 @@ func (s *StateStore) startFoldLocked() {
 func (s *StateStore) fold(rec, pending *journalRecord, bugKeys, trendKeys []string, oldBase, oldCount, newSeq int) {
 	rec.Bugs = s.db.SnapshotKeys(bugKeys)
 	rec.Trend = s.tracker.ExportStable(trendKeys)
-	buf, snapDict, err := s.encodeSnapshotFrame(rec)
+	buf, snapDict, err := encodeSnapshotFrame(rec)
 	if err == nil {
 		err = s.writeSnapshotSegment(newSeq, buf)
 	}
@@ -1326,10 +1185,6 @@ func (s *StateStore) fold(rec, pending *journalRecord, bugKeys, trendKeys []stri
 			os.Remove(s.segmentPath(seq))
 		}
 	}
-	if s.legacy {
-		os.Remove(filepath.Join(s.dir, StateFileName))
-		s.legacy = false
-	}
 	s.base = newSeq
 	s.segCount -= oldCount
 	s.segCount++ // the snapshot segment itself
@@ -1355,57 +1210,31 @@ func (s *StateStore) fold(rec, pending *journalRecord, bugKeys, trendKeys []stri
 // with its own fresh dictionary — snapshot segments are single-frame,
 // so the frame's appended-strings table carries everything it
 // references. It returns the committed dictionary so a store that
-// resumes appending onto the snapshot segment keeps writing in its
-// dialect. Safe off the store lock: it touches only the immutable codec
-// and its own locals.
-func (s *StateStore) encodeSnapshotFrame(rec *journalRecord) ([]byte, *frame.Dict, error) {
-	if s.codec != StateCodecBinary {
-		buf, err := encodeFrame(rec, s.codec)
-		return buf, nil, err
-	}
+// resumes appending onto the snapshot segment keeps resolving against
+// it. Safe off the store lock: it touches only its own locals.
+func encodeSnapshotFrame(rec *journalRecord) ([]byte, *frame.Dict, error) {
 	dict := frame.NewDict()
 	dt := frame.NewDictTable(dict)
 	payload, err := encodeBinaryRecordDict(rec, dt)
 	if err != nil {
-		return nil, nil, fmt.Errorf("leakprof: encoding journal record: %w", err)
-	}
-	if len(payload) > maxFrameBytes {
-		return nil, nil, fmt.Errorf("leakprof: journal record of %d bytes exceeds frame bound", len(payload))
+		return nil, nil, err
 	}
 	dt.Commit()
 	return frame.New(payload), dict, nil
 }
 
-// writeSnapshotSegment stages one snapshot frame to a temp file, syncs
-// it, and renames it into place as segment seq: on disk the segment is
-// either absent or complete. It touches no store state (callers bump the
-// sync telemetry under their own locking), so the concurrent fold runs
-// it off the lock.
+// writeSnapshotSegment lands one snapshot frame as segment seq by
+// atomic rename: on disk the segment is either absent or complete.
+// Callers bump the sync telemetry under their own locking.
 func (s *StateStore) writeSnapshotSegment(seq int, frame []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".segment-*")
-	if err != nil {
-		return fmt.Errorf("leakprof: staging snapshot segment: %w", err)
-	}
-	_, werr := tmp.Write(frame)
-	if serr := tmp.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.segmentPath(seq))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("leakprof: writing snapshot segment: %w", werr)
+	if err := writeFileAtomic(s.dir, ".segment-*", s.segmentPath(seq), frame); err != nil {
+		return fmt.Errorf("leakprof: writing snapshot segment: %w", err)
 	}
 	return nil
 }
 
-// compactLocked is the synchronous fold used by Compact, Save, and the
-// one-time v1 migration. The concurrent path (startFoldLocked) runs the
-// same sequence off the lock.
+// compactLocked is the synchronous fold used by Compact and Save. The
+// concurrent path (startFoldLocked) runs the same sequence off the lock.
 func (s *StateStore) compactLocked() error {
 	if s.bugRetention > 0 {
 		s.db.DropAged(s.now().Add(-s.bugRetention))
@@ -1417,7 +1246,7 @@ func (s *StateStore) compactLocked() error {
 		Trend:   s.tracker.Export(),
 		Sweep:   s.last,
 	}
-	buf, snapDict, err := s.encodeSnapshotFrame(rec)
+	buf, snapDict, err := encodeSnapshotFrame(rec)
 	if err != nil {
 		return err
 	}
@@ -1450,10 +1279,6 @@ func (s *StateStore) compactLocked() error {
 		if seq > 0 {
 			os.Remove(s.segmentPath(seq))
 		}
-	}
-	if s.legacy {
-		os.Remove(filepath.Join(s.dir, StateFileName))
-		s.legacy = false
 	}
 	s.base, s.activeSeq = newSeq, newSeq
 	s.activeSize = int64(len(buf))

@@ -16,9 +16,9 @@ import (
 //   - delta-append is the segmented journal's RecordSweep: one frame
 //     carrying the 10 dirty bugs and 10 new observations. Bytes and
 //     allocations per op scale with the sweep's delta.
-//   - full-rewrite is the v1 cost model (rewrite the whole state every
-//     sweep), expressed as a forced snapshot: bytes and allocations per
-//     op scale with the 100K tracked keys.
+//   - full-rewrite rewrites the whole state every sweep, expressed as a
+//     forced snapshot: bytes and allocations per op scale with the 100K
+//     tracked keys.
 //
 // The journal-KB/op metric is the store's own append accounting, so the
 // two models are directly comparable in one bench run.
@@ -101,7 +101,7 @@ func BenchmarkStateJournal(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sweepDelta(store, i+1)
-			// The v1 model: every sweep rewrites the whole journal.
+			// Every sweep rewrites the whole journal.
 			if err := store.Save(); err != nil {
 				b.Fatal(err)
 			}

@@ -312,27 +312,27 @@ func TestSweepArchiveReplayUsesManifestTimestamps(t *testing.T) {
 }
 
 // TestStateStoreJournalSafety pins the journal's failure modes: corrupt
-// and future-versioned manifests and legacy journals refuse to load
-// (silently dropping filed bugs would re-page every owner), a manifest
-// pointing at missing segments refuses, and saves leave no staging
-// litter behind.
+// manifests, manifests of any format but the current one, and format-1
+// state.json journals refuse to load (silently dropping filed bugs
+// would re-page every owner), a manifest pointing at missing segments
+// refuses, and saves leave no staging litter behind.
 func TestStateStoreJournalSafety(t *testing.T) {
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, StateFileName)
+	legacy := filepath.Join(dir, "state.json")
 	manifest := filepath.Join(dir, StateManifestName)
-
-	if err := os.WriteFile(legacy, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStateStore(dir); err == nil {
-		t.Error("corrupt v1 journal must not load silently")
-	}
+	// A format-1 state.json — torn, from the future, or well-formed — is
+	// refused, never opened empty beside the bugs it records.
 	futureV1, _ := json.Marshal(map[string]any{"format_version": StateVersion + 1})
-	if err := os.WriteFile(legacy, futureV1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStateStore(dir); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Errorf("future v1 journal error = %v", err)
+	v1, _ := json.Marshal(map[string]any{"format_version": 1, "bugs": []report.Bug{{Key: svcKey("/old.go:1")}}})
+	for _, body := range [][]byte{[]byte("{torn"), futureV1, v1} {
+		if err := os.WriteFile(legacy, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenStateStore(dir)
+		if err == nil || !strings.Contains(err.Error(), "format-1") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("format %d", StateVersion)) {
+			t.Errorf("state.json %s: err = %v, want a refusal naming format 1 and format %d", body, err, StateVersion)
+		}
 	}
 	if err := os.Remove(legacy); err != nil {
 		t.Fatal(err)
@@ -350,6 +350,15 @@ func TestStateStoreJournalSafety(t *testing.T) {
 	}
 	if _, err := OpenStateStore(dir); err == nil || !strings.Contains(err.Error(), "format version") {
 		t.Errorf("future manifest error = %v", err)
+	}
+	// Format 2 was the same segment layout with JSON frames.
+	v2, _ := json.Marshal(map[string]any{"format_version": 2, "base_segment": 1, "codec": "json"})
+	if err := os.WriteFile(manifest, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStateStore(dir); err == nil || !strings.Contains(err.Error(), "format version 2") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("format %d", StateVersion)) {
+		t.Errorf("format-2 manifest error = %v, want a refusal naming formats 2 and %d", err, StateVersion)
 	}
 	// A manifest pointing at segments that do not exist means the state
 	// was lost out from under the journal; refusing beats resurrecting
@@ -415,7 +424,7 @@ func readJournalFrames(t *testing.T, path string) []journalRecord {
 	var dec segDecoder
 	var out []journalRecord
 	for {
-		payload, n, err := readFrame(br, remaining)
+		payload, n, err := frame.Read(br, remaining)
 		if err == io.EOF {
 			return out
 		}
@@ -506,78 +515,6 @@ func TestStateStoreDeltaAppend(t *testing.T) {
 	}
 	if got := len(re.Tracker().Export()[svcKey("/a.go:1")]); got != 2 {
 		t.Errorf("recovered trend history length = %d, want 2", got)
-	}
-}
-
-// TestStateStoreV1Migration proves a state dir written in the v1
-// monolithic format opens seamlessly and is migrated to segments by the
-// next recorded sweep, after which the v1 file is gone and a reopen sees
-// the union of migrated and new state.
-func TestStateStoreV1Migration(t *testing.T) {
-	dir := t.TempDir()
-	v1Key := svcKey("/old.go:1")
-	v1 := stateJournalV1{
-		FormatVersion: 1,
-		SavedAt:       time.Unix(1000, 0),
-		Bugs: []report.Bug{{
-			Key: v1Key, Service: "svc", Op: "send",
-			Location: "/old.go:1", Sightings: 3, Status: report.StatusAcknowledged,
-		}},
-		Trend: map[string][]TrendObservation{
-			v1Key: {
-				{At: time.Unix(0, 0), Total: 100},
-				{At: time.Unix(0, 0).Add(24 * time.Hour), Total: 100},
-			},
-		},
-		LastSweep: &SweepRecord{At: time.Unix(900, 0), Source: "v1", Profiles: 7,
-			FailedByService: map[string]int{"flaky": 2}},
-	}
-	body, err := json.MarshalIndent(&v1, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, StateFileName), body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := OpenStateStore(dir)
-	if err != nil {
-		t.Fatalf("v1 journal failed to open: %v", err)
-	}
-	if bug, ok := store.BugDB().Get(v1Key); !ok || bug.Sightings != 3 || bug.Status != report.StatusAcknowledged {
-		t.Fatalf("migrated bug = %+v ok=%v", bug, ok)
-	}
-	if store.LastFailureCounts()["flaky"] != 2 {
-		t.Fatalf("migrated budget seed = %+v", store.LastFailureCounts())
-	}
-
-	// The next sweep migrates: segments + manifest appear, state.json goes.
-	journalSweep(t, store, 2, map[string]int{"/new.go:9": 40})
-	store.Close()
-	if _, err := os.Stat(filepath.Join(dir, StateFileName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("v1 state.json survived migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, StateManifestName)); err != nil {
-		t.Errorf("migration wrote no manifest: %v", err)
-	}
-	frames := readJournalFrames(t, store.segmentPath(store.activeSeq))
-	if len(frames) != 1 || frames[0].Kind != recordSnapshot {
-		t.Fatalf("migration frames = %+v, want one snapshot", frames)
-	}
-
-	re, err := OpenStateStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if bug, ok := re.BugDB().Get(v1Key); !ok || bug.Sightings != 3 {
-		t.Errorf("post-migration bug = %+v ok=%v", bug, ok)
-	}
-	if _, ok := re.BugDB().Get(svcKey("/new.go:9")); !ok {
-		t.Error("post-migration sweep's bug lost")
-	}
-	if got := len(re.Tracker().Export()[v1Key]); got != 2 {
-		t.Errorf("post-migration trend history = %d observations, want 2", got)
 	}
 }
 
@@ -1134,89 +1071,37 @@ func TestSweepArchiveRetentionKeepsNewestRecording(t *testing.T) {
 	}
 }
 
-// writeLegacySegment writes a segment of version-2 binary frames — the
-// pre-dictionary, self-contained encoding existing journals on disk
-// carry — so recovery's fallback decode path is exercised against real
-// old-format bytes, not a simulation.
-func writeLegacySegment(t *testing.T, path string, recs []journalRecord) {
-	t.Helper()
-	var buf bytes.Buffer
-	for i := range recs {
-		payload, err := encodeBinaryRecordLegacy(&recs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(frame.New(payload))
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+// TestStateStoreLegacyCodecRecovery pins recovery's answer to a journal
+// an earlier build wrote in version-2 binary frames: the open fails
+// naming both versions, never opening empty beside the bugs the journal
+// records.
+func TestStateStoreLegacyCodecRecovery(t *testing.T) {
+	old, err := encodeBinaryRecord(codecSampleRecord(recordDelta))
+	if err != nil {
 		t.Fatal(err)
 	}
+	old[1] = 2
+	assertSegmentRefused(t, fmt.Sprintf("version 2, older than supported %d", journalFormat.Version), old)
 }
 
-// TestStateStoreLegacyCodecRecovery proves codec-version compatibility
-// both ways: a journal written entirely in the version-2 frame format
-// recovers into the same state, and a store opened over it appends
-// version-3 dictionary frames to the same segment — a mixed-codec
-// journal — that replays cleanly on the next open.
-func TestStateStoreLegacyCodecRecovery(t *testing.T) {
-	dir := t.TempDir()
-	day := func(d int) time.Time { return time.Unix(0, 0).Add(time.Duration(d) * 24 * time.Hour) }
-	legacy := []journalRecord{
-		{
-			Kind: recordDelta, SavedAt: day(1),
-			Bugs: []report.Bug{{Key: svcKey("/old.go:1"), Service: "svc", Op: "send",
-				Location: "/old.go:1", Sightings: 1, FiledAt: day(1)}},
-			Trend: map[string][]TrendObservation{svcKey("/old.go:1"): {{At: day(1), Total: 100}}},
-			Sweep: &SweepRecord{At: day(1), Source: "test", Profiles: 10},
-		},
-		{
-			Kind: recordDelta, SavedAt: day(2),
-			Bugs: []report.Bug{{Key: svcKey("/old.go:2"), Service: "svc", Op: "send",
-				Location: "/old.go:2", Sightings: 1, FiledAt: day(2)}},
-			Sweep: &SweepRecord{At: day(2), Source: "test", Profiles: 10},
-		},
+// assertSegmentRefused writes payloads as the frames of a fresh state
+// dir's only segment and asserts the open fails naming want and leaves
+// the segment byte for byte as it was.
+func assertSegmentRefused(t *testing.T, want string, payloads ...[]byte) {
+	t.Helper()
+	seg := filepath.Join(t.TempDir(), "segment-0001.log")
+	var body []byte
+	for _, p := range payloads {
+		body = append(body, frame.New(p)...)
 	}
-	writeLegacySegment(t, filepath.Join(dir, "segment-0001.log"), legacy)
-
-	store, err := OpenStateStore(dir)
-	if err != nil {
-		t.Fatalf("legacy journal failed recovery: %v", err)
+	if err := os.WriteFile(seg, body, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, loc := range []string{"/old.go:1", "/old.go:2"} {
-		if _, ok := store.BugDB().Get(svcKey(loc)); !ok {
-			t.Errorf("legacy bug %s lost", loc)
-		}
+	if _, err := OpenStateStore(filepath.Dir(seg)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want a refusal naming %q", err, want)
 	}
-	if last := store.LastSweep(); last == nil || !last.At.Equal(day(2)) {
-		t.Fatalf("legacy last sweep = %+v", last)
-	}
-	// New sweeps append v3 dictionary frames behind the v2 frames in the
-	// same segment: v2 frames are self-contained and consume no
-	// dictionary slots, so the mixed segment stays in writer/reader
-	// lockstep.
-	journalSweep(t, store, 3, map[string]int{"/new.go:3": 25})
-	journalSweep(t, store, 4, map[string]int{"/new.go:3": 30})
-	store.Close()
-
-	frames := readJournalFrames(t, store.segmentPath(1))
-	if len(frames) != 4 {
-		t.Fatalf("mixed segment has %d record frames, want 4", len(frames))
-	}
-	re, err := OpenStateStore(dir)
-	if err != nil {
-		t.Fatalf("mixed-codec journal failed recovery: %v", err)
-	}
-	defer re.Close()
-	for _, loc := range []string{"/old.go:1", "/old.go:2", "/new.go:3"} {
-		if _, ok := re.BugDB().Get(svcKey(loc)); !ok {
-			t.Errorf("mixed-codec recovery lost %s", loc)
-		}
-	}
-	if bug, _ := re.BugDB().Get(svcKey("/new.go:3")); bug.Sightings != 2 {
-		t.Errorf("v3 re-sighting = %d sightings, want 2", bug.Sightings)
-	}
-	if last := re.LastSweep(); last == nil || !last.At.Equal(day(4)) {
-		t.Errorf("mixed-codec last sweep = %+v", last)
+	if got, _ := os.ReadFile(seg); !bytes.Equal(got, body) {
+		t.Error("the refused segment was modified")
 	}
 }
 
@@ -1287,9 +1172,9 @@ func TestStateStoreTornDictionaryFrame(t *testing.T) {
 
 // TestStateStoreDictionaryShrinksSteadyState pins the dictionary's
 // point: at steady state (the same keys re-sighted sweep after sweep)
-// a version-3 journal is substantially smaller than the same records
-// in the self-contained version-2 encoding, because repeated strings
-// are dictionary references instead of per-frame table copies.
+// the journal is substantially smaller than the same records encoded as
+// self-contained frames, because repeated strings are dictionary
+// references instead of per-frame table copies.
 func TestStateStoreDictionaryShrinksSteadyState(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStateStore(dir)
@@ -1310,18 +1195,18 @@ func TestStateStoreDictionaryShrinksSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3Bytes := fi.Size()
-	var legacyBytes int64
+	dictBytes := fi.Size()
+	var selfContained int64
 	for _, rec := range readJournalFrames(t, store.segmentPath(1)) {
 		rec := rec
-		payload, err := encodeBinaryRecordLegacy(&rec)
+		payload, err := encodeBinaryRecord(&rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacyBytes += int64(len(frame.New(payload)))
+		selfContained += int64(len(frame.New(payload)))
 	}
-	if v3Bytes >= legacyBytes*2/3 {
+	if dictBytes >= selfContained*2/3 {
 		t.Errorf("steady-state journal = %d bytes with dictionary, %d without: want at least a third smaller",
-			v3Bytes, legacyBytes)
+			dictBytes, selfContained)
 	}
 }

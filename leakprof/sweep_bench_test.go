@@ -21,12 +21,12 @@ import (
 //
 // Two configurations bracket the durability critical path:
 //
-//   - attached-sync-every-sweep is the PR-4 baseline: JSON frames, one
-//     fsync inside every RecordSweep, and the sweep blocked at the sink
-//     drain barrier until the slowest sink (the archive disk) finishes.
-//   - detached-group-commit is the current fast path: binary frames,
-//     group commit (one fsync per 16-sweep window, off the critical
-//     path), and detached sinks whose lag spans sweeps.
+//   - attached-sync-every-sweep is the strict default: one fsync inside
+//     every RecordSweep, and the sweep blocked at the sink drain barrier
+//     until the slowest sink (the archive disk) finishes.
+//   - detached-group-commit is the fast path: group commit (one fsync
+//     per 16-sweep window, off the critical path) and detached sinks
+//     whose lag spans sweeps.
 //
 // The fsyncs/op metric is the group-commit acceptance probe (one per
 // window, not one per sweep); journal-KB/op tracks the codec's frame
@@ -45,9 +45,9 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 
 	// seedState builds the steady state: a journal already tracking 100K
 	// keys, compacted to one snapshot segment.
-	seedState := func(b *testing.B, dir string, codec StateCodec) {
+	seedState := func(b *testing.B, dir string) {
 		b.Helper()
-		store, err := OpenStateStore(dir, StateFrameCodec(codec), StateTrendRetention(30))
+		store, err := OpenStateStore(dir, StateTrendRetention(30))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,14 +84,13 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 		snaps[i] = &gprofile.Snapshot{Service: "svc", Instance: fmt.Sprintf("i%02d", i), PreAggregated: pre}
 	}
 
-	run := func(b *testing.B, codec StateCodec, opts ...Option) {
+	run := func(b *testing.B, opts ...Option) {
 		stateDir, archiveDir := b.TempDir(), b.TempDir()
-		seedState(b, stateDir, codec)
+		seedState(b, stateDir)
 		day := 0
 		opts = append(opts,
 			WithThreshold(1000),
 			WithStateDir(stateDir),
-			WithStateCodec(codec),
 			WithTrendRetention(30),
 			WithClock(func() time.Time { return baseTime.Add(time.Duration(day) * 24 * time.Hour) }),
 		)
@@ -159,10 +158,10 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 	}
 
 	b.Run("attached-sync-every-sweep", func(b *testing.B) {
-		run(b, StateCodecJSON, WithStateSync(SyncEverySweep))
+		run(b, WithStateSync(SyncEverySweep))
 	})
 	b.Run("detached-group-commit", func(b *testing.B) {
-		run(b, StateCodecBinary, WithStateSync(SyncEvery(16, 0)), WithDetachedSinks())
+		run(b, WithStateSync(SyncEvery(16, 0)), WithDetachedSinks())
 	})
 	// fold-pause forces the journal to roll and fold continuously
 	// (1-byte segment budget, 2-segment cap at a 100K-key state) so
@@ -170,7 +169,7 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 	// capture — the pause the full-copy fold design spent copying the
 	// whole DB and trend history.
 	b.Run("fold-pause", func(b *testing.B) {
-		run(b, StateCodecBinary, WithStateSync(SyncEvery(16, 0)), WithDetachedSinks(),
+		run(b, WithStateSync(SyncEvery(16, 0)), WithDetachedSinks(),
 			WithStateCompaction(1, 2))
 	})
 }

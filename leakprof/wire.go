@@ -1,12 +1,9 @@
 package leakprof
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -29,8 +26,8 @@ type ShardReport struct {
 	// per worker pipeline (assigned by ShardSweep). A coordinator inbox
 	// uses (Shard, Seq) to drop a report the worker POSTed twice — a
 	// retried POST whose first attempt actually landed — instead of
-	// double-counting its moments. Zero means unsequenced (a v1 report,
-	// or a hand-built one) and is never deduplicated.
+	// double-counting its moments. Zero means unsequenced (a hand-built
+	// report) and is never deduplicated.
 	Seq uint64
 	// At is the shard's sweep start time.
 	At time.Time
@@ -52,28 +49,17 @@ type ShardReport struct {
 	Err string
 }
 
-// Shard-report frame layout. The outer framing is the journal's: a
-// 4-byte big-endian payload length and a 4-byte CRC-32 (IEEE) of the
-// payload, so a torn or bit-flipped report is detected before decoding.
-// The payload is:
-//
-//	byte 0: wireFrameMagic (0xB2 — distinct from journal frames' 0xB1)
-//	byte 1: wireFrameVersion
-//	byte 2: flags (binaryFlagFlate: the body is a flate stream)
-//	rest:   body
-//
-// The body reuses the journal codec's primitives — varints (zigzag for
-// signed), 8-byte little-endian IEEE floats, presence-byte timestamps —
-// and opens with ONE string table shared by every section and record in
-// the report: service names, locations, and functions repeat across the
-// moments of a shard, so the dictionary amortises them once per report
-// rather than once per record.
-// Version history: v1 had no sequence number; v2 appends Seq after the
-// Err ref. Decoding accepts both — a v1 frame reads back with Seq 0.
-const (
-	wireFrameMagic   = 0xB2
-	wireFrameVersion = 2
-)
+// Shard reports ride the journal's framing (internal/frame): a length
+// prefix and CRC-32 around a payload envelope of magic 0xB2 (distinct
+// from journal records' 0xB1), version, and flags, with the body flate-
+// compressed once it reaches frame.FlateMin. The body reuses the journal
+// codec's primitives — varints (zigzag for signed), 8-byte little-endian
+// IEEE floats, presence-byte timestamps — and opens with ONE string
+// table shared by every section and record in the report: service
+// names, locations, and functions repeat across the moments of a shard,
+// so the dictionary amortises them once per report rather than once per
+// record. Version 2 is the only version this build reads or writes.
+var wireFormat = frame.Format{Name: "shard report", Magic: 0xB2, Version: 2}
 
 // WriteShardReport frames and writes one report.
 func WriteShardReport(w io.Writer, rep *ShardReport) error {
@@ -81,74 +67,38 @@ func WriteShardReport(w io.Writer, rep *ShardReport) error {
 	if err != nil {
 		return err
 	}
-	var header [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("leakprof: writing shard report: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
+	if err := frame.Write(w, payload); err != nil {
 		return fmt.Errorf("leakprof: writing shard report: %w", err)
 	}
 	return nil
 }
 
-// ReadShardReport reads and decodes one framed report.
+// ReadShardReport reads and decodes one framed report. The length
+// prefix is a claim, not an allocation: the read buffer grows only as
+// bytes arrive, and a compressed body stops inflating at
+// frame.MaxPayload bytes.
 func ReadShardReport(r io.Reader) (*ShardReport, error) {
-	var header [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
+	payload, err := frame.ReadOne(r)
+	if err != nil {
 		return nil, fmt.Errorf("leakprof: reading shard report: %w", err)
-	}
-	length := binary.BigEndian.Uint32(header[0:4])
-	sum := binary.BigEndian.Uint32(header[4:8])
-	if length == 0 || length > maxFrameBytes {
-		return nil, fmt.Errorf("leakprof: shard report claims implausible length %d", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("leakprof: reading shard report: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, errors.New("leakprof: shard report checksum mismatch")
 	}
 	return decodeShardReport(payload)
 }
 
-// wireFlateMin is the body size below which a report ships uncompressed:
-// a flate writer costs several hundred KB of allocation, which dwarfs a
-// small report — compression pays only once the string-heavy moment
-// sections grow past it. The flag byte keeps decoding unambiguous.
-const wireFlateMin = 4 << 10
-
-// encodeShardReport renders the frame payload (magic through body).
+// encodeShardReport renders the frame payload (envelope and body).
 func encodeShardReport(rep *ShardReport) ([]byte, error) {
-	var tbl frame.StringTable
-	body := encodeShardBody(rep, &tbl)
+	tbl := frame.NewDictTable(frame.NewDict())
+	body := encodeShardBody(rep, tbl)
 	full := tbl.AppendTo(make([]byte, 0, len(body)+64))
 	full = append(full, body...)
-
-	if len(full) < wireFlateMin {
-		return append([]byte{wireFrameMagic, wireFrameVersion, 0}, full...), nil
-	}
-	payload := []byte{wireFrameMagic, wireFrameVersion, binaryFlagFlate}
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	payload, err := wireFormat.Seal(full, len(full) >= frame.FlateMin)
 	if err != nil {
 		return nil, fmt.Errorf("leakprof: shard report codec: %w", err)
 	}
-	if _, err := zw.Write(full); err != nil {
-		return nil, fmt.Errorf("leakprof: shard report codec: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("leakprof: shard report codec: %w", err)
-	}
-	return append(payload, buf.Bytes()...), nil
+	return payload, nil
 }
 
-func encodeShardBody(rep *ShardReport, tbl *frame.StringTable) []byte {
+func encodeShardBody(rep *ShardReport, tbl *frame.DictTable) []byte {
 	b := make([]byte, 0, 256)
 	b = binary.AppendUvarint(b, tbl.Ref(rep.Shard))
 	b = frame.AppendTime(b, rep.At)
@@ -202,155 +152,64 @@ func encodeShardBody(rep *ShardReport, tbl *frame.StringTable) []byte {
 }
 
 func decodeShardReport(payload []byte) (*ShardReport, error) {
-	if len(payload) < 3 {
-		return nil, errBinaryTruncated
-	}
-	if payload[0] != wireFrameMagic {
-		return nil, fmt.Errorf("leakprof: not a shard report (leading byte 0x%02x)", payload[0])
-	}
-	if payload[1] > wireFrameVersion {
-		return nil, fmt.Errorf("leakprof: shard report version %d, newer than supported %d", payload[1], wireFrameVersion)
-	}
-	flags, body := payload[2], payload[3:]
-	if flags&binaryFlagFlate != 0 {
-		var err error
-		if body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body))); err != nil {
-			return nil, fmt.Errorf("leakprof: inflating shard report: %w", err)
-		}
+	body, err := wireFormat.Open(payload)
+	if err != nil {
+		return nil, fmt.Errorf("leakprof: %w", err)
 	}
 	r := frame.NewReader(body)
-
-	tbl, err := r.StringTable()
-	if err != nil {
-		return nil, err
-	}
+	tbl := r.StringTable()
 
 	rep := &ShardReport{}
-	if rep.Shard, err = r.Str(tbl); err != nil {
-		return nil, err
-	}
-	if rep.At, err = r.Time(); err != nil {
-		return nil, err
-	}
-	var v int64
-	if v, err = r.Varint(); err != nil {
-		return nil, err
-	}
-	rep.Profiles = int(v)
-	if v, err = r.Varint(); err != nil {
-		return nil, err
-	}
-	rep.Errors = int(v)
-	if rep.Err, err = r.Str(tbl); err != nil {
-		return nil, err
-	}
-	if payload[1] >= 2 {
-		if rep.Seq, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-	}
+	rep.Shard = r.Str(tbl)
+	rep.At = r.Time()
+	rep.Profiles = r.Int()
+	rep.Errors = r.Int()
+	rep.Err = r.Str(tbl)
+	rep.Seq = r.Uvarint()
 
 	for _, dst := range []*map[string]int{&rep.Services, &rep.FailedByService} {
-		n, err := r.Count(2)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count(2); n > 0 {
 			*dst = make(map[string]int, n)
-		}
-		for i := 0; i < n; i++ {
-			svc, err := r.Str(tbl)
-			if err != nil {
-				return nil, err
+			for i := 0; i < n; i++ {
+				svc := r.Str(tbl)
+				(*dst)[svc] = r.Int()
 			}
-			v, err := r.Varint()
-			if err != nil {
-				return nil, err
-			}
-			(*dst)[svc] = int(v)
 		}
 	}
 
-	nFail, err := r.Count(3)
-	if err != nil {
-		return nil, err
-	}
-	if nFail > 0 {
-		rep.Failures = make([]SweepFailure, nFail)
+	if n := r.Count(3); n > 0 {
+		rep.Failures = make([]SweepFailure, n)
 	}
 	for i := range rep.Failures {
 		f := &rep.Failures[i]
-		if f.Service, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		if f.Instance, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		msg, err := r.Str(tbl)
-		if err != nil {
-			return nil, err
-		}
-		if msg != "" {
+		f.Service = r.Str(tbl)
+		f.Instance = r.Str(tbl)
+		if msg := r.Str(tbl); msg != "" {
 			f.Err = errors.New(msg)
 		}
 	}
 
-	nMom, err := r.Count(16)
-	if err != nil {
-		return nil, err
-	}
-	if nMom > 0 {
-		rep.Moments = make([]Moment, nMom)
+	if n := r.Count(16); n > 0 {
+		rep.Moments = make([]Moment, n)
 	}
 	for i := range rep.Moments {
 		m := &rep.Moments[i]
-		if m.Service, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		if m.Op.Op, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		if m.Op.Location, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		if m.Op.Function, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
-		nilCh, err := r.Take(1)
-		if err != nil {
-			return nil, err
-		}
-		m.Op.NilChannel = nilCh[0] != 0
-		if v, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.Op.WaitTime = v
-		if v, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.Total = int(v)
-		if v, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.Instances = int(v)
-		if v, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.ServiceProfiles = int(v)
-		if v, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.Suspicious = int(v)
-		if m.SumSquares, err = r.Float64(); err != nil {
-			return nil, err
-		}
-		if v, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.MaxCount = int(v)
-		if m.MaxInstance, err = r.Str(tbl); err != nil {
-			return nil, err
-		}
+		m.Service = r.Str(tbl)
+		m.Op.Op = r.Str(tbl)
+		m.Op.Location = r.Str(tbl)
+		m.Op.Function = r.Str(tbl)
+		m.Op.NilChannel = r.Byte() != 0
+		m.Op.WaitTime = r.Varint()
+		m.Total = r.Int()
+		m.Instances = r.Int()
+		m.ServiceProfiles = r.Int()
+		m.Suspicious = r.Int()
+		m.SumSquares = r.Float64()
+		m.MaxCount = r.Int()
+		m.MaxInstance = r.Str(tbl)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
