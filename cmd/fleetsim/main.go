@@ -65,11 +65,10 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run one in-process leakprof sweep over the fleet, print findings, and exit")
 	direct := flag.Bool("direct", false, "with -sweep: pull from the simulator directly instead of over HTTP")
 	stateDir := flag.String("state-dir", "", "with -sweep: journal bug DB, trend history, and budget seeds under this directory so repeated sweeps dedup and resume")
-	stateSegments := flag.Int("state-segments", 0, "with -state-dir: compact the segmented state journal once more than N segments are live (0 = default)")
+	stateSegments := flag.Int("state-segments", 0, "with -state-dir: the sweep that leaves more than N journal segments live compacts them before it returns (0 = default)")
 	trendKeep := flag.Int("trend-keep", 0, "with -state-dir: retain only the last N trend observations per finding key (0 = unlimited)")
 	bugKeep := flag.Duration("bug-keep", 0, "with -state-dir: age closed (fixed/rejected) bugs out once unseen for this long (0 = keep forever)")
 	fsync := flag.String("fsync", "sweep", "with -state-dir: journal fsync policy — sweep, close, or N[/duration] group commit")
-	detached := flag.Bool("detached-sinks", false, "with -sweep: detach sink draining from the sweep (sinks drain at exit)")
 	post := flag.String("post", "", "load-generator mode: POST the fleet's dump bodies to this ingest endpoint URL (cmd/leakprof -ingest) instead of serving or sweeping")
 	posters := flag.Int("posters", 256, "with -post: concurrent posting goroutines")
 	posts := flag.Int("posts", 10, "with -post: POSTs per poster")
@@ -119,9 +118,6 @@ func main() {
 		os.Exit(1)
 	}
 	var extra []leakprof.Option
-	if *detached {
-		extra = append(extra, leakprof.WithDetachedSinks())
-	}
 	if *stateDir != "" {
 		extra = append(extra,
 			leakprof.WithStateDir(*stateDir),
@@ -199,8 +195,7 @@ func runMatrix(names string) {
 // through a StateStore: findings file into the durable bug DB (a repeat
 // run deduplicates instead of re-alerting) and the sweep outcome seeds
 // the next run's error budget. The extra options carry the durability
-// and detachment knobs; Close is the exit barrier that drains detached
-// sinks and lands deferred fsync windows.
+// knobs; Close is the exit barrier that lands deferred fsync windows.
 func runSweep(src leakprof.Source, threshold int, stateDir string, extra []leakprof.Option) {
 	metrics := &leakprof.MetricsSink{}
 	opts := append([]leakprof.Option{
@@ -221,8 +216,8 @@ func runSweep(src leakprof.Source, threshold int, stateDir string, extra []leakp
 		pipe.AddSinks(reportSink, &leakprof.TrendSink{Tracker: store.Tracker()})
 	}
 	sweep, err := pipe.Sweep(context.Background(), src)
-	// Close is where detached sinks drain and deferred fsync windows
-	// land; its failure must surface even when the sweep also failed.
+	// Close is where deferred fsync windows land; its failure must
+	// surface even when the sweep also failed.
 	if cerr := pipe.Close(); err == nil {
 		err = cerr
 	} else if cerr != nil {

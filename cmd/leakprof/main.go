@@ -17,19 +17,18 @@
 // -archive-keep bounds the history to the newest N sweeps). With
 // -state-dir the run is durable: the bug DB, cross-sweep trend history,
 // and error-budget seeds journal to disk — as an append-only segment log
-// whose per-sweep cost is the sweep's delta, compacted past
-// -state-segments live segments, with -trend-keep bounding per-key trend
-// history and -bug-keep aging closed bugs out — so repeated invocations
-// dedup against every bug ever filed, resume trend verdicts, and probe
-// yesterday's failing services with a reduced budget. -fsync picks the
-// journal's durability policy (sweep, close, or N[/duration] group
-// commit), and -detached-sinks lets sink lag span sweeps instead of
-// barriering each one (both drain at exit). A -dir pointing at
-// a multi-sweep archive (one sweep-NNNN subdirectory per sweep) replays
-// every recorded sweep at its manifested timestamp. Both input kinds
-// drive the same streaming pipeline: each profile flows through the
-// stack scanner into a sharded fleet aggregator as it arrives, so memory
-// stays flat regardless of fleet and profile size. SIGINT cancels an
+// whose per-sweep cost is the sweep's delta, compacted by the sweep that
+// leaves more than -state-segments segments live, with -trend-keep
+// bounding per-key trend history and -bug-keep aging closed bugs out —
+// so repeated invocations dedup against every bug ever filed, resume
+// trend verdicts, and probe yesterday's failing services with a reduced
+// budget. -fsync picks the journal's durability policy (sweep, close, or
+// N[/duration] group commit; deferred syncs land at exit). A -dir
+// pointing at a multi-sweep archive (one sweep-NNNN subdirectory per
+// sweep) replays every recorded sweep at its manifested timestamp. Both
+// input kinds drive the same streaming pipeline: each profile flows
+// through the stack scanner into a sharded fleet aggregator as it
+// arrives, so memory stays flat regardless of fleet and profile size. SIGINT cancels an
 // in-flight sweep cleanly. With -static-index pointing at a findings
 // index written by leakrank, every filed bug is decorated with the
 // static alarm for its site ("static: gcatch-like,goat-like: ..." in
@@ -99,11 +98,10 @@ func main() {
 	archive := flag.String("archive", "", "base directory to archive sweeps into, write-through: one manifested sweep-NNNN subdirectory per sweep, replayable with -dir")
 	archiveKeep := flag.Int("archive-keep", 0, "with -archive: keep only the newest N finalised sweeps, pruning older sweep-NNNN directories (0 = keep all)")
 	stateDir := flag.String("state-dir", "", "directory for the durable state journal: bug-DB dedup, trend history, and error-budget seeds survive restarts")
-	stateSegments := flag.Int("state-segments", 0, "with -state-dir: compact the segmented journal once more than N segments are live (0 = default)")
+	stateSegments := flag.Int("state-segments", 0, "with -state-dir: the sweep that leaves more than N journal segments live compacts them before it returns (0 = default)")
 	trendKeep := flag.Int("trend-keep", 0, "with -state-dir: retain only the last N trend observations per finding key, in memory and in the journal (0 = unlimited)")
 	bugKeep := flag.Duration("bug-keep", 0, "with -state-dir: age closed (fixed/rejected) bugs out of the bug DB and journal once unseen for this long (0 = keep forever)")
 	fsync := flag.String("fsync", "sweep", "state journal fsync policy: sweep (every sweep), close (only at exit), or N[/duration] group commit (one fsync per window)")
-	detached := flag.Bool("detached-sinks", false, "let sink lag span sweeps (bounded by the sink queue) instead of draining every sink before each sweep returns; sinks drain at exit")
 	shard := flag.String("shard", "", "worker mode: sweep partition K/N of the -endpoints fleet (services hashed across N shards) and emit a shard report instead of findings; requires -report-out or -report-url")
 	shardName := flag.String("shard-name", "", "worker mode: shard name in the report and in coordinator failure accounting (default shard-<K>)")
 	reportOut := flag.String("report-out", "", "worker mode: write the binary shard report to this file (atomic rename), for a coordinator's -merge-reports")
@@ -134,9 +132,6 @@ func main() {
 		leakprof.WithRetry(leakprof.RetryPolicy{MaxAttempts: *retries}),
 		leakprof.WithErrorBudget(*errorBudget),
 		leakprof.WithSharedIntern(0),
-	}
-	if *detached {
-		opts = append(opts, leakprof.WithDetachedSinks())
 	}
 	if *window > 0 {
 		opts = append(opts, leakprof.WithWindow(*window))
@@ -251,9 +246,9 @@ func main() {
 	if len(sweeps) == 0 {
 		fatal(err)
 	}
-	// The exit barrier: detached sinks drain here (their errors join
-	// err), group-commit and on-close fsync windows land on disk, and
-	// pending journal deltas append. Synchronous runs close trivially.
+	// The exit barrier: group-commit and on-close fsync windows land on
+	// disk, and pending journal deltas append. Stateless runs close
+	// trivially.
 	if cerr := pipe.Close(); err == nil {
 		err = cerr
 	} else if cerr != nil {
@@ -281,9 +276,7 @@ func main() {
 		fmt.Printf("collected %d profiles\n", profiles)
 	}
 
-	// Alerts accumulate across a multi-sweep replay; reading them after
-	// the Close barrier also covers detached-sink runs, where a sweep
-	// returns before its alerts are filed.
+	// Alerts accumulate across a multi-sweep replay.
 	alerts := reportSink.Alerts()
 	if len(alerts) == 0 {
 		fmt.Println("no new suspicious blocking operations above threshold")

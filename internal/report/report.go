@@ -269,50 +269,6 @@ func (db *DB) All() []Bug {
 	return out
 }
 
-// exportChunk bounds how many bugs SnapshotKeys copies per lock
-// acquisition: large enough that chunking costs nothing, small enough
-// that a concurrent File or SetStatus never waits on a 100K-key copy.
-const exportChunk = 1024
-
-// Keys returns every filed bug's key, unordered. With SnapshotKeys it
-// forms the incremental-export pair a journal's concurrent fold uses:
-// capture the cheap key set inside the caller's critical section, fetch
-// the bug values later in bounded chunks off it.
-func (db *DB) Keys() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.bugs))
-	for k := range db.bugs {
-		out = append(out, k)
-	}
-	return out
-}
-
-// SnapshotKeys returns copies of the bugs for keys, skipping keys that
-// no longer exist, taking the lock once per bounded chunk so concurrent
-// mutators never wait on a full-DB copy. A bug mutated between chunks
-// is returned in whichever state the fetch observes; callers that need
-// a consistent journal image rely on the mutation also being journaled
-// after their snapshot (dirty bugs ride the next delta frame).
-func (db *DB) SnapshotKeys(keys []string) []Bug {
-	out := make([]Bug, 0, len(keys))
-	for len(keys) > 0 {
-		chunk := keys
-		if len(chunk) > exportChunk {
-			chunk = chunk[:exportChunk]
-		}
-		keys = keys[len(chunk):]
-		db.mu.Lock()
-		for _, k := range chunk {
-			if b, ok := db.bugs[k]; ok {
-				out = append(out, *b)
-			}
-		}
-		db.mu.Unlock()
-	}
-	return out
-}
-
 // CountByStatus tallies bugs per lifecycle state (the §VII headline
 // numbers).
 func (db *DB) CountByStatus() map[Status]int {

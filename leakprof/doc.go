@@ -38,17 +38,13 @@
 // ReportSink files alerts, TrendSink feeds variance-aware cross-sweep
 // classification, MetricsSink accumulates telemetry, and ArchiveSink
 // writes the sweep through to disk as it happens. The fan-out is
-// concurrent: every sink consumes its own bounded event queue
-// (WithSinkQueue) on its own goroutine, so a slow sink — a remote
-// metrics push, a cold archive disk — cannot delay another sink's
-// alerting. By default the sweep drains all queues before returning, so
-// sink errors join the sweep result; WithDetachedSinks removes that
-// barrier — Sweep returns once the sweep is enqueued everywhere, sink
-// lag may span sweeps (bounded by the queue depth, which backpressures
-// the next sweep's collection), and Pipeline.Flush / Pipeline.Close are
-// the explicit drain barriers where the accumulated sink errors surface.
-// Detached mode is what lets a periodic Run start sweep N+1 while a cold
-// archive disk is still writing sweep N.
+// concurrent: every sink consumes its own bounded event queue on its own
+// goroutine, so a slow sink — a remote metrics push, a cold archive
+// disk — cannot delay another sink's alerting, and a sink that falls a
+// full queue behind backpressures collection instead of buffering the
+// sweep. Every Sweep drains all queues before returning, so sink errors
+// join the sweep result and the state journal records a sweep only
+// after every sink has seen it.
 //
 // The three stages mirror the paper, and they stream: no stage ever
 // holds a whole profile body, a parsed goroutine slice, or a full sweep
@@ -105,25 +101,30 @@
 // unflushed pages can corrupt a mid-window frame, which recovery
 // refuses to truncate silently because durable frames follow it).
 // StateStore.Flush is the explicit barrier: it journals pending state,
-// fsyncs the window, and surfaces background errors.
+// fsyncs the window, and surfaces background errors. Directory entries
+// are made durable too: the store fsyncs the state dir after creating a
+// segment and after every rename, so a power cut cannot lose a new
+// segment or a manifest swing whose contents were already synced.
 //
-// The log is kept bounded by compaction, and compaction is concurrent.
-// The active segment rolls over past a size bound, and once more than a
-// bounded number of segments are live (WithStateCompaction) the store
-// folds them. Under the lock it captures only the key sets, reserves
-// the next segment number for the snapshot, and rolls appends onto the
-// segment after it. Off the lock the fold fetches the values in chunks,
-// encodes one snapshot frame, stages it to a temp file renamed into the
-// reserved slot, swings the journal.json manifest pointer to it (temp
-// file + rename), and deletes the old segments. Sweeps recorded while
-// the fold runs append through the normal path onto the segment past
-// the reserved slot — as durable as the sync policy promises, and
-// replaying behind the snapshot — so no sweep ever blocks on the fold.
-// Snapshot frames replay by replacement, so a crash anywhere in that
-// sequence recovers cleanly: before the rename, the open deletes the
-// unreferenced staging file; before the pointer swing, the complete
-// snapshot replays harmlessly after the segments it folded; after it,
-// the leftovers below the pointer are swept up on open.
+// The log is kept bounded by compaction, through one synchronous fold.
+// The active segment rolls over past a size bound, and the sweep whose
+// append leaves more than a bounded number of segments live
+// (WithStateCompaction) folds them before RecordSweep returns — the
+// same fold StateStore.Save runs. It fsyncs the active segment's
+// unsynced window first (only the final segment may ever hold a torn
+// frame), encodes the whole state as one snapshot frame, stages it to a
+// temp file renamed into the next segment slot, swings the journal.json
+// manifest pointer to it (temp file + rename), and deletes the old
+// segments. A bug status or trend observation recorded while the fold
+// writes stays pending for the next delta frame. That sweep waits for
+// the fold, whose cost grows with the tracked key count; if the fold
+// fails, RecordSweep returns the error, the sweep's own delta is
+// already journaled, and the next sweep retries the fold. Snapshot frames
+// replay by replacement, so a crash anywhere in that sequence recovers
+// cleanly: before the rename, the open deletes the unreferenced staging
+// file; before the pointer swing, the complete snapshot replays
+// harmlessly after the segments it folded; after it, the leftovers below
+// the pointer are swept up on open.
 //
 // Two retention windows keep state from growing with the age of the
 // deployment. WithTrendRetention keeps only the last N trend
@@ -238,8 +239,10 @@
 // dumps already admitted — and the rejection is charged to the
 // service's failure accounting in the closing window, where it feeds
 // the same error budgets a pull sweep's fetch failures feed. Closing
-// the server (context cancellation) drains: everything admitted folds
-// into a final partial window before Run returns.
+// the server (context cancellation) drains: every dump already scanned
+// and queued folds into a final partial window before Run returns, and
+// a scan still in flight gets a fixed two seconds to land; one slower
+// than that is not folded.
 //
 // Durability interacts with windows through the fsync policy
 // (WithStateSync), and the loss bound on a crash is per-policy exactly
@@ -287,12 +290,6 @@
 // seeds the hot strings (keys, locations, service names), and
 // subsequent frames reference them by ordinal instead of repeating
 // them, which shrinks steady-state journal bytes by over a third.
-// Compaction folds capture keys under the lock but fetch and encode
-// values off it; the remaining under-lock pause is visible as
-// fold-pause-us/fold in BenchmarkSweepCriticalPath. Drain-on-close
-// grace adapts to observed fold latency (EWMA of window maxima) rather
-// than a fixed timeout, so a slow disk gets more grace and an idle
-// server closes fast.
 //
 // # Chaos & fault injection
 //

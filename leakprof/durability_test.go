@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ import (
 // frameEnds returns the cumulative end offset of every complete frame in
 // a segment file — the boundaries a crash-simulation truncation cuts
 // between.
-func frameEnds(t *testing.T, path string) []int64 {
+func frameEnds(t testing.TB, path string) []int64 {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -237,7 +238,7 @@ func TestStateStoreCodecNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
-	if err := store.Compact(); err != nil {
+	if err := store.Save(); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
@@ -260,83 +261,65 @@ func TestStateStoreCodecNegotiation(t *testing.T) {
 	}
 }
 
-// TestStateStoreMidFoldSweepDurability pins the concurrent-compaction
-// durability contract: a sweep recorded while a fold is in flight does
-// not block on the fold, lands on disk immediately (in a segment past
-// the snapshot's reserved slot, per the sync policy), and survives a
-// crash that kills the fold before it completes.
-func TestStateStoreMidFoldSweepDurability(t *testing.T) {
+// TestStateStoreSyncsDirectory pins the directory fsyncs that make new
+// segment files and renames durable: one when an append creates a
+// segment, none when it appends to an existing one, and one after each
+// of Save's two renames — the snapshot segment, then the manifest —
+// issued once the rename it covers is in place.
+func TestStateStoreSyncsDirectory(t *testing.T) {
 	dir := t.TempDir()
+	// At each directory sync, record which segments exist and which one
+	// the manifest points at (0: no manifest yet).
+	type dirState struct {
+		segments []int
+		base     int
+	}
+	var synced []dirState
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(d string) error {
+		if d != dir {
+			t.Errorf("synced %s, want the state dir %s", d, dir)
+		}
+		st := dirState{}
+		st.segments, _ = (&StateStore{dir: dir}).listSegments()
+		if m, err := (&StateStore{dir: dir}).readManifest(); err == nil && m != nil {
+			st.base = m.BaseSegment
+		}
+		synced = append(synced, st)
+		return orig(d)
+	}
+
 	store, err := OpenStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journalSweep(t, store, 1, map[string]int{"/pre.go:1": 100})
-
-	// Hold a synthetic fold open, staged exactly as startFoldLocked
-	// stages it: the snapshot slot reserved, appends rolled past it.
-	store.mu.Lock()
-	newSeq := store.activeSeq + 1
-	if store.active != nil {
-		store.active.Close()
-		store.active = nil
+	defer store.Close()
+	journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
+	if len(synced) != 1 || !reflect.DeepEqual(synced[0].segments, []int{1}) {
+		t.Fatalf("syncs after the first append = %+v, want one, once segment 1 exists", synced)
 	}
-	store.activeSeq = newSeq + 1
-	store.activeSize = 0
-	store.segCount++
-	store.rollDictLocked()
-	store.folding = true
-	store.foldDone = make(chan struct{})
-	store.mu.Unlock()
-
-	recorded := make(chan error, 1)
-	go func() {
-		at := time.Unix(0, 0).Add(48 * time.Hour)
-		f := &Finding{Service: "svc", Op: "send", Location: "/mid.go:1", TotalBlocked: 50}
-		store.BugDB().File(report.Bug{Key: f.Key(), Service: "svc", Op: "send", Location: "/mid.go:1", FiledAt: at})
-		store.Tracker().Observe(at, []*Finding{f})
-		recorded <- store.RecordSweep(&Sweep{At: at, Source: "test", Profiles: 10})
-	}()
-	select {
-	case err := <-recorded:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RecordSweep blocked on an in-flight fold")
+	journalSweep(t, store, 2, map[string]int{"/b.go:2": 50})
+	if len(synced) != 1 {
+		t.Fatalf("syncs after an append into the existing segment = %d, want still 1", len(synced))
 	}
-	// The mid-fold sweep is already on disk — in the segment after the
-	// snapshot's slot — under the default sync-every-sweep policy.
-	frames := readJournalFrames(t, store.segmentPath(newSeq+1))
-	if len(frames) != 1 || len(frames[0].Bugs) != 1 || frames[0].Bugs[0].Key != svcKey("/mid.go:1") {
-		t.Fatalf("mid-fold segment frames = %+v, want the sweep's delta", frames)
+	if err := store.Save(); err != nil {
+		t.Fatal(err)
 	}
-
-	// Crash before the fold ever completes: the snapshot never landed,
-	// and recovery must still hold both sweeps (old segment, then the
-	// post-reservation delta segment across the gap).
-	store.mu.Lock()
-	if store.active != nil {
-		store.active.Close()
-		store.active = nil
+	want := []dirState{
+		{segments: []int{1}},
+		{segments: []int{1, 2}},          // the snapshot segment landed; no pointer yet
+		{segments: []int{1, 2}, base: 2}, // the pointer swung; old segment not yet deleted
 	}
-	store.mu.Unlock()
-	re, err := OpenStateStore(dir)
-	if err != nil {
-		t.Fatalf("mid-fold crash recovery failed: %v", err)
-	}
-	defer re.Close()
-	for _, loc := range []string{"/pre.go:1", "/mid.go:1"} {
-		if _, ok := re.BugDB().Get(svcKey(loc)); !ok {
-			t.Errorf("sweep for %s lost to the mid-fold crash", loc)
-		}
+	if !reflect.DeepEqual(synced, want) {
+		t.Errorf("directory syncs = %+v, want %+v", synced, want)
 	}
 }
 
-// TestStateStoreConcurrentCompactionStress hammers the real concurrent
-// fold: thresholds tuned so folds trigger every few sweeps while sweeps
-// keep arriving, then a Flush barrier and a reopen must account for
-// every sweep ever recorded.
+// TestStateStoreConcurrentCompactionStress hammers the threshold fold:
+// thresholds tuned so folds trigger every few sweeps while sweeps keep
+// arriving, then a Flush barrier and a reopen must account for every
+// sweep ever recorded.
 func TestStateStoreConcurrentCompactionStress(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStateStore(dir, StateCompaction(1, 2))
@@ -360,7 +343,7 @@ func TestStateStoreConcurrentCompactionStress(t *testing.T) {
 	defer re.Close()
 	for day := 1; day <= sweeps; day++ {
 		if _, ok := re.BugDB().Get(svcKey(fmt.Sprintf("/d%03d.go:1", day))); !ok {
-			t.Errorf("sweep %d lost under concurrent compaction", day)
+			t.Errorf("sweep %d lost under threshold compaction", day)
 		}
 	}
 	if last := re.LastSweep(); last == nil || !last.At.Equal(time.Unix(0, 0).Add(sweeps*24*time.Hour)) {
@@ -396,7 +379,7 @@ func TestStateStoreBugRetention(t *testing.T) {
 	}
 
 	// The compaction fold excludes the aged bug from the snapshot.
-	if err := store.Compact(); err != nil {
+	if err := store.Save(); err != nil {
 		t.Fatal(err)
 	}
 	frames := readJournalFrames(t, store.segmentPath(store.activeSeq))
@@ -425,68 +408,16 @@ func TestStateStoreBugRetention(t *testing.T) {
 	}
 }
 
-// TestPipelineDetachedSinks proves the detached fan-out: Sweep returns
-// while a sink is still stalled mid-SweepDone, the next sweep proceeds
-// behind it, and the stalled sink's error surfaces at the Flush barrier
-// instead of the sweep result.
-func TestPipelineDetachedSinks(t *testing.T) {
-	leaky := &gprofile.Snapshot{Service: "pay", Instance: "i1",
-		PreAggregated: map[stack.BlockedOp]int{{Op: "send", Function: "pay.leak", Location: "/pay/l.go:5"}: 500}}
-	stalled := &blockingSink{release: make(chan struct{})}
-	reportSink := &ReportSink{Reporter: &Reporter{DB: report.NewDB(), TopN: 5}}
-	pipe := New(WithThreshold(100), WithDetachedSinks()).AddSinks(stalled, reportSink)
-
-	// Sweep 1 returns while the stalled sink has not finished SweepDone.
-	sweep1, err := pipe.Sweep(context.Background(), FromSnapshots([]*gprofile.Snapshot{leaky}))
-	if err != nil {
-		t.Fatalf("detached sweep error = %v, want nil (sink errors surface at Flush)", err)
-	}
-	if len(sweep1.Findings) != 1 {
-		t.Fatalf("findings = %+v", sweep1.Findings)
-	}
-	if stalled.done.Load() {
-		t.Fatal("stalled sink finished before Sweep returned; test proves nothing")
-	}
-
-	// Sweep 2 starts and completes while sweep 1's sink work is still
-	// stalled: sink lag spans sweeps.
-	if _, err := pipe.Sweep(context.Background(), FromSnapshots([]*gprofile.Snapshot{leaky})); err != nil {
-		t.Fatal(err)
-	}
-	if stalled.done.Load() {
-		t.Fatal("stalled sink caught up unexpectedly")
-	}
-
-	// Release the sink: both queued sweeps drain, and Flush returns the
-	// accumulated errors (one per SweepDone).
-	close(stalled.release)
-	err = pipe.Flush()
-	if err == nil || !strings.Contains(err.Error(), "metrics push failed") {
-		t.Errorf("Flush error = %v, want the detached sink's errors", err)
-	}
-	if !stalled.done.Load() {
-		t.Error("Flush returned before the detached sink drained")
-	}
-	// The barrier drained the errors; a second Flush is clean.
-	if err := pipe.Flush(); err != nil {
-		t.Errorf("second Flush = %v, want nil", err)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Errorf("Close = %v, want nil", err)
-	}
-}
-
 // TestPipelineDetachedCloseJournalsLateState pins the drain-at-Close
-// contract: trend observations a detached TrendSink records after the
-// sweep was journaled still reach the state journal via Close's flush,
-// so a restart resumes with them.
+// contract: a status transition an embedder makes after the last sweep
+// was journaled still reaches the state journal through Pipeline.Close,
+// so a restart resumes with it.
 func TestPipelineDetachedCloseJournalsLateState(t *testing.T) {
 	dir := t.TempDir()
 	snaps := []*gprofile.Snapshot{{Service: "pay", Instance: "i1",
 		PreAggregated: map[stack.BlockedOp]int{{Op: "send", Function: "pay.leak", Location: "/pay/l.go:5"}: 500}}}
 	pipe := New(
 		WithThreshold(100),
-		WithDetachedSinks(),
 		WithStateDir(dir),
 		WithClock(func() time.Time { return time.Unix(0, 0) }),
 	)
@@ -494,9 +425,16 @@ func TestPipelineDetachedCloseJournalsLateState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe.AddSinks(&TrendSink{Tracker: store.Tracker()})
+	pipe.AddSinks(
+		&ReportSink{Reporter: &Reporter{DB: store.BugDB(), TopN: 5}},
+		&TrendSink{Tracker: store.Tracker()},
+	)
 	if _, err := pipe.Sweep(context.Background(), FromSnapshots(snaps)); err != nil {
 		t.Fatal(err)
+	}
+	key := (&Finding{Service: "pay", Op: "send", Location: "/pay/l.go:5"}).Key()
+	if !store.BugDB().SetStatus(key, report.StatusFixed) {
+		t.Fatal("the sweep filed no bug to transition")
 	}
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)
@@ -507,9 +445,11 @@ func TestPipelineDetachedCloseJournalsLateState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	key := (&Finding{Service: "pay", Op: "send", Location: "/pay/l.go:5"}).Key()
+	if bug, ok := re.BugDB().Get(key); !ok || bug.Status != report.StatusFixed {
+		t.Errorf("journaled bug = %+v ok=%v, want status %v (Close journaled the late transition)", bug, ok, report.StatusFixed)
+	}
 	if got := len(re.Tracker().Export()[key]); got != 1 {
-		t.Errorf("journaled trend history = %d observations, want 1 (Close drained the late delta)", got)
+		t.Errorf("journaled trend history = %d observations, want 1", got)
 	}
 }
 

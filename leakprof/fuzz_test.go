@@ -2,11 +2,15 @@ package leakprof
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/report"
 )
 
 // addSeeds seeds f with each valid payload (wrapped into what the
@@ -116,6 +120,104 @@ func FuzzDecodeJournalPayload(f *testing.F) {
 		}
 		if !reflect.DeepEqual(rec, again) {
 			t.Fatalf("round trip diverged:\n%+v\n%+v", rec, again)
+		}
+	})
+}
+
+// replaySegmentSeeds returns two segments as a store writes them — a
+// delta segment headed by a dictionary-seed frame, and a compacted
+// snapshot segment — each with its frame end offsets.
+func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
+	store, err := OpenStateStore(f.TempDir(), StateCompaction(1, 100))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer store.Close()
+	keep := func(seq int) {
+		path := store.segmentPath(seq)
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		segs = append(segs, seg)
+		ends = append(ends, frameEnds(f, path))
+	}
+	for day := 1; day <= 4; day++ {
+		if day == 3 {
+			// Segment 2 opened with the seed frame carrying segment 1's
+			// dictionary; keep appending to it from here on.
+			store.segmentBytes = 1 << 20
+		}
+		keys := map[string]int{"/a.go:1": 100 * day, fmt.Sprintf("/d%d.go:%d", day, day): day}
+		if err := recordDay(store, day, keys); err != nil {
+			f.Fatal(err)
+		}
+	}
+	keep(2)
+	if err := store.Save(); err != nil {
+		f.Fatal(err)
+	}
+	keep(3)
+	return segs, ends
+}
+
+// replayedState is what a store recovers from its journal, with NaNs
+// mapped so arbitrary decoded floats compare equal to themselves.
+type replayedState struct {
+	Bugs  []report.Bug
+	Trend map[string][]TrendObservation
+	Last  *SweepRecord
+}
+
+func replayed(store *StateStore) replayedState {
+	st := replayedState{Bugs: store.BugDB().All(), Trend: store.Tracker().Export(), Last: store.LastSweep()}
+	for i := range st.Bugs {
+		nanFree(&st.Bugs[i].Impact)
+	}
+	for _, obs := range st.Trend {
+		for i := range obs {
+			nanFree(&obs[i].SumSquares)
+		}
+	}
+	return st
+}
+
+// FuzzReplaySegment writes arbitrary bytes as a state dir's only
+// segment and opens it: the open must never panic, and a store that
+// opens — truncating a torn tail on the way — must close and reopen to
+// the same bug database, trend history, and last sweep.
+func FuzzReplaySegment(f *testing.F) {
+	segs, ends := replaySegmentSeeds(f)
+	for i, seg := range segs {
+		// The last frame ends at len(seg), so the whole segment is a seed.
+		for _, end := range append([]int64{0}, ends[i]...) {
+			for _, cut := range []int64{end - 1, end, end + 1} {
+				if cut >= 0 && cut <= int64(len(seg)) {
+					f.Add(seg[:cut])
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "segment-0001.log"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := OpenStateStore(dir)
+		if err != nil {
+			return
+		}
+		first := replayed(store)
+		if err := store.Close(); err != nil {
+			t.Fatalf("closing a replayed store: %v", err)
+		}
+		re, err := OpenStateStore(dir)
+		if err != nil {
+			t.Fatalf("reopening a store that opened once: %v", err)
+		}
+		defer re.Close()
+		if again := replayed(re); !reflect.DeepEqual(first, again) {
+			t.Fatalf("reopen diverged:\n%+v\n%+v", first, again)
 		}
 	})
 }

@@ -35,15 +35,11 @@ import (
 // scanned-but-unfolded snapshots) when IngestQueue is unset.
 const DefaultIngestQueue = 1024
 
-// Shutdown drain bounds. The grace period is adaptive: the observed
-// tail fold latency times the outstanding work per worker, clamped to
-// [minDrainGrace, maxDrainGrace]. Before any fold has been timed the
-// drain falls back to defaultDrainGrace.
-const (
-	defaultDrainGrace = 2 * time.Second
-	minDrainGrace     = 100 * time.Millisecond
-	maxDrainGrace     = 5 * time.Second
-)
+// drainGrace bounds how long a shutting-down window waits for scans
+// still in flight, so a stalled client cannot pin shutdown; dumps
+// already queued fold whatever the bound. The wait ends as soon as no
+// admission slot is held, so an idle server exits at once.
+const drainGrace = 2 * time.Second
 
 // ErrIngestOverflow is the admission failure recorded for each dump
 // rejected with 429 because the ingest queue was full. The rejections
@@ -87,12 +83,6 @@ func putGzipReader(zr *gzip.Reader) {
 	gzipReaderPool.Put(zr)
 }
 
-// ingestItem is one admitted dump: the compact scanned snapshot plus
-// the salvage diagnostic, if the scan resynced past malformed members.
-type ingestItem struct {
-	snap *gprofile.Snapshot
-}
-
 // pendingFail is one admission-time failure (scan error, salvage,
 // over-limit body) awaiting the next window close.
 type pendingFail struct {
@@ -131,8 +121,8 @@ type pendingFail struct {
 // consistent fold frontier.
 type IngestServer struct {
 	pipe  *Pipeline
-	queue chan ingestItem
-	slots chan struct{} // admission bound: in-flight scans + queued items
+	queue chan *gprofile.Snapshot // admitted, scanned dumps awaiting a fold
+	slots chan struct{}           // admission bound: in-flight scans + queued snapshots
 	ticks <-chan time.Time
 
 	// foldWorkers is the per-window fold pool size; quota the per-service
@@ -169,12 +159,6 @@ type IngestServer struct {
 	// it measures this process's fold unavailability).
 	closeStart atomic.Int64
 
-	// windowMaxNS is the slowest fold observed in the current window;
-	// tailNS is the EWMA of those per-window maxima — a cheap tail
-	// latency estimate that sizes the shutdown drain grace.
-	windowMaxNS atomic.Int64
-	tailNS      atomic.Int64
-
 	closed       atomic.Bool
 	authRejects  atomic.Uint64
 	admitted     atomic.Uint64
@@ -196,7 +180,7 @@ type IngestOption func(*IngestServer)
 func IngestQueue(n int) IngestOption {
 	return func(s *IngestServer) {
 		if n > 0 {
-			s.queue = make(chan ingestItem, n)
+			s.queue = make(chan *gprofile.Snapshot, n)
 			s.slots = make(chan struct{}, n)
 		}
 	}
@@ -259,7 +243,7 @@ func IngestTicks(ticks <-chan time.Time) IngestOption {
 func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 	s := &IngestServer{
 		pipe:          pipe,
-		queue:         make(chan ingestItem, DefaultIngestQueue),
+		queue:         make(chan *gprofile.Snapshot, DefaultIngestQueue),
 		slots:         make(chan struct{}, DefaultIngestQueue),
 		foldWorkers:   defaultFoldWorkers(),
 		foldNotify:    make(chan struct{}, 1),
@@ -421,7 +405,7 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.notePending(pendingFail{service, instance,
 			fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, snap.Malformed)})
 	}
-	s.queue <- ingestItem{snap: snap} // cannot block: a slot is held
+	s.queue <- snap // cannot block: a slot is held
 	s.admitted.Add(1)
 	w.WriteHeader(http.StatusAccepted)
 }
@@ -491,12 +475,11 @@ func (s *IngestServer) flushAccounting(env *SweepEnv) {
 // Run is the window loop: it folds admitted dumps into tumbling windows
 // paced by the pipeline clock and emits one normal Sweep per closed
 // window until ctx is cancelled. Cancellation is the drain barrier:
-// admission stops (further POSTs get 503), everything already admitted
-// is folded into one final partial-window sweep — delivered to sinks
-// and journal like any other — and Run returns ctx's error. Callers
-// still own the usual pipeline barriers (Pipeline.Flush/Close) for
-// detached sinks and deferred fsync windows, exactly as after pull
-// sweeps.
+// admission stops (further POSTs get 503), everything already queued is
+// folded into one final partial-window sweep — delivered to sinks and
+// journal like any other — after scans still in flight get drainGrace
+// to land, and Run returns ctx's error. Callers still own Pipeline.Close
+// for deferred fsync windows, exactly as after pull sweeps.
 func (s *IngestServer) Run(ctx context.Context) error {
 	ticks := s.ticks
 	if ticks == nil {
@@ -546,69 +529,17 @@ func (s *IngestServer) foldLoop(stop <-chan struct{}, env *SweepEnv) {
 		select {
 		case <-stop:
 			return
-		case item := <-s.queue:
+		case snap := <-s.queue:
 			<-s.slots
-			start := time.Now()
-			env.Emit(item.snap)
-			s.releaseService(item.snap.Service)
+			env.Emit(snap)
+			s.releaseService(snap.Service)
 			s.folded.Add(1)
-			s.noteFold(time.Since(start))
 			select {
 			case s.foldNotify <- struct{}{}:
 			default:
 			}
 		}
 	}
-}
-
-// noteFold records one fold's latency into the current window's
-// running maximum (CAS max — workers race benignly).
-func (s *IngestServer) noteFold(d time.Duration) {
-	for {
-		cur := s.windowMaxNS.Load()
-		if int64(d) <= cur || s.windowMaxNS.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// closeFoldTail folds the closing window's max fold latency into the
-// tail estimate: an EWMA (α=1/4) over per-window maxima approximates a
-// high fold-latency percentile without histograms.
-func (s *IngestServer) closeFoldTail() {
-	m := s.windowMaxNS.Swap(0)
-	if m <= 0 {
-		return
-	}
-	cur := s.tailNS.Load()
-	if cur == 0 {
-		s.tailNS.Store(m)
-		return
-	}
-	s.tailNS.Store(cur + (m-cur)/4)
-}
-
-// adaptiveDrainGrace bounds the shutdown drain: long enough for workers
-// to fold everything outstanding at twice the observed tail fold
-// latency, clamped to [minDrainGrace, maxDrainGrace]. With no fold
-// samples yet (tail == 0) it falls back to the fixed default — there is
-// nothing to adapt to.
-func adaptiveDrainGrace(tail time.Duration, outstanding, workers int) time.Duration {
-	if tail <= 0 {
-		return defaultDrainGrace
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	perWorker := outstanding/workers + 1
-	g := tail * time.Duration(2*perWorker)
-	if g < minDrainGrace {
-		return minDrainGrace
-	}
-	if g > maxDrainGrace {
-		return maxDrainGrace
-	}
-	return g
 }
 
 // ingestWindow is the Source one window sweep drains: queued snapshots
@@ -646,7 +577,6 @@ func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 	quiesce := func() {
 		close(stop)
 		wg.Wait()
-		s.closeFoldTail()
 	}
 
 	for {
@@ -657,21 +587,19 @@ func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 			// Shutdown: stop admitting, then let the pool fold
 			// everything already admitted so no accepted dump is lost. A
 			// held slot without a queued item is a scan still in flight —
-			// wait for it to land (or fail, releasing the slot), bounded
-			// by the adaptive grace so a stalled client cannot pin
-			// shutdown.
+			// wait for it to land (or fail, releasing the slot), for at
+			// most drainGrace. What is already queued folds however long
+			// it takes: that is local work, bounded by the queue.
 			s.closed.Store(true)
-			grace := adaptiveDrainGrace(time.Duration(s.tailNS.Load()), len(s.slots), s.foldWorkers)
-			giveUp := time.After(grace)
+			giveUp := time.After(drainGrace)
 			poll := time.NewTicker(time.Millisecond)
 			defer poll.Stop()
-		drain:
-			for len(s.slots) > 0 {
+			for expired := false; len(s.slots) > 0 && !(expired && len(s.queue) == 0); {
 				select {
 				case <-s.foldNotify:
 				case <-poll.C:
 				case <-giveUp:
-					break drain
+					expired = true
 				}
 			}
 			quiesce()
@@ -709,9 +637,6 @@ type IngestStats struct {
 	// draining the next; LastWindowPause is the most recent close's.
 	// Admission continues during the pause — only folding waits.
 	WindowPause, LastWindowPause time.Duration
-	// FoldTail is the adaptive tail fold-latency estimate (EWMA of
-	// per-window fold maxima) that sizes the shutdown drain grace.
-	FoldTail time.Duration
 }
 
 // Stats returns current counters; safe for concurrent use.
@@ -727,6 +652,5 @@ func (s *IngestServer) Stats() IngestStats {
 		QueueLen:        len(s.queue),
 		WindowPause:     time.Duration(s.pauseNS.Load()),
 		LastWindowPause: time.Duration(s.lastPause.Load()),
-		FoldTail:        time.Duration(s.tailNS.Load()),
 	}
 }

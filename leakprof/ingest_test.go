@@ -350,37 +350,6 @@ func TestIngestServiceQuota(t *testing.T) {
 	if quotaFails != 1 {
 		t.Errorf("ErrIngestQuota failures = %d, want 1", quotaFails)
 	}
-	if st := srv.Stats(); st.FoldTail <= 0 {
-		t.Errorf("FoldTail = %v, want > 0 after a closed window with folds", st.FoldTail)
-	}
-}
-
-// TestAdaptiveDrainGrace pins the drain-grace policy: default with no
-// fold samples, proportional to tail latency and outstanding work per
-// worker, clamped at both ends.
-func TestAdaptiveDrainGrace(t *testing.T) {
-	cases := []struct {
-		name        string
-		tail        time.Duration
-		outstanding int
-		workers     int
-		want        time.Duration
-	}{
-		{"no-samples-default", 0, 100, 4, defaultDrainGrace},
-		{"idle-floor", time.Microsecond, 0, 1, minDrainGrace},
-		{"proportional", 10 * time.Millisecond, 100, 4, 520 * time.Millisecond},
-		{"nothing-outstanding-floor", 10 * time.Millisecond, 0, 4, minDrainGrace},
-		{"ceiling", time.Second, 100, 1, maxDrainGrace},
-		{"zero-workers-treated-as-one", 10 * time.Millisecond, 10, 0, 220 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := adaptiveDrainGrace(tc.tail, tc.outstanding, tc.workers); got != tc.want {
-				t.Errorf("adaptiveDrainGrace(%v, %d, %d) = %v, want %v",
-					tc.tail, tc.outstanding, tc.workers, got, tc.want)
-			}
-		})
-	}
 }
 
 // TestIngestBackpressure fills the admission queue and checks that

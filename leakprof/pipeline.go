@@ -66,25 +66,9 @@ type Config struct {
 	// key to the last N observations (see WithTrendRetention); zero
 	// means unlimited.
 	TrendRetention int
-	// SinkQueue bounds each sink's event queue in the concurrent sink
-	// fan-out; zero means DefaultSinkQueue. A sink that falls further
-	// behind than its queue backpressures collection rather than
-	// buffering a sweep's worth of snapshots.
-	SinkQueue int
-	// DetachedSinks lets sink lag span sweeps: Sweep returns after
-	// handing the completed sweep to every sink's queue instead of
-	// draining them, so Run starts sweep N+1 while a slow sink finishes
-	// sweep N. Lag is bounded by each sink's queue depth; Pipeline.Flush
-	// is the drain barrier and Pipeline.Close the final one. See
-	// WithDetachedSinks.
-	DetachedSinks bool
 	// StateSync is the state journal's fsync policy (see WithStateSync);
 	// the zero value is SyncEverySweep.
 	StateSync SyncPolicy
-	// SinkErr observes each sink error as the sink's worker hits it (see
-	// WithSinkErrorFunc); nil drops nothing — errors still accumulate for
-	// the barriers.
-	SinkErr func(Sink, error)
 	// BugRetention ages closed bugs out of the durable bug database (see
 	// WithBugRetention); zero keeps every bug ever filed.
 	BugRetention time.Duration
@@ -99,9 +83,10 @@ type Config struct {
 	randFloat func() float64
 }
 
-// DefaultSinkQueue is the per-sink event queue capacity when SinkQueue
-// is unset.
-const DefaultSinkQueue = 1024
+// sinkQueue is each sink's event queue capacity in the concurrent
+// fan-out: a sink that falls further behind backpressures collection
+// rather than buffering a sweep's worth of snapshots.
+const sinkQueue = 1024
 
 // DefaultWindow is the streaming-ingest tumbling-window duration when
 // WithWindow is unset.
@@ -144,13 +129,6 @@ func (c *Config) randFn() func() float64 {
 		return c.randFloat
 	}
 	return rand.Float64
-}
-
-func (c *Config) sinkQueue() int {
-	if c.SinkQueue <= 0 {
-		return DefaultSinkQueue
-	}
-	return c.SinkQueue
 }
 
 func (c *Config) window() time.Duration {
@@ -267,29 +245,6 @@ func WithTrendRetention(n int) Option {
 	return func(c *Config) { c.TrendRetention = n }
 }
 
-// WithSinkQueue bounds each sink's event queue in the concurrent sink
-// fan-out (default DefaultSinkQueue).
-func WithSinkQueue(n int) Option {
-	return func(c *Config) { c.SinkQueue = n }
-}
-
-// WithDetachedSinks detaches sink draining from the sweep: Sweep returns
-// once the completed sweep is on every sink's queue, without waiting for
-// the slowest sink to process it, so a periodic Run starts sweep N+1
-// while a cold archive disk is still writing sweep N. Sink lag is
-// bounded: each queue holds at most SinkQueue events, and a sink further
-// behind backpressures the next sweep's collection instead of buffering
-// without bound. Sink errors surface at the explicit barriers —
-// Pipeline.Flush (drain now, keep running) and Pipeline.Close (drain and
-// shut down) — instead of joining each Sweep's return value, and the
-// state journal records a sweep when it completes, not when its sinks
-// finish (a detached TrendSink's late observations ride the next frame,
-// or the Flush/Close delta). Without this option every Sweep drains all
-// queues before returning, the strict default.
-func WithDetachedSinks() Option {
-	return func(c *Config) { c.DetachedSinks = true }
-}
-
 // WithStateSync sets the state journal's fsync policy: SyncEverySweep
 // (default) syncs each recorded sweep before RecordSweep returns;
 // SyncEvery(n, d) group-commits — one fsync per window of n sweeps or d
@@ -297,18 +252,6 @@ func WithDetachedSinks() Option {
 // loss window on a crash equals the unsynced window. See SyncPolicy.
 func WithStateSync(p SyncPolicy) Option {
 	return func(c *Config) { c.StateSync = p }
-}
-
-// WithSinkErrorFunc registers a per-sink error callback invoked from the
-// sink's worker goroutine the moment SweepDone fails. Under
-// WithDetachedSinks errors otherwise surface only at the Flush/Close
-// barriers — which a long periodic Run may not reach for days — so an
-// operator alerting on archive-disk failures observes them here, between
-// barriers, while the errors still accumulate for the barrier to return.
-// The callback must be safe for concurrent use: each sink's worker calls
-// it independently.
-func WithSinkErrorFunc(fn func(Sink, error)) Option {
-	return func(c *Config) { c.SinkErr = fn }
 }
 
 // WithWindow sets the streaming-ingest tumbling-window duration: an
@@ -355,13 +298,8 @@ func WithBugRetention(age time.Duration) Option {
 // result.
 type Pipeline struct {
 	cfg   Config
-	mu    sync.Mutex // serialises sweeps (and Flush/Close)
+	mu    sync.Mutex // serialises sweeps (and Close)
 	sinks []Sink
-
-	// workers are the persistent per-sink goroutines of detached mode,
-	// created lazily on first sweep; in the default synchronous mode
-	// workers live for one sweep only and this stays nil.
-	workers []*sinkWorker
 
 	stateOnce sync.Once
 	store     *StateStore
@@ -413,77 +351,37 @@ func (p *Pipeline) State() (*StateStore, error) {
 	return p.store, p.stateErr
 }
 
-// sinkEvent is one unit of a sink's queue: a streamed snapshot, the
-// end-of-sweep delivery (sweep set), or a flush sentinel (flush set) —
-// the detached-mode barrier, answered with the worker's accumulated
-// errors once everything queued ahead of it has been processed.
-type sinkEvent struct {
-	snap  *gprofile.Snapshot
-	sweep *Sweep
-	flush chan<- error
-}
-
-// sinkWorker runs one sink on its own goroutine over a bounded queue.
-// Events for one sink stay ordered (snapshots, then the sweep), but
-// sinks no longer wait on each other: a stalled archive disk cannot
-// delay the report sink's alerting. In detached mode the worker outlives
-// individual sweeps, so its error accumulation is mutex-guarded and
-// drained by flush sentinels instead of the per-sweep barrier.
+// sinkWorker runs one sink on its own goroutine over a bounded queue for
+// one sweep: the sweep's snapshots in arrival order, then SweepDone once
+// the queue closes. Sinks do not wait on each other, so a stalled
+// archive disk cannot delay the report sink's alerting.
 type sinkWorker struct {
-	sink Sink
-	ch   chan sinkEvent
-	done chan struct{}
-
-	mu  sync.Mutex
-	err error // accumulated SweepDone errors since the last drain
+	ch    chan *gprofile.Snapshot
+	sweep *Sweep // set before ch closes
+	done  chan struct{}
+	err   error // SweepDone's result, read after done closes
 }
 
-func startSinkWorker(sink Sink, queue int, onErr func(Sink, error)) *sinkWorker {
-	w := &sinkWorker{sink: sink, ch: make(chan sinkEvent, queue), done: make(chan struct{})}
+func startSinkWorker(sink Sink) *sinkWorker {
+	w := &sinkWorker{ch: make(chan *gprofile.Snapshot, sinkQueue), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
-		for ev := range w.ch {
-			switch {
-			case ev.flush != nil:
-				ev.flush <- w.takeErr()
-			case ev.sweep != nil:
-				if err := w.sink.SweepDone(ev.sweep); err != nil {
-					w.mu.Lock()
-					w.err = errors.Join(w.err, err)
-					w.mu.Unlock()
-					// The callback fires between barriers; the
-					// accumulated error still reaches the next one.
-					if onErr != nil {
-						onErr(w.sink, err)
-					}
-				}
-			default:
-				w.sink.Snapshot(ev.snap)
-			}
+		for snap := range w.ch {
+			sink.Snapshot(snap)
 		}
+		w.err = sink.SweepDone(w.sweep)
 	}()
 	return w
-}
-
-// takeErr returns and clears the worker's accumulated errors.
-func (w *sinkWorker) takeErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := w.err
-	w.err = nil
-	return err
 }
 
 // Sweep runs one collection pass over the source: every snapshot the
 // source emits streams into a fresh aggregator and onto each sink's
 // bounded queue, failures are tallied, and the completed Sweep (findings
 // plus the aggregator's raw moments) is delivered to every sink. Sinks
-// consume their queues concurrently with collection and with each other.
-// By default Sweep drains every queue before returning, so the returned
-// error joins the source error with any sink and state-persistence
-// errors; under WithDetachedSinks it returns once the sweep is enqueued
-// everywhere, and sink errors surface at the Flush/Close barriers
-// instead. A Sweep is returned even when collection partially failed.
+// consume their queues concurrently with collection and with each other,
+// and Sweep drains every queue before returning, so the returned error
+// joins the source error with any sink and state-persistence errors. A
+// Sweep is returned even when collection partially failed.
 func (p *Pipeline) Sweep(ctx context.Context, src Source) (*Sweep, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -496,14 +394,9 @@ func (p *Pipeline) Sweep(ctx context.Context, src Source) (*Sweep, error) {
 
 	agg := NewAggregator(p.cfg.Threshold, p.cfg.Filters...)
 	sweep := &Sweep{At: p.cfg.now(), Source: src.Name()}
-	var workers []*sinkWorker
-	if p.cfg.DetachedSinks {
-		workers = p.detachedWorkersLocked()
-	} else {
-		workers = make([]*sinkWorker, len(p.sinks))
-		for i, s := range p.sinks {
-			workers[i] = startSinkWorker(s, p.cfg.sinkQueue(), p.cfg.SinkErr)
-		}
+	workers := make([]*sinkWorker, len(p.sinks))
+	for i, s := range p.sinks {
+		workers[i] = startSinkWorker(s)
 	}
 	var mu sync.Mutex
 	env := &SweepEnv{
@@ -511,7 +404,7 @@ func (p *Pipeline) Sweep(ctx context.Context, src Source) (*Sweep, error) {
 		Emit: func(snap *gprofile.Snapshot) {
 			agg.Add(snap)
 			for _, w := range workers {
-				w.ch <- sinkEvent{snap: snap}
+				w.ch <- snap
 			}
 		},
 		Fail: func(service, instance string, err error) {
@@ -560,23 +453,16 @@ func (p *Pipeline) Sweep(ctx context.Context, src Source) (*Sweep, error) {
 	sweep.agg = agg
 
 	errs := []error{err, stateErr}
-	// Hand the completed sweep to every sink. In the default mode each
-	// queue is closed behind its sweep event and the barrier waits for
-	// every worker to finish; fast sinks complete on their own schedule —
-	// the barrier only bounds when Sweep itself returns. Detached
-	// workers persist instead: their lag may span sweeps (bounded by
-	// queue depth), and Flush/Close are the barriers.
+	// Hand the completed sweep to every sink and wait for every worker:
+	// the drain barrier. Fast sinks complete on their own schedule — the
+	// barrier only bounds when Sweep itself returns.
 	for _, w := range workers {
-		w.ch <- sinkEvent{sweep: sweep}
-		if !p.cfg.DetachedSinks {
-			close(w.ch)
-		}
+		w.sweep = sweep
+		close(w.ch)
 	}
-	if !p.cfg.DetachedSinks {
-		for _, w := range workers {
-			<-w.done
-			errs = append(errs, w.takeErr())
-		}
+	for _, w := range workers {
+		<-w.done
+		errs = append(errs, w.err)
 	}
 	if store != nil {
 		errs = append(errs, store.RecordSweep(sweep))
@@ -587,69 +473,16 @@ func (p *Pipeline) Sweep(ctx context.Context, src Source) (*Sweep, error) {
 	return sweep, errors.Join(errs...)
 }
 
-// detachedWorkersLocked returns the persistent sink workers, starting
-// one for any sink that does not have its own yet.
-func (p *Pipeline) detachedWorkersLocked() []*sinkWorker {
-	for i := len(p.workers); i < len(p.sinks); i++ {
-		p.workers = append(p.workers, startSinkWorker(p.sinks[i], p.cfg.sinkQueue(), p.cfg.SinkErr))
-	}
-	return p.workers
-}
-
-// Flush is the detached-mode drain barrier: it blocks until every sink
-// has consumed everything enqueued so far — snapshots and sweeps alike —
-// returns the sink errors accumulated since the previous barrier, and
-// brings the state journal current and durable (late-arriving trend
-// observations are appended, the unsynced group-commit window fsynced).
-// With synchronous sinks it only flushes the journal: every Sweep was
-// its own barrier. Flush excludes sweeps while it runs; the pipeline
-// keeps working afterwards.
-func (p *Pipeline) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushLocked()
-}
-
-func (p *Pipeline) flushLocked() error {
-	var errs []error
-	acks := make([]chan error, len(p.workers))
-	for i, w := range p.workers {
-		ack := make(chan error, 1)
-		acks[i] = ack
-		w.ch <- sinkEvent{flush: ack}
-	}
-	for _, ack := range acks {
-		errs = append(errs, <-ack)
-	}
-	if p.store != nil {
-		errs = append(errs, p.store.Flush())
-	}
-	return errors.Join(errs...)
-}
-
-// Close drains and shuts the pipeline down: detached sink workers finish
-// their queues and exit, their remaining errors are returned, and the
-// state store is flushed and closed (pending deltas journaled, the
-// unsynced window fsynced — SyncOnClose's moment). A pipeline without
-// detached workers or a state store closes trivially. Sweeping after
-// Close restarts workers, but the idiomatic lifecycle is one Close at
-// the end of Run.
+// Close shuts the pipeline down: the state store is flushed and closed
+// (pending deltas journaled, the unsynced window fsynced — SyncOnClose's
+// moment). A pipeline without a state store closes trivially.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var errs []error
-	for _, w := range p.workers {
-		close(w.ch)
+	if p.store == nil {
+		return nil
 	}
-	for _, w := range p.workers {
-		<-w.done
-		errs = append(errs, w.takeErr())
-	}
-	p.workers = nil
-	if p.store != nil {
-		errs = append(errs, p.store.Close())
-	}
-	return errors.Join(errs...)
+	return p.store.Close()
 }
 
 // Replay sweeps an on-disk archive through the pipeline, honouring

@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,46 +303,6 @@ func (s failingSource) Sweep(ctx context.Context, env *SweepEnv) error {
 	}
 	return nil
 }
-
-// TestSinkErrorFuncFiresBetweenBarriers registers the per-sink error
-// callback on a detached pipeline and checks it observes a SweepDone
-// failure without waiting for Flush — and that Flush still returns the
-// accumulated error.
-func TestSinkErrorFuncFiresBetweenBarriers(t *testing.T) {
-	var calls atomic.Int32
-	notified := make(chan error, 4)
-	bad := &failingSink{}
-	pipe := New(
-		WithDetachedSinks(),
-		WithSinkErrorFunc(func(s Sink, err error) {
-			calls.Add(1)
-			notified <- err
-		}),
-	)
-	pipe.AddSinks(bad)
-	if _, err := pipe.Sweep(context.Background(), FromSnapshots(nil)); err != nil {
-		t.Fatalf("detached sweep returned sink error early: %v", err)
-	}
-	select {
-	case err := <-notified:
-		if err == nil {
-			t.Fatal("callback delivered nil error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("sink error callback never fired")
-	}
-	if err := pipe.Close(); err == nil {
-		t.Fatal("barrier lost the accumulated sink error")
-	}
-	if calls.Load() == 0 {
-		t.Fatal("callback count = 0")
-	}
-}
-
-type failingSink struct{}
-
-func (failingSink) Snapshot(*gprofile.Snapshot) {}
-func (failingSink) SweepDone(*Sweep) error      { return errors.New("sink broke") }
 
 // TestSyncWindowFollowsStoreClock drives the group-commit window from a
 // fake clock: appends inside the window stay unsynced; the first append

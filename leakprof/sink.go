@@ -130,8 +130,7 @@ func (s *ReportSink) LastAlerts() []*report.Alert {
 // Alerts returns every new-defect alert filed since the sink was
 // created, across sweeps. Dedup bounds it: a defect alerts once per
 // bug-DB lifetime, not once per sweep. It is the accumulator a
-// multi-sweep replay (or a detached-sink run, where OnSweep fires
-// before the sink processed the sweep) reads after the drain barrier.
+// multi-sweep replay reads after the last sweep.
 func (s *ReportSink) Alerts() []*report.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -194,14 +194,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // covers a whole window of sweeps. Recovery replays segments in order; a
 // torn tail frame (a crash mid-append) is truncated rather than failing
 // the open, losing at most the unsynced window. When the active segment
-// outgrows its size bound the store rolls to the next segment, and once
-// more than a bounded number of segments are live it compacts
-// concurrently: only the key sets are captured under the lock, the fold
-// goroutine fetches their values in chunks off it, and sweeps keep
-// appending — onto a segment past the snapshot's reserved slot, so they
-// stay durable and replay behind it — until the journal.json manifest
-// pointer swings to the snapshot segment atomically. No sweep ever
-// blocks on the fold.
+// outgrows its size bound the store rolls to the next segment, and the
+// RecordSweep that pushes the live segment count past its bound folds
+// them on the spot into one snapshot segment, then swings the
+// journal.json manifest pointer to it atomically. That sweep waits for
+// the fold, whose cost grows with the number of tracked keys.
 //
 // Open a store, wire its BugDB and Tracker into the sinks, and attach it
 // to the pipeline:
@@ -239,8 +236,6 @@ type StateStore struct {
 	syncs       int64     // total fsyncs issued since open (telemetry)
 	unsynced    int       // frames appended to the active segment since its last sync
 	windowStart time.Time // store-clock time of the window's first unsynced append
-	foldPauses  int64     // concurrent-fold input captures since open (telemetry)
-	foldPauseNS int64     // cumulative store-lock pause of those captures
 
 	// Segment string dictionary: the cumulative table the active
 	// segment's frames reference and append to. A roll resets it,
@@ -257,14 +252,7 @@ type StateStore struct {
 	committerWake chan struct{}
 	committerQuit chan struct{}
 	committerDone chan struct{}
-
-	// Concurrent compaction: while folding, appends continue normally —
-	// into segments numbered after the snapshot's reserved slot, so they
-	// are durable per policy and replay behind the snapshot — and only
-	// the next fold trigger is suppressed.
-	folding  bool
-	foldDone chan struct{}
-	asyncErr error // background fold/committer errors, surfaced on the next store call
+	asyncErr      error // the committer's sync errors, surfaced on the next store call
 }
 
 // StateOption tunes a StateStore at open time.
@@ -466,10 +454,22 @@ func (s *StateStore) writeManifest(base int) error {
 	return nil
 }
 
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it survive a power cut; without it a new segment or a manifest swing
+// can vanish even though the file's own data was synced. A variable so
+// tests can record when the store syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // read-only: closing cannot lose data
+	return d.Sync()
+}
+
 // writeFileAtomic stages data in a temp file in dir, syncs it, and
 // renames it to path: on disk path holds either its old content or all
-// of data. It touches no store state, so the concurrent fold runs it off
-// the lock.
+// of data. The rename is durable only once the caller syncs dir.
 func writeFileAtomic(dir, pattern, path string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
@@ -625,7 +625,7 @@ func (s *StateStore) applyRecord(rec *journalRecord) error {
 // strings on demand.
 const maxDictSeedStrings = 4096
 
-// rollDictLocked resets the segment dictionary for a freshly reserved
+// rollDictLocked resets the segment dictionary for a freshly rolled
 // segment, carrying the outgoing dictionary's strings over as the seed
 // a dictionary frame will declare at the segment's head.
 func (s *StateStore) rollDictLocked() {
@@ -721,6 +721,14 @@ func (s *StateStore) openActive(incoming int64) (bool, error) {
 	}
 	if fi, err := f.Stat(); err == nil {
 		s.activeSize = fi.Size()
+	}
+	if s.activeSize == 0 {
+		// A segment this call created: its directory entry must be
+		// durable before any frame synced into it is.
+		if err := syncDir(s.dir); err != nil {
+			f.Close()
+			return rolled, fmt.Errorf("leakprof: syncing state dir for a new journal segment: %w", err)
+		}
 	}
 	s.active = f
 	return rolled, nil
@@ -872,23 +880,12 @@ func (s *StateStore) stopCommitter() {
 	}
 }
 
-// takeAsyncErrLocked surfaces and clears errors recorded by background
-// work (the committer's sync, a concurrent fold).
+// takeAsyncErrLocked surfaces and clears the background committer's
+// sync errors.
 func (s *StateStore) takeAsyncErrLocked() error {
 	err := s.asyncErr
 	s.asyncErr = nil
 	return err
-}
-
-// waitFoldLocked blocks until no fold is in flight, releasing the lock
-// while waiting.
-func (s *StateStore) waitFoldLocked() {
-	for s.folding {
-		done := s.foldDone
-		s.mu.Unlock()
-		<-done
-		s.mu.Lock()
-	}
 }
 
 // Dir returns the store's directory.
@@ -905,17 +902,14 @@ func (s *StateStore) BugDB() *report.DB { return s.db }
 // returned tracker before the first sweep.
 func (s *StateStore) Tracker() *TrendTracker { return s.tracker }
 
-// Flush makes the journal current and durable: it waits out any in-
-// flight compaction, appends a delta frame for state mutated since the
-// last recorded sweep (status transitions from an embedder, trend
-// observations a detached sink delivered late), fsyncs the unsynced
-// group-commit window, and surfaces any background errors. Tests and
-// shutdown paths call it to assert "everything I did is on disk" under
-// every sync policy.
+// Flush makes the journal current and durable: it appends a delta frame
+// for state mutated since the last recorded sweep (status transitions
+// from an embedder, say), fsyncs the unsynced group-commit window, and
+// surfaces the committer's errors. Tests and shutdown paths call it to
+// assert "everything I did is on disk" under every sync policy.
 func (s *StateStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.waitFoldLocked()
 	var errs []error
 	errs = append(errs, s.appendPendingLocked())
 	if s.unsynced > 0 {
@@ -955,14 +949,13 @@ func (s *StateStore) requeueDeltaLocked(rec *journalRecord) {
 	s.tracker.requeueNew(rec.Trend)
 }
 
-// Close flushes and releases the store: any in-flight fold completes,
-// pending deltas and the unsynced window are made durable (SyncOnClose's
-// contract), the committer stops, and the active segment handle closes.
-// The flush runs before the committer stops — a flush-time append may
-// wake (or spawn) the committer, and stopping afterwards guarantees no
-// goroutine outlives Close. Skipping Close under a relaxed sync policy
-// forfeits the unsynced window if the process dies before the OS writes
-// it back.
+// Close flushes and releases the store: pending deltas and the unsynced
+// window are made durable (SyncOnClose's contract), the committer stops,
+// and the active segment handle closes. The flush runs before the
+// committer stops — a flush-time append may wake (or spawn) the
+// committer, and stopping afterwards guarantees no goroutine outlives
+// Close. Skipping Close under a relaxed sync policy forfeits the
+// unsynced window if the process dies before the OS writes it back.
 func (s *StateStore) Close() error {
 	err := s.Flush()
 	s.stopCommitter()
@@ -1006,11 +999,11 @@ func (s *StateStore) LastFailureCounts() map[string]int {
 // outcome. The write cost is O(the sweep's findings), not O(every key
 // ever tracked), and the frame is made durable per the sync policy —
 // under group commit the append returns without an fsync and one Sync
-// later covers the window. A concurrent compaction never blocks or
-// weakens this: while a fold is in flight, deltas append to a segment
-// numbered after the snapshot's slot, as durable as any other append
-// and replaying behind the snapshot on recovery. Crossing the
-// segment-count threshold starts that concurrent fold.
+// later covers the window. The sweep whose append pushes the live
+// segment count past the threshold then compacts synchronously, exactly
+// as Save does, and waits for the fold. A failed fold is returned, but
+// the sweep's delta is already journaled by then and the next
+// RecordSweep retries the fold.
 func (s *StateStore) RecordSweep(sweep *Sweep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1043,167 +1036,33 @@ func (s *StateStore) RecordSweep(sweep *Sweep) error {
 		// resurrect the bug with its last journaled (open) status.
 		s.db.DropAged(s.now().Add(-s.bugRetention))
 	}
-	if !s.folding && s.segCount > s.maxSegments {
-		s.startFoldLocked()
+	var err error
+	if s.segCount > s.maxSegments {
+		err = s.compactLocked()
 	}
-	return s.takeAsyncErrLocked()
+	return errors.Join(err, s.takeAsyncErrLocked())
 }
 
 // Save persists the full state as a snapshot, compacting the journal to
 // a single segment. The per-sweep path is RecordSweep, which appends only
-// the sweep's delta; Save is the explicit checkpoint for embedders that
-// mutate the BugDB or Tracker outside a sweep (status transitions from a
-// bug-tracker webhook, say) and want the journal caught up now.
+// the sweep's delta and folds once too many segments are live; Save is
+// the explicit checkpoint for embedders that mutate the BugDB or Tracker
+// outside a sweep (status transitions from a bug-tracker webhook, say)
+// and want the journal caught up now.
+//
+// The fold writes the full state as one snapshot frame to a staged
+// segment renamed into place, swings the manifest pointer to it (temp
+// file + rename), and deletes the old segments, syncing the directory
+// after each rename. A crash before the segment rename leaves a staging
+// file that the next open deletes; a crash before the pointer swing
+// leaves the old segments live beside a complete snapshot that replays
+// harmlessly by replacement; a crash after it leaves only already-folded
+// leftovers to sweep up — either way, recovery loses at most the
+// unsynced window.
 func (s *StateStore) Save() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.waitFoldLocked()
 	return s.compactLocked()
-}
-
-// Compact folds the live segments into one snapshot segment: the full
-// state is written as a single snapshot frame to a staged segment that
-// is renamed into place, the manifest pointer swings to it atomically,
-// and the old segments are deleted. A crash before the rename leaves a
-// staging file that the next open deletes; a crash before the pointer
-// swing leaves the old segments live beside a complete snapshot that
-// replays harmlessly by replacement; a crash after it leaves only
-// already-folded leftovers to sweep up — either way, recovery loses at
-// most the unsynced window. Compact runs the fold synchronously; the
-// threshold-triggered folds inside RecordSweep run the same steps on a
-// background goroutine while sweeps keep appending past the snapshot's
-// reserved segment (see StateStore's doc).
-func (s *StateStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.waitFoldLocked()
-	return s.compactLocked()
-}
-
-// startFoldLocked launches the concurrent compaction. Only the key sets
-// are captured under the lock; fetching their values, the encode, and
-// the write happen off it. Crucially, sweeps recorded during the fold
-// stay exactly as durable as the sync policy promises: the store
-// reserves the next segment number for the snapshot and rolls its
-// appends onto the segment after it, so mid-fold deltas hit disk through
-// the normal append path and replay behind the snapshot whether or not
-// the fold survives. The snapshot itself lands by atomic rename, so on
-// disk it is either absent or complete — never a torn middle segment.
-func (s *StateStore) startFoldLocked() {
-	if s.folding {
-		return
-	}
-	start := time.Now()
-	if s.bugRetention > 0 {
-		s.db.DropAged(s.now().Add(-s.bugRetention))
-	}
-	// Roll appends past the snapshot's reserved slot. The outgoing
-	// segment is synced first when needed, preserving the invariant
-	// that only the final segment can ever hold a torn frame. A sync
-	// failure abandons the fold before anything is drained or moved.
-	if s.unsynced > 0 && s.active != nil {
-		if err := s.syncActiveLocked(); err != nil {
-			s.asyncErr = errors.Join(s.asyncErr, err)
-			return
-		}
-	}
-	// Drain un-taken deltas into the fold: the snapshot view subsumes
-	// them. A failed fold requeues them; without the drain they would
-	// ride the next delta frame too and replay twice.
-	pending := &journalRecord{Bugs: s.db.TakeDirty(), Trend: s.tracker.TakeNew()}
-	// Capture only the key sets under the lock; the fold goroutine
-	// fetches the values in bounded chunks off it, so the under-lock
-	// pause costs O(keys) pointer copies instead of a full DB and trend
-	// history copy. Mutations that land between this capture and the
-	// fetch are safe either way: a changed or newly filed bug is dirty
-	// and rides a delta frame appended after the snapshot (Restore is
-	// an absolute overwrite), a deleted key is skipped by the fetch,
-	// and trend observations still pending at fetch time are excluded
-	// from the export precisely because their own delta replays behind
-	// the snapshot.
-	rec := &journalRecord{
-		Kind:    recordSnapshot,
-		SavedAt: s.now(),
-		Sweep:   s.last,
-	}
-	bugKeys := s.db.Keys()
-	trendKeys := s.tracker.Keys()
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
-	}
-	oldBase, oldCount, newSeq := s.base, s.segCount, s.activeSeq+1
-	if newSeq <= 1 {
-		newSeq = 1
-	}
-	s.activeSeq = newSeq + 1
-	s.activeSize = 0
-	s.segCount++ // the delta segment appends land in during/after the fold
-	s.rollDictLocked()
-	s.folding = true
-	s.foldDone = make(chan struct{})
-	s.foldPauses++
-	s.foldPauseNS += time.Since(start).Nanoseconds()
-	go s.fold(rec, pending, bugKeys, trendKeys, oldBase, oldCount, newSeq)
-}
-
-// fold is the background half of concurrent compaction: fetch the
-// snapshot's values (chunked, off the store lock), encode, stage, and
-// swing the manifest pointer.
-func (s *StateStore) fold(rec, pending *journalRecord, bugKeys, trendKeys []string, oldBase, oldCount, newSeq int) {
-	rec.Bugs = s.db.SnapshotKeys(bugKeys)
-	rec.Trend = s.tracker.ExportStable(trendKeys)
-	buf, snapDict, err := encodeSnapshotFrame(rec)
-	if err == nil {
-		err = s.writeSnapshotSegment(newSeq, buf)
-	}
-	if err == nil {
-		err = s.writeManifest(newSeq)
-		if err != nil {
-			// The pointer never swung. The snapshot is safe to replay
-			// (mid-fold deltas live after it), but keeping it would pin
-			// the pre-fold segments forever; remove it and retry on the
-			// next threshold crossing.
-			os.Remove(s.segmentPath(newSeq))
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer close(s.foldDone)
-	s.folding = false
-	if err != nil {
-		s.requeueDeltaLocked(pending)
-		s.asyncErr = errors.Join(s.asyncErr, err)
-		return
-	}
-	// The fold is durable: retire the pre-fold segments. Appends rolled
-	// past the snapshot at fold start, so the active handle and the
-	// deltas recorded meanwhile are untouched.
-	for seq := oldBase; seq < newSeq; seq++ {
-		if seq > 0 {
-			os.Remove(s.segmentPath(seq))
-		}
-	}
-	s.base = newSeq
-	s.segCount -= oldCount
-	s.segCount++ // the snapshot segment itself
-	s.appended += int64(len(buf))
-	s.syncs++
-	if s.active == nil && s.activeSize == 0 && s.activeSeq == newSeq+1 {
-		// Nothing was recorded during the fold: collapse onto the
-		// snapshot segment instead of leaving an empty reservation, so
-		// a quiet fold ends at exactly one live segment. Appends resume
-		// in the snapshot frame's dictionary, which its own table
-		// declares, so the reservation's pending seed is obsolete.
-		s.activeSeq = newSeq
-		s.segCount--
-		if fi, serr := os.Stat(s.segmentPath(newSeq)); serr == nil {
-			s.activeSize = fi.Size()
-		}
-		s.segDict = snapDict
-		s.pendingSeed = nil
-	}
 }
 
 // encodeSnapshotFrame renders a snapshot record as a framed byte slice
@@ -1211,7 +1070,7 @@ func (s *StateStore) fold(rec, pending *journalRecord, bugKeys, trendKeys []stri
 // so the frame's appended-strings table carries everything it
 // references. It returns the committed dictionary so a store that
 // resumes appending onto the snapshot segment keeps resolving against
-// it. Safe off the store lock: it touches only its own locals.
+// it.
 func encodeSnapshotFrame(rec *journalRecord) ([]byte, *frame.Dict, error) {
 	dict := frame.NewDict()
 	dt := frame.NewDictTable(dict)
@@ -1223,74 +1082,91 @@ func encodeSnapshotFrame(rec *journalRecord) ([]byte, *frame.Dict, error) {
 	return frame.New(payload), dict, nil
 }
 
-// writeSnapshotSegment lands one snapshot frame as segment seq by
-// atomic rename: on disk the segment is either absent or complete.
-// Callers bump the sync telemetry under their own locking.
-func (s *StateStore) writeSnapshotSegment(seq int, frame []byte) error {
-	if err := writeFileAtomic(s.dir, ".segment-*", s.segmentPath(seq), frame); err != nil {
-		return fmt.Errorf("leakprof: writing snapshot segment: %w", err)
-	}
-	return nil
-}
-
-// compactLocked is the synchronous fold used by Compact and Save. The
-// concurrent path (startFoldLocked) runs the same sequence off the lock.
+// compactLocked is the one fold, behind both Save and RecordSweep's
+// threshold (see Save for its crash windows). A fold that fails leaves
+// the active segment open with its window synced, and the drained
+// deltas pending again for the next frame.
 func (s *StateStore) compactLocked() error {
 	if s.bugRetention > 0 {
 		s.db.DropAged(s.now().Add(-s.bugRetention))
 	}
+	// Once the snapshot lands the active segment is no longer the final
+	// one, and only the final segment may ever hold a torn frame: sync
+	// its window before anything can fail.
+	if s.unsynced > 0 {
+		if err := s.syncActiveLocked(); err != nil {
+			return err
+		}
+	}
+	// Drain the pending deltas before the capture, not after the writes:
+	// the snapshot subsumes them, and a bug changed while the fold runs
+	// stays dirty for the next delta (bugs replay by overwrite, so one
+	// changed between the drain and the capture may sit in both). The
+	// trend export and drain are one step, since observations replay by
+	// appending.
+	taken := &journalRecord{Bugs: s.db.TakeDirty()}
 	rec := &journalRecord{
 		Kind:    recordSnapshot,
 		SavedAt: s.now(),
 		Bugs:    s.db.All(),
-		Trend:   s.tracker.Export(),
 		Sweep:   s.last,
 	}
+	rec.Trend, taken.Trend = s.tracker.exportTakeNew()
 	buf, snapDict, err := encodeSnapshotFrame(rec)
 	if err != nil {
+		s.requeueDeltaLocked(taken)
 		return err
 	}
 	oldBase, newSeq := s.base, s.activeSeq+1
 	if newSeq <= 0 {
 		newSeq = 1
 	}
+	snapPath := s.segmentPath(newSeq)
+	if err := writeFileAtomic(s.dir, ".segment-*", snapPath, buf); err != nil {
+		s.requeueDeltaLocked(taken)
+		return fmt.Errorf("leakprof: writing snapshot segment: %w", err)
+	}
+	// Until the pointer swings, a failure removes the snapshot: left
+	// behind, it would pin the old segments forever, and a later roll
+	// would append onto it, replaying it over the deltas recorded since.
+	err = syncDir(s.dir)
+	if err != nil {
+		err = fmt.Errorf("leakprof: syncing state dir after the snapshot segment: %w", err)
+	} else {
+		err = s.writeManifest(newSeq)
+	}
+	if err != nil {
+		os.Remove(snapPath)
+		s.requeueDeltaLocked(taken)
+		return err
+	}
+	// The pointer swung, so the fold stands. The old segments may go
+	// only once the swing is durable; if the directory sync fails they
+	// stay, and the next open sweeps them up below the pointer.
 	if s.active != nil {
 		s.active.Close()
 		s.active = nil
 	}
-	if err := s.writeSnapshotSegment(newSeq, buf); err != nil {
-		return err
-	}
-	// The snapshot is durable; swing the manifest pointer. Everything
-	// before this line crashing leaves the previous segments live (the
-	// complete snapshot replays harmlessly by replacement, and is
-	// removed here so it cannot pin the old segments forever).
-	if err := s.writeManifest(newSeq); err != nil {
-		os.Remove(s.segmentPath(newSeq))
-		return err
-	}
-	// The fold is durable. The snapshot subsumes any un-taken deltas;
-	// drain them now (and only now — a failed fold must leave them
-	// pending for the next persist) so RecordSweep does not journal them
-	// twice.
-	s.db.TakeDirty()
-	s.tracker.TakeNew()
-	for seq := oldBase; seq < newSeq; seq++ {
-		if seq > 0 {
-			os.Remove(s.segmentPath(seq))
+	dirErr := syncDir(s.dir)
+	if dirErr != nil {
+		dirErr = fmt.Errorf("leakprof: syncing state dir after the manifest swing: %w", dirErr)
+	} else {
+		for seq := oldBase; seq < newSeq; seq++ {
+			if seq > 0 {
+				os.Remove(s.segmentPath(seq))
+			}
 		}
 	}
 	s.base, s.activeSeq = newSeq, newSeq
 	s.activeSize = int64(len(buf))
 	s.segCount = 1
 	s.appended += int64(len(buf))
-	s.syncs++
-	s.unsynced = 0
+	s.syncs++ // the snapshot segment's
 	// Appends resume onto the snapshot segment, whose frame already
 	// declares its whole dictionary.
 	s.segDict = snapDict
 	s.pendingSeed = nil
-	return nil
+	return dirErr
 }
 
 // journalBytesAppended returns the total frame bytes this store has
@@ -1301,23 +1177,15 @@ func (s *StateStore) journalBytesAppended() int64 {
 	return s.appended
 }
 
-// journalSyncs returns the number of fsyncs issued since open — the
-// group-commit acceptance probe: one per sweep under SyncEverySweep, one
-// per window under SyncEvery.
+// journalSyncs returns the number of segment-file fsyncs issued since
+// open — the group-commit acceptance probe: one per sweep under
+// SyncEverySweep, one per window under SyncEvery, plus the snapshot
+// segment's per fold. It leaves out the directory fsync a new segment
+// adds, and the journal.json fsync and two directory fsyncs of a fold.
 func (s *StateStore) journalSyncs() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.syncs
-}
-
-// journalFoldPause returns how many concurrent folds have captured
-// their inputs since open and the cumulative store-lock pause those
-// captures cost — the bench probe proving the compaction pause no
-// longer scales with tracked-key count.
-func (s *StateStore) journalFoldPause() (int64, time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.foldPauses, time.Duration(s.foldPauseNS)
 }
 
 // SegmentCount returns the number of live journal segments.

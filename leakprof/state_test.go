@@ -452,6 +452,13 @@ func svcKey(loc string) string {
 // given bug keys, observe them as trend totals, and record the outcome.
 func journalSweep(t *testing.T, store *StateStore, day int, keys map[string]int) {
 	t.Helper()
+	if err := recordDay(store, day, keys); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordDay is journalSweep returning RecordSweep's error.
+func recordDay(store *StateStore, day int, keys map[string]int) error {
 	at := time.Unix(0, 0).Add(time.Duration(day) * 24 * time.Hour)
 	var findings []*Finding
 	for loc, total := range keys {
@@ -460,9 +467,7 @@ func journalSweep(t *testing.T, store *StateStore, day int, keys map[string]int)
 		findings = append(findings, f)
 	}
 	store.Tracker().Observe(at, findings)
-	if err := store.RecordSweep(&Sweep{At: at, Source: "test", Profiles: 10}); err != nil {
-		t.Fatal(err)
-	}
+	return store.RecordSweep(&Sweep{At: at, Source: "test", Profiles: 10})
 }
 
 // TestStateStoreDeltaAppend pins the tentpole property at the format
@@ -669,7 +674,7 @@ func TestStateStoreMidCompactionCrash(t *testing.T) {
 	t.Run("crash-after-pointer-swing", func(t *testing.T) {
 		dir := t.TempDir()
 		store := seed(dir)
-		if err := store.Compact(); err != nil {
+		if err := store.Save(); err != nil {
 			t.Fatal(err)
 		}
 		if store.SegmentCount() != 1 {
@@ -704,7 +709,7 @@ func TestStateStoreTrendRetention(t *testing.T) {
 	if got := len(store.Tracker().Export()[svcKey("/hot.go:1")]); got != retention {
 		t.Fatalf("live history = %d observations, want %d", got, retention)
 	}
-	if err := store.Compact(); err != nil {
+	if err := store.Save(); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
@@ -749,11 +754,8 @@ func TestStateStoreCompactionThreshold(t *testing.T) {
 	for day := 1; day <= 4; day++ {
 		journalSweep(t, store, day, map[string]int{"/k.go:1": 10 * day})
 	}
-	// Sweep 4 pushed the journal past 3 segments and triggered the fold —
-	// concurrently, so Flush provides the barrier a test needs.
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	// Sweep 4 pushed the journal past 3 segments and folded it before
+	// RecordSweep returned.
 	if got := store.SegmentCount(); got != 1 {
 		t.Errorf("segments after threshold crossing = %d, want 1 (compacted)", got)
 	}
@@ -909,46 +911,154 @@ func TestStateStoreFailedAppendRequeuesDelta(t *testing.T) {
 }
 
 // TestStateStoreFailedCompactionKeepsState pins the failed-fold repair
-// contract: a compaction that cannot swing the manifest removes its
-// orphan snapshot segment (which would otherwise replay over later
-// deltas) and leaves the un-folded delta pending.
+// contract for both callers of the fold: a compaction that cannot swing
+// the manifest removes its orphan snapshot segment (which would
+// otherwise replay over later deltas) and leaves the un-folded state
+// journaled and fsynced, and the next fold after the fault succeeds.
 func TestStateStoreFailedCompactionKeepsState(t *testing.T) {
+	// A directory squatting on the manifest name makes the atomic rename
+	// fail after the snapshot segment is fully written.
+	block := func(t *testing.T, dir string) func() {
+		t.Helper()
+		blocker := filepath.Join(dir, StateManifestName)
+		if err := os.Mkdir(blocker, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			t.Helper()
+			if err := os.Remove(blocker); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	holds := func(t *testing.T, dir string, locs ...string) {
+		t.Helper()
+		re, err := OpenStateStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		for _, loc := range locs {
+			if _, ok := re.BugDB().Get(svcKey(loc)); !ok {
+				t.Errorf("bug for %s lost across the failed compaction", loc)
+			}
+		}
+	}
+
+	t.Run("save", func(t *testing.T) {
+		dir := t.TempDir()
+		store, err := OpenStateStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
+		unblock := block(t, dir)
+		if err := store.Save(); err == nil {
+			t.Fatal("compaction renamed its manifest over a directory")
+		}
+		if _, serr := os.Stat(store.segmentPath(2)); !errors.Is(serr, os.ErrNotExist) {
+			t.Error("failed compaction left its orphan snapshot segment behind")
+		}
+
+		// Unblock and record another sweep: both sweeps must survive a
+		// reopen, proving no state was stranded in the failed fold.
+		unblock()
+		journalSweep(t, store, 2, map[string]int{"/b.go:2": 50})
+		store.Close()
+		holds(t, dir, "/a.go:1", "/b.go:2")
+	})
+
+	// thresholdFold has sweep 3 trigger the fold: every frame rolls
+	// (segmentBytes=1) and more than 2 live segments compacts.
+	thresholdFold := func(t *testing.T, policy SyncPolicy, wantSyncs int64) {
+		dir := t.TempDir()
+		store, err := OpenStateStore(dir, StateCompaction(1, 2), StateSync(policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
+		journalSweep(t, store, 2, map[string]int{"/b.go:2": 50})
+		unblock := block(t, dir)
+		syncsBefore := store.journalSyncs()
+		if err := recordDay(store, 3, map[string]int{"/c.go:3": 25}); err == nil {
+			t.Fatal("RecordSweep hid its failed fold")
+		}
+		if _, serr := os.Stat(store.segmentPath(4)); !errors.Is(serr, os.ErrNotExist) {
+			t.Error("failed fold left its orphan snapshot segment behind")
+		}
+		// Whatever the policy, sweep 3's frame has had its fsync once
+		// Flush returns, failed fold or not; under SyncOnClose the roll
+		// into sweep 3's segment also fsyncs sweep 2's frame.
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := store.journalSyncs() - syncsBefore; got != wantSyncs {
+			t.Errorf("segment fsyncs from sweep 3 through Flush = %d, want %d", got, wantSyncs)
+		}
+		// The sweep's delta was journaled before the fold began.
+		unblock()
+		holds(t, dir, "/a.go:1", "/b.go:2", "/c.go:3")
+
+		// The next sweep retries the fold, and it succeeds.
+		journalSweep(t, store, 4, map[string]int{"/d.go:4": 10})
+		if got := store.SegmentCount(); got != 1 {
+			t.Errorf("segments after the retried fold = %d, want 1", got)
+		}
+		store.Close()
+		holds(t, dir, "/a.go:1", "/b.go:2", "/c.go:3", "/d.go:4")
+	}
+	t.Run("threshold-sweep", func(t *testing.T) { thresholdFold(t, SyncEverySweep, 1) })
+	t.Run("threshold-sweep-on-close", func(t *testing.T) { thresholdFold(t, SyncOnClose, 2) })
+}
+
+// TestStateStoreFoldKeepsConcurrentMutations pins the fold's capture
+// order: a bug status or trend observation an embedder records while a
+// threshold fold is writing is not in the snapshot, so it must stay
+// pending for the next frame rather than be drained with the deltas the
+// snapshot subsumes.
+func TestStateStoreFoldKeepsConcurrentMutations(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir)
+	store, err := OpenStateStore(dir, StateCompaction(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
-
-	// A directory squatting on the manifest name makes the atomic rename
-	// fail after the snapshot segment is fully written.
-	blocker := filepath.Join(dir, StateManifestName)
-	if err := os.Mkdir(blocker, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Compact(); err == nil {
-		t.Fatal("compaction renamed its manifest over a directory")
-	}
-	if _, serr := os.Stat(store.segmentPath(2)); !errors.Is(serr, os.ErrNotExist) {
-		t.Error("failed compaction left its orphan snapshot segment behind")
-	}
-
-	// Unblock and record another sweep: both sweeps must survive a
-	// reopen, proving no state was stranded in the failed fold.
-	if err := os.Remove(blocker); err != nil {
-		t.Fatal(err)
-	}
 	journalSweep(t, store, 2, map[string]int{"/b.go:2": 50})
-	store.Close()
+
+	late := &Finding{Service: "svc", Op: "send", Location: "/b.go:2", TotalBlocked: 75}
+	lateAt := time.Unix(0, 0).Add(2*24*time.Hour + time.Hour)
+	mutated := false
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(d string) error {
+		// Sweep 3's fold writes its snapshot as segment 4; the directory
+		// sync that follows runs after the fold captured the state.
+		if _, err := os.Stat(store.segmentPath(4)); err == nil && !mutated {
+			mutated = true
+			store.BugDB().SetStatus(svcKey("/a.go:1"), report.StatusFixed)
+			store.Tracker().Observe(lateAt, []*Finding{late})
+		}
+		return orig(d)
+	}
+	journalSweep(t, store, 3, map[string]int{"/c.go:3": 25})
+	if !mutated {
+		t.Fatal("sweep 3 did not fold through the snapshot segment")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	re, err := OpenStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	for _, loc := range []string{"/a.go:1", "/b.go:2"} {
-		if _, ok := re.BugDB().Get(svcKey(loc)); !ok {
-			t.Errorf("bug for %s lost across the failed compaction", loc)
-		}
+	if b, _ := re.BugDB().Get(svcKey("/a.go:1")); b.Status != report.StatusFixed {
+		t.Errorf("status set during the fold = %v after reopen, want fixed", b.Status)
+	}
+	obs := re.Tracker().Export()[late.Key()]
+	if len(obs) != 2 || !obs[1].At.Equal(lateAt) {
+		t.Errorf("trend history for %s = %+v, want day 2's and the observation made during the fold", late.Key(), obs)
 	}
 }
 

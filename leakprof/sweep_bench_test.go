@@ -19,22 +19,27 @@ import (
 // durable DB), trend, and a write-through archive — and the state journal
 // recording every sweep.
 //
-// Two configurations bracket the durability critical path:
+// Three configurations bracket the durability critical path; every one
+// blocks the sweep at the sink drain barrier until the slowest sink (the
+// archive disk) finishes:
 //
 //   - attached-sync-every-sweep is the strict default: one fsync inside
-//     every RecordSweep, and the sweep blocked at the sink drain barrier
-//     until the slowest sink (the archive disk) finishes.
-//   - detached-group-commit is the fast path: group commit (one fsync
-//     per 16-sweep window, off the critical path) and detached sinks
-//     whose lag spans sweeps.
+//     every RecordSweep.
+//   - group-commit syncs once per 16-sweep window, off the critical path.
+//   - fold-pause is group commit with the journal rolling and folding
+//     on every sweep (1-byte segment budget, 1-segment cap), so each
+//     sweep's ns/op includes the synchronous fold of the 100K-key state.
 //
 // The fsyncs/op metric is the group-commit acceptance probe (one per
-// window, not one per sweep); journal-KB/op tracks the codec's frame
-// size on the same run, and archive-KB/sweep the write-through archive's
-// on-disk cost per sweep — with pre-aggregated clusters written as
-// count-annotated records (one record per cluster instead of thousands
-// of expanded blocks), both this metric and the sweep's allocs/op fall
-// by orders of magnitude at bench fleet scale.
+// window, not one per sweep). It counts segment-file fsyncs only: under
+// fold-pause each sweep also issues three directory fsyncs (its new
+// segment, the snapshot segment, the manifest swing) and one of
+// journal.json that the metric leaves out. journal-KB/op tracks the
+// codec's frame size on the same run, and archive-KB/sweep the
+// write-through archive's on-disk cost per sweep — with pre-aggregated
+// clusters written as count-annotated records (one record per cluster
+// instead of thousands of expanded blocks), both this metric and the
+// sweep's allocs/op fall by orders of magnitude at bench fleet scale.
 func BenchmarkSweepCriticalPath(b *testing.B) {
 	const (
 		trackedKeys = 100_000
@@ -124,13 +129,6 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 		}
 		b.ReportMetric(float64(store.journalSyncs()-startSyncs)/float64(b.N), "fsyncs/op")
 		b.ReportMetric(float64(store.journalBytesAppended()-startBytes)/float64(b.N)/1024, "journal-KB/op")
-		// The compaction pause: wall time sweeps spent inside the fold's
-		// under-lock stage (key capture + reservation). The fold itself
-		// (value fetch, snapshot encode, segment write) runs off-lock.
-		if folds, pause := store.journalFoldPause(); folds > 0 {
-			b.ReportMetric(float64(pause.Microseconds())/float64(folds), "fold-pause-us/fold")
-			b.ReportMetric(float64(folds)/float64(b.N), "folds/op")
-		}
 		// The archive keeps the last KeepSweeps sweep directories; the
 		// per-sweep metric averages over whatever is retained.
 		var archiveBytes int64
@@ -160,16 +158,10 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 	b.Run("attached-sync-every-sweep", func(b *testing.B) {
 		run(b, WithStateSync(SyncEverySweep))
 	})
-	b.Run("detached-group-commit", func(b *testing.B) {
-		run(b, WithStateSync(SyncEvery(16, 0)), WithDetachedSinks())
+	b.Run("group-commit", func(b *testing.B) {
+		run(b, WithStateSync(SyncEvery(16, 0)))
 	})
-	// fold-pause forces the journal to roll and fold continuously
-	// (1-byte segment budget, 2-segment cap at a 100K-key state) so
-	// fold-pause-us/fold measures the incremental export's under-lock
-	// capture — the pause the full-copy fold design spent copying the
-	// whole DB and trend history.
 	b.Run("fold-pause", func(b *testing.B) {
-		run(b, WithStateSync(SyncEvery(16, 0)), WithDetachedSinks(),
-			WithStateCompaction(1, 2))
+		run(b, WithStateSync(SyncEvery(16, 0)), WithStateCompaction(1, 1))
 	})
 }

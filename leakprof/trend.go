@@ -74,11 +74,9 @@ func (o observation) noise() float64 {
 }
 
 // TrendTracker accumulates per-location counts across sweeps. Its
-// observation, export, and verdict methods are safe for concurrent use —
-// a detached TrendSink may still be recording sweep N's moments while the
-// state journal drains sweep N+1's delta — but the exported tuning
-// fields (MinObservations, StableBand, Retention) must be set before the
-// first observation.
+// observation, export, and verdict methods are safe for concurrent use,
+// but the exported tuning fields (MinObservations, StableBand,
+// Retention) must be set before the first observation.
 type TrendTracker struct {
 	// MinObservations before a verdict is issued; default 3.
 	MinObservations int
@@ -202,68 +200,16 @@ type TrendObservation struct {
 func (t *TrendTracker) Export() map[string][]TrendObservation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.exportLocked()
+}
+
+func (t *TrendTracker) exportLocked() map[string][]TrendObservation {
 	if len(t.history) == 0 {
 		return nil
 	}
 	out := make(map[string][]TrendObservation, len(t.history))
 	for key, obs := range t.history {
 		out[key] = exportObservations(obs)
-	}
-	return out
-}
-
-// Keys returns every tracked key, unordered. With ExportStable it forms
-// the incremental-export pair the journal's concurrent fold uses:
-// capture the cheap key set inside the caller's critical section, fetch
-// the histories later in bounded chunks off it.
-func (t *TrendTracker) Keys() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.history))
-	for k := range t.history {
-		out = append(out, k)
-	}
-	return out
-}
-
-// trendExportChunk bounds how many keys ExportStable copies per lock
-// acquisition, so a concurrent observer never waits on a full-history
-// export.
-const trendExportChunk = 1024
-
-// ExportStable exports the history for keys in journalable form,
-// excluding observations still pending for the next TakeNew. The
-// exclusion is what makes the export safe to fetch concurrently with
-// recording: a pending observation rides its own delta frame, which a
-// replay applies by appending after the snapshot — including it here
-// too would replay it twice. Pending observations are always a suffix
-// of their key's history (record appends to both, and retention only
-// trims the front), so dropping min(pending, len(history)) entries off
-// the tail removes exactly the unjournaled ones.
-func (t *TrendTracker) ExportStable(keys []string) map[string][]TrendObservation {
-	out := make(map[string][]TrendObservation, len(keys))
-	for len(keys) > 0 {
-		chunk := keys
-		if len(chunk) > trendExportChunk {
-			chunk = chunk[:trendExportChunk]
-		}
-		keys = keys[len(chunk):]
-		t.mu.Lock()
-		for _, key := range chunk {
-			obs, ok := t.history[key]
-			if !ok {
-				continue
-			}
-			stable := len(obs) - min(len(t.pending[key]), len(obs))
-			if stable == 0 {
-				continue
-			}
-			out[key] = exportObservations(obs[:stable])
-		}
-		t.mu.Unlock()
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }
@@ -279,6 +225,10 @@ func (t *TrendTracker) ExportStable(keys []string) map[string][]TrendObservation
 func (t *TrendTracker) TakeNew() map[string][]TrendObservation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.takeNewLocked()
+}
+
+func (t *TrendTracker) takeNewLocked() map[string][]TrendObservation {
 	t.pendingArmed = true
 	if len(t.pending) == 0 {
 		return nil
@@ -289,6 +239,17 @@ func (t *TrendTracker) TakeNew() map[string][]TrendObservation {
 	}
 	t.pending = nil
 	return out
+}
+
+// exportTakeNew is Export and TakeNew in one critical section, the
+// capture a journal fold takes: an observation recorded concurrently
+// lands in both the export and the drained delta or in neither, so the
+// snapshot and the deltas journaled after it never hold it twice and
+// never lose it.
+func (t *TrendTracker) exportTakeNew() (history, taken map[string][]TrendObservation) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.exportLocked(), t.takeNewLocked()
 }
 
 func exportObservations(obs []observation) []TrendObservation {
