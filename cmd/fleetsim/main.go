@@ -65,10 +65,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run one in-process leakprof sweep over the fleet, print findings, and exit")
 	direct := flag.Bool("direct", false, "with -sweep: pull from the simulator directly instead of over HTTP")
 	stateDir := flag.String("state-dir", "", "with -sweep: journal bug DB, trend history, and budget seeds under this directory so repeated sweeps dedup and resume")
-	stateSegments := flag.Int("state-segments", 0, "with -state-dir: the sweep that leaves more than N journal segments live compacts them before it returns (0 = default)")
-	trendKeep := flag.Int("trend-keep", 0, "with -state-dir: retain only the last N trend observations per finding key (0 = unlimited)")
-	bugKeep := flag.Duration("bug-keep", 0, "with -state-dir: age closed (fixed/rejected) bugs out once unseen for this long (0 = keep forever)")
-	fsync := flag.String("fsync", "sweep", "with -state-dir: journal fsync policy — sweep, close, or N[/duration] group commit")
 	post := flag.String("post", "", "load-generator mode: POST the fleet's dump bodies to this ingest endpoint URL (cmd/leakprof -ingest) instead of serving or sweeping")
 	posters := flag.Int("posters", 256, "with -post: concurrent posting goroutines")
 	posts := flag.Int("posts", 10, "with -post: POSTs per poster")
@@ -112,22 +108,6 @@ func main() {
 		f.AdvanceDay()
 	}
 
-	syncPolicy, err := leakprof.ParseSyncPolicy(*fsync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleetsim:", err)
-		os.Exit(1)
-	}
-	var extra []leakprof.Option
-	if *stateDir != "" {
-		extra = append(extra,
-			leakprof.WithStateDir(*stateDir),
-			leakprof.WithStateCompaction(0, *stateSegments),
-			leakprof.WithTrendRetention(*trendKeep),
-			leakprof.WithBugRetention(*bugKeep),
-			leakprof.WithStateSync(syncPolicy),
-		)
-	}
-
 	if *post != "" {
 		if err := runLoadGen(f, *post, *posters, *posts, *gz, *postRetries, *postToken); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
@@ -137,7 +117,7 @@ func main() {
 	}
 
 	if *sweep && *direct {
-		runSweep(f.Source(), *leakRate/2, *stateDir, extra)
+		runSweep(f.Source(), *leakRate/2, *stateDir)
 		return
 	}
 
@@ -145,7 +125,7 @@ func main() {
 	defer shutdown()
 
 	if *sweep {
-		runSweep(leakprof.StaticEndpoints(endpoints...), *leakRate/2, *stateDir, extra)
+		runSweep(leakprof.StaticEndpoints(endpoints...), *leakRate/2, *stateDir)
 		return
 	}
 
@@ -194,16 +174,19 @@ func runMatrix(names string) {
 // a metrics sink tallies the pass. With a state dir, the sweep journals
 // through a StateStore: findings file into the durable bug DB (a repeat
 // run deduplicates instead of re-alerting) and the sweep outcome seeds
-// the next run's error budget. The extra options carry the durability
-// knobs; Close is the exit barrier that lands deferred fsync windows.
-func runSweep(src leakprof.Source, threshold int, stateDir string, extra []leakprof.Option) {
+// the next run's error budget. The journal runs on its defaults (one
+// fsync per sweep); cmd/leakprof exposes its tuning flags.
+func runSweep(src leakprof.Source, threshold int, stateDir string) {
 	metrics := &leakprof.MetricsSink{}
-	opts := append([]leakprof.Option{
+	opts := []leakprof.Option{
 		leakprof.WithThreshold(threshold),
 		leakprof.WithParallelism(8),
 		leakprof.WithRetry(leakprof.DefaultRetryPolicy),
 		leakprof.WithSharedIntern(0),
-	}, extra...)
+	}
+	if stateDir != "" {
+		opts = append(opts, leakprof.WithStateDir(stateDir))
+	}
 	pipe := leakprof.New(opts...).AddSinks(metrics)
 	var reportSink *leakprof.ReportSink
 	store, err := pipe.State()
@@ -216,8 +199,8 @@ func runSweep(src leakprof.Source, threshold int, stateDir string, extra []leakp
 		pipe.AddSinks(reportSink, &leakprof.TrendSink{Tracker: store.Tracker()})
 	}
 	sweep, err := pipe.Sweep(context.Background(), src)
-	// Close is where deferred fsync windows land; its failure must
-	// surface even when the sweep also failed.
+	// Close closes the journal; its failure must surface even when the
+	// sweep also failed.
 	if cerr := pipe.Close(); err == nil {
 		err = cerr
 	} else if cerr != nil {

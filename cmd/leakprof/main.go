@@ -22,8 +22,8 @@
 // bounding per-key trend history and -bug-keep aging closed bugs out —
 // so repeated invocations dedup against every bug ever filed, resume
 // trend verdicts, and probe yesterday's failing services with a reduced
-// budget. -fsync picks the journal's durability policy (sweep, close, or
-// N[/duration] group commit; deferred syncs land at exit). A -dir
+// budget. -fsync picks the journal's durability policy: sweep fsyncs
+// inside every sweep, close defers every fsync to exit. A -dir
 // pointing at a multi-sweep archive (one sweep-NNNN subdirectory per
 // sweep) replays every recorded sweep at its manifested timestamp. Both
 // input kinds drive the same streaming pipeline: each profile flows
@@ -101,7 +101,7 @@ func main() {
 	stateSegments := flag.Int("state-segments", 0, "with -state-dir: the sweep that leaves more than N journal segments live compacts them before it returns (0 = default)")
 	trendKeep := flag.Int("trend-keep", 0, "with -state-dir: retain only the last N trend observations per finding key, in memory and in the journal (0 = unlimited)")
 	bugKeep := flag.Duration("bug-keep", 0, "with -state-dir: age closed (fixed/rejected) bugs out of the bug DB and journal once unseen for this long (0 = keep forever)")
-	fsync := flag.String("fsync", "sweep", "state journal fsync policy: sweep (every sweep), close (only at exit), or N[/duration] group commit (one fsync per window)")
+	fsync := flag.String("fsync", "sweep", "state journal fsync policy: sweep (fsync inside every sweep) or close (fsync only at exit)")
 	shard := flag.String("shard", "", "worker mode: sweep partition K/N of the -endpoints fleet (services hashed across N shards) and emit a shard report instead of findings; requires -report-out or -report-url")
 	shardName := flag.String("shard-name", "", "worker mode: shard name in the report and in coordinator failure accounting (default shard-<K>)")
 	reportOut := flag.String("report-out", "", "worker mode: write the binary shard report to this file (atomic rename), for a coordinator's -merge-reports")
@@ -246,8 +246,8 @@ func main() {
 	if len(sweeps) == 0 {
 		fatal(err)
 	}
-	// The exit barrier: group-commit and on-close fsync windows land on
-	// disk, and pending journal deltas append. Stateless runs close
+	// The exit barrier: pending journal deltas append, and under -fsync
+	// close the unsynced window lands on disk. Stateless runs close
 	// trivially.
 	if cerr := pipe.Close(); err == nil {
 		err = cerr

@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // ManifestName is the file name a sweep archive's manifest is stored
@@ -47,8 +50,8 @@ type ManifestEntry struct {
 
 // WriteManifest finalises the archive: it writes a manifest.json indexing
 // every snapshot written through this writer, stamped with the sweep
-// time. The write is atomic (temp file + rename), so a reader never sees
-// a torn manifest; call it once, after the sweep's last snapshot.
+// time. The write is atomic and durable (atomicfile.Write); call it
+// once, after the sweep's last snapshot.
 func (w *DirWriter) WriteManifest(at time.Time, source string) error {
 	w.mu.Lock()
 	entries := make([]ManifestEntry, 0, len(w.entries))
@@ -61,26 +64,18 @@ func (w *DirWriter) WriteManifest(at time.Time, source string) error {
 	return WriteManifestFile(w.dir, m)
 }
 
-// WriteManifestFile atomically writes m as dir's manifest.json.
+// WriteManifestFile atomically and durably writes dir's manifest.json.
 func WriteManifestFile(dir string, m *Manifest) error {
 	body, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("gprofile: encoding manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
+	err = atomicfile.Write(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(body, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("gprofile: staging manifest: %w", err)
-	}
-	_, werr := tmp.Write(append(body, '\n'))
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), filepath.Join(dir, ManifestName))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("gprofile: writing manifest: %w", werr)
+		return fmt.Errorf("gprofile: writing manifest: %w", err)
 	}
 	return nil
 }

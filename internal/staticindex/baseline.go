@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // Baseline is the checked-in accept-list a CI self-scan diffs new scans
@@ -87,19 +88,7 @@ func WriteBaseline(w io.Writer, idx *Index) error {
 
 // SaveBaseline writes the baseline for idx to path atomically.
 func SaveBaseline(p string, idx *Index) error {
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".baseline-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteBaseline(tmp, idx); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return atomicfile.Write(p, func(w io.Writer) error { return WriteBaseline(w, idx) })
 }
 
 // LoadBaseline parses baseline text: blank lines and '#' comments are

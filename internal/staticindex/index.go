@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/astcheck"
+	"repro/internal/atomicfile"
 	"repro/internal/frame"
 	"repro/internal/staticbase"
 )
@@ -270,21 +271,13 @@ func decodeIndex(payload []byte) (*Index, error) {
 	return idx, nil
 }
 
-// Save writes the index to path atomically (temp file + rename).
+// Save writes the index to path atomically (see atomicfile.Write).
 func (idx *Index) Save(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".staticindex-*")
-	if err != nil {
-		return fmt.Errorf("staticindex: saving index: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := idx.WriteTo(tmp); err != nil {
-		tmp.Close()
+	err := atomicfile.Write(path, func(w io.Writer) error {
+		_, err := idx.WriteTo(w)
 		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("staticindex: saving index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	})
+	if err != nil {
 		return fmt.Errorf("staticindex: saving index: %w", err)
 	}
 	return nil

@@ -3,12 +3,11 @@ package staticindex
 import (
 	"fmt"
 	"io"
-	"os"
 	"path"
-	"path/filepath"
 	"strings"
 
 	"repro/goleak"
+	"repro/internal/atomicfile"
 	"repro/leakprof"
 )
 
@@ -63,24 +62,13 @@ func qualifiedFunction(file, function string) string {
 }
 
 // WriteSuppressions saves the derived suppression list to path
-// atomically (temp file + rename), in the goleak text format.
+// atomically (see atomicfile.Write), in the goleak text format.
 func (r *Report) WriteSuppressions(p string) error {
 	list := r.Suppressions()
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".suppress-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := io.WriteString(tmp, "# Generated by leakrank: static alarms demoted by production evidence.\n"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := list.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return atomicfile.Write(p, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "# Generated by leakrank: static alarms demoted by production evidence.\n"); err != nil {
+			return err
+		}
+		return list.Save(w)
+	})
 }

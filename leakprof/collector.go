@@ -2,6 +2,7 @@ package leakprof
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,19 +43,28 @@ func fetchOne(ctx context.Context, cfg *Config, client *http.Client, ep Endpoint
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("leakprof: %s/%s returned %s", ep.Service, ep.Instance, resp.Status)
 	}
-	max := cfg.MaxProfileBytes
-	if max <= 0 {
-		max = DefaultMaxProfileBytes
+	return scanBounded(cfg, ep.Service, ep.Instance, resp.Body)
+}
+
+// errOverLimit marks a profile body longer than MaxProfileBytes.
+var errOverLimit = errors.New("profile exceeds the byte limit")
+
+// scanBounded streams one profile body through the scanner, reading one
+// byte past the pipeline's MaxProfileBytes: if that byte arrives, the
+// profile is over budget and fails with errOverLimit rather than passing
+// truncated counts downstream.
+func scanBounded(cfg *Config, service, instance string, body io.Reader) (*gprofile.Snapshot, error) {
+	limit := cfg.MaxProfileBytes
+	if limit <= 0 {
+		limit = DefaultMaxProfileBytes
 	}
-	// Read one byte past the limit: if it arrives, the profile is over
-	// budget and must error rather than pass truncated counts downstream.
-	lr := &io.LimitedReader{R: resp.Body, N: max + 1}
-	snap, err := gprofile.ScanSnapshotWith(ep.Service, ep.Instance, cfg.now(), lr, cfg.Intern)
+	lr := &io.LimitedReader{R: body, N: limit + 1}
+	snap, err := gprofile.ScanSnapshotWith(service, instance, cfg.now(), lr, cfg.Intern)
 	if err != nil {
 		return nil, err
 	}
 	if lr.N <= 0 {
-		return nil, fmt.Errorf("leakprof: %s/%s profile exceeds %d bytes", ep.Service, ep.Instance, max)
+		return nil, fmt.Errorf("leakprof: %s/%s: %w (%d bytes)", service, instance, errOverLimit, limit)
 	}
 	return snap, nil
 }

@@ -20,7 +20,6 @@
 //		&leakprof.TrendSink{Tracker: tracker},    // cross-sweep verdicts
 //	)
 //	sweep, err := pipe.Sweep(ctx, leakprof.Endpoints(enumerateFleet))
-//	// or: pipe.Run(ctx, src) for the paper's daily cadence
 //
 // Every profile origin drives the identical engine:
 //
@@ -88,20 +87,17 @@
 // it found and the version it supports, rather than opening empty and
 // re-alerting every owner of every bug the journal had filed.
 //
-// Durability is a policy, not a tax (WithStateSync). SyncEverySweep,
-// the default, fsyncs inside every RecordSweep: no recorded sweep is
-// ever lost, one fsync per sweep. SyncEvery(n, d) is group commit: the
-// append returns after the buffered write, and one Sync — issued inline
-// when the window fills, or by a background committer when its timer
-// fires — covers every frame of the window, which is what sub-daily
-// sweep cadences want. SyncOnClose defers every sync to Flush/Close.
-// The loss window on a crash follows the policy: recovery truncates a
-// torn tail frame and loses at most the unsynced window — never a
-// frame synced before it (under fail-stop; a power loss that reorders
-// unflushed pages can corrupt a mid-window frame, which recovery
-// refuses to truncate silently because durable frames follow it).
-// StateStore.Flush is the explicit barrier: it journals pending state,
-// fsyncs the window, and surfaces background errors. Directory entries
+// Durability is a policy (WithStateSync), and every fsync runs on the
+// caller's goroutine: the store starts no goroutine of its own.
+// SyncEverySweep, the default, fsyncs inside every RecordSweep: no
+// recorded sweep is ever lost, one fsync per sweep. SyncOnClose defers
+// every sync to Flush/Close. The loss window on a crash follows the
+// policy: recovery truncates a torn tail frame and loses at most the
+// unsynced window — never a frame synced before it (under fail-stop; a
+// power loss that reorders unflushed pages can corrupt a mid-window
+// frame, which recovery refuses to truncate silently because durable
+// frames follow it). StateStore.Flush is the explicit barrier: it
+// journals pending state and fsyncs the window. Directory entries
 // are made durable too: the store fsyncs the state dir after creating a
 // segment and after every rename, so a power cut cannot lose a new
 // segment or a manifest swing whose contents were already synced.
@@ -144,7 +140,9 @@
 //	)
 //
 // Archives are durable too: every ArchiveSink finalisation writes a
-// manifest.json (sweep timestamp, snapshot index, format version), and
+// manifest.json (sweep timestamp, snapshot index, format version)
+// through internal/atomicfile — temp file fsynced, renamed, directory
+// fsynced — so a power cut cannot leave it missing or empty, and
 // NewSweepArchiveSink rotates one manifested subdirectory per sweep,
 // pruning the oldest finalised sweeps beyond a KeepSweeps bound.
 // Pipeline.Replay walks a multi-sweep archive in recorded order,
@@ -248,11 +246,9 @@
 // (WithStateSync), and the loss bound on a crash is per-policy exactly
 // as in batch mode, with "window" substituted for "sweep":
 // SyncEverySweep loses at most the arrivals of the current, not yet
-// closed window; SyncEvery(n, w) loses at most the n most recent closed
-// windows (or the fsync interval w, whichever lands first); SyncOnClose
-// loses everything since the server started. Rejected POSTs are not a
-// durability loss — the instance still holds its dump and the 429
-// tells it to retry after the hint.
+// closed window; SyncOnClose loses everything since the server started.
+// Rejected POSTs are not a durability loss — the instance still holds
+// its dump and the 429 tells it to retry after the hint.
 //
 // # Hot-path tuning
 //

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/goleak"
 	"repro/internal/frame"
 	"repro/internal/gprofile"
 	"repro/internal/report"
@@ -51,8 +52,8 @@ func frameEnds(t testing.TB, path string) []int64 {
 	}
 }
 
-// TestStateStoreSyncPolicies pins the group-commit accounting: fsyncs per
-// recorded sweep follow the policy, not the sweep count.
+// TestStateStoreSyncPolicies pins where each policy's fsyncs run: one
+// inside every RecordSweep, or one covering every sweep at Close.
 func TestStateStoreSyncPolicies(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -63,8 +64,6 @@ func TestStateStoreSyncPolicies(t *testing.T) {
 		wantAfterClose  int64
 	}{
 		{"every-sweep", SyncEverySweep, 6, 6, 6},
-		{"group-commit-of-3", SyncEvery(3, 0), 6, 2, 2},
-		{"group-commit-partial-window", SyncEvery(4, 0), 6, 1, 2}, // 2 unsynced at Close
 		{"on-close", SyncOnClose, 6, 0, 1},
 	}
 	for _, tc := range cases {
@@ -102,31 +101,22 @@ func TestStateStoreSyncPolicies(t *testing.T) {
 	}
 }
 
-// TestStateStoreTimedGroupCommit pins the background committer: with a
-// pure time window, an appended frame is synced shortly after the window
-// elapses without any further store calls — the fsync rides the
-// committer goroutine, not a sweep.
-func TestStateStoreTimedGroupCommit(t *testing.T) {
-	store, err := OpenStateStore(t.TempDir(), StateSync(SyncEvery(0, 20*time.Millisecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
-	if got := store.journalSyncs(); got != 0 {
-		t.Fatalf("append synced inline (%d syncs), want the committer to do it", got)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.journalSyncs() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("committer never synced the window")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// One sync covered the window; a second window only opens with the
-	// next append.
-	if got := store.journalSyncs(); got != 1 {
-		t.Errorf("syncs = %d, want 1 (one per window)", got)
+// TestStateStoreStartsNoGoroutine pins that every fsync runs on the
+// caller's goroutine: under either policy, a store between RecordSweep
+// and Close runs no goroutine of its own.
+func TestStateStoreStartsNoGoroutine(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncEverySweep, SyncOnClose} {
+		t.Run(policy.String(), func(t *testing.T) {
+			opts := goleak.IgnoreCurrent()
+			store, err := OpenStateStore(t.TempDir(), StateSync(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
+			journalSweep(t, store, 2, map[string]int{"/b.go:2": 50})
+			goleak.VerifyNone(t, opts)
+		})
 	}
 }
 
@@ -144,7 +134,6 @@ func TestStateStoreCrashRecoveryPerSyncPolicy(t *testing.T) {
 		syncedSweeps int
 	}{
 		{"every-sweep", SyncEverySweep, 5},
-		{"group-commit-of-2", SyncEvery(2, 0), 4},
 		{"on-close-without-close", SyncOnClose, 0},
 	}
 	const sweeps = 5
@@ -453,7 +442,8 @@ func TestPipelineDetachedCloseJournalsLateState(t *testing.T) {
 	}
 }
 
-// TestParseSyncPolicy covers the flag surface both cmds expose.
+// TestParseSyncPolicy covers cmd/leakprof's -fsync surface: the two
+// policy names parse, and anything else fails naming both.
 func TestParseSyncPolicy(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -463,9 +453,9 @@ func TestParseSyncPolicy(t *testing.T) {
 		{"", SyncEverySweep, false},
 		{"sweep", SyncEverySweep, false},
 		{"close", SyncOnClose, false},
-		{"8", SyncEvery(8, 0), false},
-		{"8/2s", SyncEvery(8, 2*time.Second), false},
-		{"0/500ms", SyncEvery(0, 500*time.Millisecond), false},
+		{"8", SyncPolicy{}, true},
+		{"8/2s", SyncPolicy{}, true},
+		{"0/500ms", SyncPolicy{}, true},
 		{"banana", SyncPolicy{}, true},
 		{"8/xyz", SyncPolicy{}, true},
 	}
@@ -474,6 +464,9 @@ func TestParseSyncPolicy(t *testing.T) {
 		if (err != nil) != tc.err {
 			t.Errorf("ParseSyncPolicy(%q) error = %v, want error %v", tc.in, err, tc.err)
 			continue
+		}
+		if err != nil && !(strings.Contains(err.Error(), "sweep") && strings.Contains(err.Error(), "close")) {
+			t.Errorf("ParseSyncPolicy(%q) error = %v, want it to name sweep and close", tc.in, err)
 		}
 		if !tc.err && got != tc.want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, want %v", tc.in, got, tc.want)

@@ -83,13 +83,6 @@ func putGzipReader(zr *gzip.Reader) {
 	gzipReaderPool.Put(zr)
 }
 
-// pendingFail is one admission-time failure (scan error, salvage,
-// over-limit body) awaiting the next window close.
-type pendingFail struct {
-	service, instance string
-	err               error
-}
-
 // IngestServer is the push-ingestion endpoint: an http.Handler
 // accepting POSTed goroutine-profile dump bodies (?debug=2 text, plain
 // or gzip Content-Encoding), and a Run loop folding admissions into
@@ -148,11 +141,10 @@ type IngestServer struct {
 	// when the queue has likely drained.
 	retryAfter string
 
-	mu            sync.Mutex
-	rejected      map[string]int // per-service queue-full 429 counts awaiting the next window
-	quotaRejected map[string]int // per-service quota 429 counts awaiting the next window
-	fails         []pendingFail  // admission failures awaiting the next window, capped
-	dropped       map[string]int // per-service failures beyond the fails cap
+	// pending counts admission failures (429s, scan failures, salvage)
+	// for the next window close, through the sweep failure ledger.
+	mu      sync.Mutex
+	pending *Sweep
 
 	// closeStart marks when the current window began closing, for the
 	// window-close pause statistic (real time, not the pipeline clock:
@@ -242,14 +234,12 @@ func IngestTicks(ticks <-chan time.Time) IngestOption {
 // WithThreshold/WithRanking/sinks/state shape every emitted Sweep.
 func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 	s := &IngestServer{
-		pipe:          pipe,
-		queue:         make(chan *gprofile.Snapshot, DefaultIngestQueue),
-		slots:         make(chan struct{}, DefaultIngestQueue),
-		foldWorkers:   defaultFoldWorkers(),
-		foldNotify:    make(chan struct{}, 1),
-		rejected:      make(map[string]int),
-		quotaRejected: make(map[string]int),
-		dropped:       make(map[string]int),
+		pipe:        pipe,
+		queue:       make(chan *gprofile.Snapshot, DefaultIngestQueue),
+		slots:       make(chan struct{}, DefaultIngestQueue),
+		foldWorkers: defaultFoldWorkers(),
+		foldNotify:  make(chan struct{}, 1),
+		pending:     &Sweep{},
 	}
 	retry := int(pipe.cfg.window().Seconds() / 2)
 	if retry < 1 {
@@ -343,9 +333,7 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// paying for a scan.
 	if !s.chargeService(service) {
 		s.quotaRejects.Add(1)
-		s.mu.Lock()
-		s.quotaRejected[service]++
-		s.mu.Unlock()
+		s.fail(service, instance, ErrIngestQuota)
 		w.Header().Set("Retry-After", s.retryAfter)
 		http.Error(w, ErrIngestQuota.Error(), http.StatusTooManyRequests)
 		return
@@ -355,9 +343,7 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.releaseService(service)
 		s.rejects.Add(1)
-		s.mu.Lock()
-		s.rejected[service]++
-		s.mu.Unlock()
+		s.fail(service, instance, ErrIngestOverflow)
 		w.Header().Set("Retry-After", s.retryAfter)
 		http.Error(w, ErrIngestOverflow.Error(), http.StatusTooManyRequests)
 		return
@@ -368,7 +354,8 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		zr, err := pooledGzipReader(body)
 		if err != nil {
 			s.releaseAdmission(service)
-			s.noteScanFail(service, instance, fmt.Errorf("leakprof: ingest %s/%s: bad gzip body: %w", service, instance, err))
+			s.scanFails.Add(1)
+			s.fail(service, instance, fmt.Errorf("leakprof: ingest %s/%s: bad gzip body: %w", service, instance, err))
 			http.Error(w, "bad gzip body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -376,34 +363,24 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		body = zr
 	}
 	// Stream straight through the scanner — the dump is never
-	// materialised. One byte past the limit means the profile is over
-	// budget and must fail rather than fold truncated counts.
-	limit := s.pipe.cfg.MaxProfileBytes
-	if limit <= 0 {
-		limit = DefaultMaxProfileBytes
-	}
-	lr := &io.LimitedReader{R: body, N: limit + 1}
-	snap, err := gprofile.ScanSnapshotWith(service, instance, s.pipe.cfg.now(), lr, s.pipe.cfg.Intern)
-	switch {
-	case err != nil:
+	// materialised.
+	snap, err := scanBounded(&s.pipe.cfg, service, instance, body)
+	if err != nil {
 		s.releaseAdmission(service)
-		s.noteScanFail(service, instance, err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case lr.N <= 0:
-		s.releaseAdmission(service)
-		err := fmt.Errorf("leakprof: ingest %s/%s: dump exceeds %d bytes", service, instance, limit)
-		s.noteScanFail(service, instance, err)
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		s.scanFails.Add(1)
+		s.fail(service, instance, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errOverLimit) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	if snap.Malformed > 0 {
 		// Salvage is a diagnostic, not a rejection: the snapshot folds,
-		// and the window's error accounting records the resync exactly
-		// as the pull path does (ErrSalvaged exempts it from budget
-		// seeding).
-		s.notePending(pendingFail{service, instance,
-			fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, snap.Malformed)})
+		// and the window's failure ledger records the resync exactly as
+		// the pull path does.
+		s.fail(service, instance, salvageError(snap.Malformed))
 	}
 	s.queue <- snap // cannot block: a slot is held
 	s.admitted.Add(1)
@@ -419,57 +396,24 @@ func firstOf(vals ...string) string {
 	return ""
 }
 
-// noteScanFail records an admission-time scan failure for the closing
-// window.
-func (s *IngestServer) noteScanFail(service, instance string, err error) {
-	s.scanFails.Add(1)
-	s.notePending(pendingFail{service, instance, err})
-}
-
-func (s *IngestServer) notePending(f pendingFail) {
+// fail counts one admission failure against the window that closes
+// next.
+func (s *IngestServer) fail(service, instance string, err error) {
 	s.mu.Lock()
-	if len(s.fails) < maxSweepFailures {
-		s.fails = append(s.fails, f)
-	} else {
-		s.dropped[f.service]++
-	}
+	s.pending.fail(service, instance, err)
 	s.mu.Unlock()
 }
 
-// flushAccounting credits the failures and rejections recorded since
-// the previous window close to env — the per-service admission
-// accounting that feeds Sweep.FailedByService and, through the journal,
-// the next sweep's error budgets.
+// flushAccounting hands the failures counted since the previous window
+// close to env as a report with no moments, so admission loss feeds
+// Sweep.FailedByService and, through the journal, the next sweep's
+// error budgets exactly as pull-plane fetch failures do.
 func (s *IngestServer) flushAccounting(env *SweepEnv) {
 	s.mu.Lock()
-	fails := s.fails
-	dropped := s.dropped
-	rejected := s.rejected
-	quotaRejected := s.quotaRejected
-	s.fails = nil
-	s.dropped = make(map[string]int)
-	s.rejected = make(map[string]int)
-	s.quotaRejected = make(map[string]int)
+	p := s.pending
+	s.pending = &Sweep{}
 	s.mu.Unlock()
-	for _, f := range fails {
-		env.Fail(f.service, f.instance, f.err)
-	}
-	for svc, n := range dropped {
-		err := fmt.Errorf("leakprof: ingest %s: further dumps failed to scan", svc)
-		for i := 0; i < n; i++ {
-			env.Fail(svc, "ingest", err)
-		}
-	}
-	for svc, n := range rejected {
-		for i := 0; i < n; i++ {
-			env.Fail(svc, "ingest", ErrIngestOverflow)
-		}
-	}
-	for svc, n := range quotaRejected {
-		for i := 0; i < n; i++ {
-			env.Fail(svc, "ingest", ErrIngestQuota)
-		}
-	}
+	env.MergeReport(&ShardReport{Errors: p.Errors, FailedByService: p.FailedByService, Failures: p.Failures})
 }
 
 // Run is the window loop: it folds admitted dumps into tumbling windows

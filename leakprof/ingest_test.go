@@ -352,6 +352,41 @@ func TestIngestServiceQuota(t *testing.T) {
 	}
 }
 
+// TestIngestSalvagePastCapSparesBudget pins the salvage exemption past
+// the failure-detail cap: after a window's first maxSweepFailures
+// failures fill Failures, a salvaged dump still counts in Errors only,
+// so its service starts the next sweep with its whole error budget.
+func TestIngestSalvagePastCapSparesBudget(t *testing.T) {
+	sweeps := make(chan *Sweep, 4)
+	pipe := New(WithOnSweep(func(s *Sweep) { sweeps <- s }))
+	srv := NewIngestServer(pipe, IngestTicks(make(chan time.Time)))
+	for i := 0; i < maxSweepFailures; i++ {
+		if rec := postDump(srv, "bad", "i"+strconv.Itoa(i), []byte("not gzip"), true); rec.Code != http.StatusBadRequest {
+			t.Fatalf("bad-gzip POST %d: got %d, want 400", i, rec.Code)
+		}
+	}
+	torn := "goroutine 1 [chan send]:\npay.leak()\n\t/pay/l.go:5 +0x2b\n" +
+		"goroutine 99 [chan send:\ntorn.member()\n"
+	if rec := postDump(srv, "pay", "i0", []byte(torn), false); rec.Code != http.StatusAccepted {
+		t.Fatalf("salvaged POST: got %d, want 202", rec.Code)
+	}
+	// A cancelled Run drains everything into one window, synchronously.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	srv.Run(ctx)
+	sweep := <-sweeps
+	if sweep.Errors != maxSweepFailures+1 || len(sweep.Failures) != maxSweepFailures {
+		t.Errorf("Errors = %d with %d failures kept, want %d with %d",
+			sweep.Errors, len(sweep.Failures), maxSweepFailures+1, maxSweepFailures)
+	}
+	if n := sweep.FailedByService["pay"]; n != 0 {
+		t.Errorf("FailedByService[pay] = %d, want 0: salvage must not seed the error budget", n)
+	}
+	if n := sweep.FailedByService["bad"]; n != maxSweepFailures {
+		t.Errorf("FailedByService[bad] = %d, want %d", n, maxSweepFailures)
+	}
+}
+
 // TestIngestBackpressure fills the admission queue and checks that
 // overflow is shed with 429 + Retry-After while every admitted dump
 // still folds, and that the rejections are charged to their services in

@@ -42,8 +42,6 @@ type Config struct {
 	// sweep before that service's remaining instances short-circuit
 	// with ErrBudgetExhausted; zero means unlimited.
 	ErrorBudget int
-	// Interval separates periodic sweeps in Run; zero means 24h.
-	Interval time.Duration
 	// Now supplies timestamps; nil means time.Now.
 	Now func() time.Time
 	// Intern, when non-nil, is a bounded string pool shared across all
@@ -74,8 +72,7 @@ type Config struct {
 	BugRetention time.Duration
 	// Window is the streaming-ingest tumbling-window duration (see
 	// WithWindow); zero means DefaultWindow. Only the push-ingestion
-	// plane (IngestServer) consumes it — pull sweeps are paced by
-	// Interval instead.
+	// plane (IngestServer) consumes it — each pull sweep is one call.
 	Window time.Duration
 
 	// sleep and randFloat are test seams for the backoff path.
@@ -189,11 +186,6 @@ func WithErrorBudget(perService int) Option {
 	return func(c *Config) { c.ErrorBudget = perService }
 }
 
-// WithInterval separates periodic sweeps in Run.
-func WithInterval(d time.Duration) Option {
-	return func(c *Config) { c.Interval = d }
-}
-
 // WithClock injects the timestamp source (simulations use a fake clock).
 func WithClock(now func() time.Time) Option {
 	return func(c *Config) { c.Now = now }
@@ -247,9 +239,8 @@ func WithTrendRetention(n int) Option {
 
 // WithStateSync sets the state journal's fsync policy: SyncEverySweep
 // (default) syncs each recorded sweep before RecordSweep returns;
-// SyncEvery(n, d) group-commits — one fsync per window of n sweeps or d
-// elapsed, off the critical path; SyncOnClose defers to Flush/Close. The
-// loss window on a crash equals the unsynced window. See SyncPolicy.
+// SyncOnClose defers to Flush/Close. The loss window on a crash equals
+// the unsynced window. See SyncPolicy.
 func WithStateSync(p SyncPolicy) Option {
 	return func(c *Config) { c.StateSync = p }
 }
@@ -258,8 +249,8 @@ func WithStateSync(p SyncPolicy) Option {
 // IngestServer folding pushed dumps closes one window — and emits one
 // normal Sweep through the pipeline's sinks and state journal — every d
 // on the pipeline clock. Dumps arriving while a window closes are
-// credited to the next window. Pull sweeps ignore it (their cadence is
-// WithInterval). Default DefaultWindow.
+// credited to the next window. Pull sweeps ignore it. Default
+// DefaultWindow.
 func WithWindow(d time.Duration) Option {
 	return func(c *Config) { c.Window = d }
 }
@@ -320,7 +311,7 @@ func New(opts ...Option) *Pipeline {
 }
 
 // AddSinks registers sinks receiving per-snapshot events and end-of-sweep
-// results. Not safe to call concurrently with Sweep or Run.
+// results. Not safe to call concurrently with Sweep.
 func (p *Pipeline) AddSinks(sinks ...Sink) *Pipeline {
 	p.sinks = append(p.sinks, sinks...)
 	return p
@@ -374,6 +365,42 @@ func startSinkWorker(sink Sink) *sinkWorker {
 	return w
 }
 
+// collect is the one collection core behind Sweep, ShardSweep and every
+// ingest window: it runs src through a fresh aggregator into a new Sweep,
+// counting failures through its ledger and queueing every folded snapshot
+// to the sink workers. The Sweep carries the aggregator but no findings.
+func (p *Pipeline) collect(ctx context.Context, src Source, prevFailures map[string]int, workers []*sinkWorker) (*Sweep, error) {
+	agg := NewAggregator(p.cfg.Threshold, p.cfg.Filters...)
+	sweep := &Sweep{At: p.cfg.now(), Source: src.Name(), agg: agg}
+	var mu sync.Mutex // guards the sweep's failure ledger
+	env := &SweepEnv{
+		Config: &p.cfg,
+		Emit: func(snap *gprofile.Snapshot) {
+			agg.Add(snap)
+			for _, w := range workers {
+				w.ch <- snap
+			}
+		},
+		Fail: func(service, instance string, err error) {
+			mu.Lock()
+			sweep.fail(service, instance, err)
+			mu.Unlock()
+		},
+		SetTime: func(at time.Time) { sweep.At = at },
+		MergeReport: func(rep *ShardReport) {
+			agg.MergeMoments(rep.Services, rep.Profiles, rep.Moments)
+			mu.Lock()
+			sweep.addFailures(rep.Errors, rep.FailedByService, rep.Failures)
+			mu.Unlock()
+		},
+		prevFailures: prevFailures,
+	}
+	err := src.Sweep(ctx, env)
+	sweep.Err = err
+	sweep.Profiles = agg.Profiles()
+	return sweep, err
+}
+
 // Sweep runs one collection pass over the source: every snapshot the
 // source emits streams into a fresh aggregator and onto each sink's
 // bounded queue, failures are tallied, and the completed Sweep (findings
@@ -392,65 +419,12 @@ func (p *Pipeline) Sweep(ctx context.Context, src Source) (*Sweep, error) {
 		prevFailures = store.LastFailureCounts()
 	}
 
-	agg := NewAggregator(p.cfg.Threshold, p.cfg.Filters...)
-	sweep := &Sweep{At: p.cfg.now(), Source: src.Name()}
 	workers := make([]*sinkWorker, len(p.sinks))
 	for i, s := range p.sinks {
 		workers[i] = startSinkWorker(s)
 	}
-	var mu sync.Mutex
-	env := &SweepEnv{
-		Config: &p.cfg,
-		Emit: func(snap *gprofile.Snapshot) {
-			agg.Add(snap)
-			for _, w := range workers {
-				w.ch <- snap
-			}
-		},
-		Fail: func(service, instance string, err error) {
-			mu.Lock()
-			sweep.Errors++
-			// Salvage reports (a profile decoded by skipping corrupt
-			// members) are diagnostics, not downness: they count in
-			// Errors and Failures but must not seed the next sweep's
-			// error budget against a reachable service.
-			if !errors.Is(err, gprofile.ErrSalvaged) {
-				if sweep.FailedByService == nil {
-					sweep.FailedByService = make(map[string]int)
-				}
-				sweep.FailedByService[service]++
-			}
-			if len(sweep.Failures) < maxSweepFailures {
-				sweep.Failures = append(sweep.Failures, SweepFailure{Service: service, Instance: instance, Err: err})
-			}
-			mu.Unlock()
-		},
-		SetTime: func(at time.Time) { sweep.At = at },
-		MergeReport: func(rep *ShardReport) {
-			agg.MergeMoments(rep.Services, rep.Profiles, rep.Moments)
-			mu.Lock()
-			sweep.Errors += rep.Errors
-			for svc, n := range rep.FailedByService {
-				if sweep.FailedByService == nil {
-					sweep.FailedByService = make(map[string]int)
-				}
-				sweep.FailedByService[svc] += n
-			}
-			for _, f := range rep.Failures {
-				if len(sweep.Failures) >= maxSweepFailures {
-					break
-				}
-				sweep.Failures = append(sweep.Failures, f)
-			}
-			mu.Unlock()
-		},
-		prevFailures: prevFailures,
-	}
-	err := src.Sweep(ctx, env)
-	sweep.Err = err
-	sweep.Profiles = agg.Profiles()
-	sweep.Findings = agg.Findings(p.cfg.Ranking)
-	sweep.agg = agg
+	sweep, err := p.collect(ctx, src, prevFailures, workers)
+	sweep.Findings = sweep.agg.Findings(p.cfg.Ranking)
 
 	errs := []error{err, stateErr}
 	// Hand the completed sweep to every sink and wait for every worker:
@@ -491,8 +465,7 @@ func (p *Pipeline) Close() error {
 // recorded-time order — so trend verdicts see the original cadence — and
 // a single-sweep archive replays as one Sweep. Per-sweep errors, and
 // sweep subdirectories skipped for a torn or missing manifest, are
-// joined into the returned error; replay continues past a failed sweep
-// the way Run does.
+// joined into the returned error; replay continues past a failed sweep.
 func (p *Pipeline) Replay(ctx context.Context, dir string) ([]*Sweep, error) {
 	var errs []error
 	subs, err := gprofile.SweepDirs(dir, func(name string, err error) {
@@ -517,26 +490,4 @@ func (p *Pipeline) Replay(ctx context.Context, dir string) ([]*Sweep, error) {
 		errs = append(errs, err)
 	}
 	return sweeps, errors.Join(errs...)
-}
-
-// Run sweeps the source periodically — the paper's daily cadence — until
-// the context is cancelled. The first sweep happens immediately;
-// subsequent sweeps follow the configured interval. Sweep-level errors
-// flow to sinks and OnSweep, not out of Run: an unreachable fleet today
-// must not stop tomorrow's sweep.
-func (p *Pipeline) Run(ctx context.Context, src Source) error {
-	interval := p.cfg.Interval
-	if interval <= 0 {
-		interval = 24 * time.Hour
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		p.Sweep(ctx, src)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
 }

@@ -155,26 +155,6 @@ func assertSameFindings(t *testing.T, origin string, want, got []*Finding) {
 	}
 }
 
-func TestPipelineRunHonoursInterval(t *testing.T) {
-	eps, shutdown := leakFleet(t)
-	defer shutdown()
-
-	sweeps := 0
-	pipe := New(
-		WithThreshold(100),
-		WithInterval(5*time.Millisecond),
-		WithOnSweep(func(*Sweep) { sweeps++ }),
-	)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	if err := pipe.Run(ctx, StaticEndpoints(eps...)); err != context.DeadlineExceeded {
-		t.Fatalf("Run returned %v", err)
-	}
-	if sweeps < 2 {
-		t.Errorf("Run swept %d times, want >= 2", sweeps)
-	}
-}
-
 func TestAggregatorMoments(t *testing.T) {
 	agg := NewAggregator(100)
 	op := stack.BlockedOp{Op: "send", Function: "pay.leak", Location: "/pay/l.go:5"}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/subtle"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gprofile"
+	"repro/internal/atomicfile"
 )
 
 // Distributed sweeps. One process sweeping a 10K-instance fleet is
@@ -57,71 +57,35 @@ func PartitionEndpoints(eps []Endpoint, shards int) [][]Endpoint {
 	return parts
 }
 
-// ShardSweep runs one shard worker's collection pass: the source's
-// partition streams through a fresh aggregator exactly as Pipeline.Sweep
-// would fold it — same threshold, filters, retry policy, parallelism —
-// but instead of findings, sinks, and journal frames the result is the
-// shard's mergeable state, a ShardReport for a coordinator. prevFailures
-// seeds the shard's error budget; a coordinator passes the globally
-// journaled counts from SweepEnv.PrevFailures so a service that burned
-// its budget yesterday is probed gently today regardless of which worker
-// owns it. The returned report is non-nil even on error (partial
-// collection still merges; the error is also recorded in report.Err).
+// ShardSweep runs one shard worker's collection pass through the same
+// collection core as Pipeline.Sweep — same threshold, filters, retry
+// policy, parallelism, failure ledger — but instead of findings, sinks,
+// and journal frames the result is the shard's mergeable state, a
+// ShardReport for a coordinator. prevFailures seeds the shard's error
+// budget; a coordinator passes the globally journaled counts from
+// SweepEnv.PrevFailures so a service that burned its budget yesterday is
+// probed gently today regardless of which worker owns it. The returned
+// report is non-nil even on error (partial collection still merges; the
+// error is also recorded in report.Err).
 func (p *Pipeline) ShardSweep(ctx context.Context, src Source, shard string, prevFailures map[string]int) (*ShardReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	agg := NewAggregator(p.cfg.Threshold, p.cfg.Filters...)
-	rep := &ShardReport{Shard: shard, At: p.cfg.now(), Seq: p.shardSeq.Add(1)}
-	var mu sync.Mutex
-	fail := func(service, instance string, err error) {
-		mu.Lock()
-		rep.Errors++
-		if !errors.Is(err, gprofile.ErrSalvaged) {
-			if rep.FailedByService == nil {
-				rep.FailedByService = make(map[string]int)
-			}
-			rep.FailedByService[service]++
-		}
-		if len(rep.Failures) < maxSweepFailures {
-			rep.Failures = append(rep.Failures, SweepFailure{Service: service, Instance: instance, Err: err})
-		}
-		mu.Unlock()
+	sweep, err := p.collect(ctx, src, prevFailures, nil)
+	rep := &ShardReport{
+		Shard:           shard,
+		Seq:             p.shardSeq.Add(1),
+		At:              sweep.At,
+		Profiles:        sweep.Profiles,
+		Errors:          sweep.Errors,
+		Services:        sweep.agg.ServiceProfiles(),
+		FailedByService: sweep.FailedByService,
+		Failures:        sweep.Failures,
+		Moments:         sweep.agg.Moments(),
 	}
-	env := &SweepEnv{
-		Config:  &p.cfg,
-		Emit:    func(snap *gprofile.Snapshot) { agg.Add(snap) },
-		Fail:    fail,
-		SetTime: func(at time.Time) { rep.At = at },
-		// Nested topologies (a shard fronting its own sub-shards) fold
-		// sub-reports the same way a coordinator does.
-		MergeReport: func(sub *ShardReport) {
-			agg.MergeMoments(sub.Services, sub.Profiles, sub.Moments)
-			mu.Lock()
-			rep.Errors += sub.Errors
-			for svc, n := range sub.FailedByService {
-				if rep.FailedByService == nil {
-					rep.FailedByService = make(map[string]int)
-				}
-				rep.FailedByService[svc] += n
-			}
-			for _, f := range sub.Failures {
-				if len(rep.Failures) >= maxSweepFailures {
-					break
-				}
-				rep.Failures = append(rep.Failures, f)
-			}
-			mu.Unlock()
-		},
-		prevFailures: prevFailures,
-	}
-	err := src.Sweep(ctx, env)
 	if err != nil {
 		rep.Err = err.Error()
 	}
-	rep.Profiles = agg.Profiles()
-	rep.Services = agg.ServiceProfiles()
-	rep.Moments = agg.Moments()
 	return rep, err
 }
 
@@ -204,29 +168,10 @@ func (s mergedSource) Sweep(ctx context.Context, env *SweepEnv) error {
 // WriteShardReportFile atomically writes one framed report — the file
 // handoff transport for workers and coordinator sharing a filesystem.
 func WriteShardReportFile(path string, rep *ShardReport) error {
-	var buf bytes.Buffer
-	if err := WriteShardReport(&buf, rep); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("leakprof: writing shard report: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(path, func(w io.Writer) error { return WriteShardReport(w, rep) }); err != nil {
 		return fmt.Errorf("leakprof: writing shard report: %w", err)
 	}
 	return nil
-}
-
-// ReadShardReportFile reads one framed report from a handoff file.
-func ReadShardReportFile(path string) (*ShardReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("leakprof: reading shard report: %w", err)
-	}
-	defer f.Close()
-	return ReadShardReport(f)
 }
 
 // ShardReportFromFile is the ShardFetch over a handoff file, named after
@@ -238,7 +183,12 @@ func ShardReportFromFile(name, path string) ShardFetch {
 	return ShardFetch{
 		Name: name,
 		Fetch: func(ctx context.Context, env *SweepEnv) (*ShardReport, error) {
-			return ReadShardReportFile(path)
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, fmt.Errorf("leakprof: reading shard report: %w", err)
+			}
+			defer f.Close()
+			return ReadShardReport(f)
 		},
 	}
 }

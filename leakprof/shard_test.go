@@ -304,43 +304,6 @@ func (s failingSource) Sweep(ctx context.Context, env *SweepEnv) error {
 	return nil
 }
 
-// TestSyncWindowFollowsStoreClock drives the group-commit window from a
-// fake clock: appends inside the window stay unsynced; the first append
-// after the fake clock crosses the window boundary commits the window
-// inline, deterministically, with no real-time dependence.
-func TestSyncWindowFollowsStoreClock(t *testing.T) {
-	now := time.Unix(0, 0).UTC()
-	clock := func() time.Time { return now }
-	store, err := OpenStateStore(t.TempDir(),
-		StateClock(clock),
-		StateSync(SyncEvery(0, time.Hour)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	sweepAt := func(i int) *Sweep {
-		return &Sweep{At: now, Source: "test", Profiles: i}
-	}
-	if err := store.RecordSweep(sweepAt(1)); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(30 * time.Minute)
-	if err := store.RecordSweep(sweepAt(2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := store.journalSyncs(); got != 0 {
-		t.Fatalf("syncs inside the window = %d, want 0", got)
-	}
-	now = now.Add(31 * time.Minute) // 61m since the window opened
-	if err := store.RecordSweep(sweepAt(3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := store.journalSyncs(); got != 1 {
-		t.Fatalf("syncs after the clock crossed the window = %d, want exactly 1", got)
-	}
-}
-
 // TestShardInboxDedupsDuplicatePost retries a worker's POST after it
 // already landed: the inbox must drop the duplicate (shard, sequence)
 // with 409 so the coordinator never double-counts the shard's moments,

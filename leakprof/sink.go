@@ -1,6 +1,7 @@
 package leakprof
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,6 +59,41 @@ type Sweep struct {
 	agg         *Aggregator
 	momentsOnce sync.Once
 	moments     []Moment
+}
+
+// fail counts one failed instance under the sweep's one failure rule: in
+// Errors always; in FailedByService, the next sweep's error-budget seed,
+// unless err wraps gprofile.ErrSalvaged (salvage is a diagnostic from a
+// reachable instance, not downness); and in Failures up to
+// maxSweepFailures. Callers serialise access.
+func (s *Sweep) fail(service, instance string, err error) {
+	s.Errors++
+	if !errors.Is(err, gprofile.ErrSalvaged) {
+		s.addFailed(service, 1)
+	}
+	if len(s.Failures) < maxSweepFailures {
+		s.Failures = append(s.Failures, SweepFailure{Service: service, Instance: instance, Err: err})
+	}
+}
+
+// addFailures adds failures counted under that rule elsewhere (a shard's
+// report, an ingest window's admissions). Callers serialise access.
+func (s *Sweep) addFailures(errs int, byService map[string]int, failures []SweepFailure) {
+	s.Errors += errs
+	for svc, n := range byService {
+		s.addFailed(svc, n)
+	}
+	if room := maxSweepFailures - len(s.Failures); len(failures) > room {
+		failures = failures[:room]
+	}
+	s.Failures = append(s.Failures, failures...)
+}
+
+func (s *Sweep) addFailed(service string, n int) {
+	if s.FailedByService == nil {
+		s.FailedByService = make(map[string]int)
+	}
+	s.FailedByService[service] += n
 }
 
 // Moments returns the aggregator's raw per-group streaming moments —

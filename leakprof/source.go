@@ -32,12 +32,12 @@ type SweepEnv struct {
 	// original collection time, not the replay time. Nil-safe to skip;
 	// live sources never call it.
 	SetTime func(at time.Time)
-	// MergeReport folds one shard worker's report into the sweep: its
+	// MergeReport folds one report into the sweep — a shard worker's,
+	// or an ingest window's admission failures with no moments: its
 	// moments merge into the aggregator (profiled-instance denominators
 	// included) and its error accounting — Errors, FailedByService, the
-	// capped failure detail — adds to the sweep's, so a coordinator
-	// source assembling a distributed sweep needs no private engine
-	// hooks. Safe for concurrent use alongside Emit and Fail.
+	// capped failure detail — adds to the sweep's, so neither source
+	// needs private engine hooks. Safe for concurrent use with Emit/Fail.
 	MergeReport func(*ShardReport)
 
 	// prevFailures carries the previous sweep's journaled per-service
@@ -103,15 +103,17 @@ func (s endpointSource) Sweep(ctx context.Context, env *SweepEnv) error {
 // count through Fail, mirroring the archive replay path: the instance is
 // still emitted (it counts in Profiles), but an instance chronically
 // serving partially corrupt dumps must show up in the sweep's error
-// accounting, not have its undercounted goroutines pass silently. The
-// error wraps gprofile.ErrSalvaged, which the engine exempts from
-// FailedByService: the instance was reachable, so salvage noise must
-// not eat a healthy service's error budget on the next sweep.
+// accounting, where the failure ledger keeps it out of FailedByService.
 func reportSalvage(env *SweepEnv, service, instance string, snap *gprofile.Snapshot) {
 	if snap.Malformed > 0 {
-		env.Fail(service, instance,
-			fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, snap.Malformed))
+		env.Fail(service, instance, salvageError(snap.Malformed))
 	}
+}
+
+// salvageError is the failure recorded for a profile the scanner decoded
+// by resyncing past malformed goroutine members.
+func salvageError(malformed int) error {
+	return fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, malformed)
 }
 
 // Archive returns a Source replaying an on-disk sweep archive (the

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/frame"
 	"repro/internal/report"
 )
@@ -94,13 +95,10 @@ type SweepRecord struct {
 // SyncPolicy decides when appended journal frames are fsynced durable.
 // The default, SyncEverySweep, syncs inside every RecordSweep: no
 // recorded sweep is ever lost to a crash, at the cost of one fsync on
-// the sweep's critical path. SyncEvery(n, d) is group commit: appends
-// return after the buffered write, and one Sync covers every frame
-// appended in the window (n frames or d elapsed, whichever first) —
-// the policy for sub-daily cadences where per-sweep fsync dominates.
-// SyncOnClose defers every sync to Flush/Close: the benchmark-and-test
-// policy, or fleets where losing the tail of an interrupted run is
-// acceptable.
+// the sweep's critical path. SyncOnClose defers every sync to
+// Flush/Close: the benchmark-and-test policy, or fleets where losing
+// the tail of an interrupted run is acceptable. Under either policy a
+// compaction fold first syncs whatever the active segment holds.
 //
 // The loss window follows the policy: on a crash (process kill), frames
 // appended since the last sync may be torn from the tail of the active
@@ -109,53 +107,25 @@ type SweepRecord struct {
 // assumes fail-stop: on power loss, a disk that reorders unflushed pages
 // could corrupt a mid-window frame, which recovery refuses to silently
 // truncate because durable frames follow it.)
-type SyncPolicy struct {
-	mode   syncMode
-	every  int
-	window time.Duration
-}
-
-type syncMode int
-
-const (
-	syncModeEverySweep syncMode = iota
-	syncModeWindow
-	syncModeOnClose
-)
+type SyncPolicy struct{ onClose bool }
 
 // SyncEverySweep syncs every appended frame before RecordSweep returns:
 // the strictest policy and the default.
-var SyncEverySweep = SyncPolicy{mode: syncModeEverySweep}
+var SyncEverySweep = SyncPolicy{}
 
 // SyncOnClose defers all syncing to Flush/Close.
-var SyncOnClose = SyncPolicy{mode: syncModeOnClose}
+var SyncOnClose = SyncPolicy{onClose: true}
 
-// SyncEvery returns a group-commit policy: one Sync per window of up to n
-// appended frames or d elapsed since the window's first unsynced append,
-// whichever comes first. n <= 0 disables the count trigger, d <= 0 the
-// timer; both disabled is SyncOnClose in effect. The window is measured
-// on the store's clock (StateClock — the pipeline's WithClock clock
-// flows through), so simulations drive the timed sync deterministically
-// by advancing their fake clock; the background committer goroutine only
-// schedules the off-critical-path sync, it does not define the window.
-func SyncEvery(n int, d time.Duration) SyncPolicy {
-	return SyncPolicy{mode: syncModeWindow, every: n, window: d}
-}
-
-// String names the policy for flag and log surfaces.
+// String names the policy in its flag form.
 func (p SyncPolicy) String() string {
-	switch p.mode {
-	case syncModeWindow:
-		return fmt.Sprintf("every(%d,%s)", p.every, p.window)
-	case syncModeOnClose:
+	if p.onClose {
 		return "close"
-	default:
-		return "sweep"
 	}
+	return "sweep"
 }
 
-// ParseSyncPolicy decodes a policy from its flag form: "sweep", "close",
-// or "N" / "N/duration" for group commit (e.g. "8", "8/2s", "0/500ms").
+// ParseSyncPolicy decodes a policy from its flag form: "sweep" or
+// "close".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "", "sweep":
@@ -163,18 +133,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	case "close":
 		return SyncOnClose, nil
 	}
-	countPart, durPart, hasDur := strings.Cut(s, "/")
-	n, err := strconv.Atoi(countPart)
-	if err != nil {
-		return SyncPolicy{}, fmt.Errorf("leakprof: fsync policy %q: want sweep, close, N, or N/duration", s)
-	}
-	var d time.Duration
-	if hasDur {
-		if d, err = time.ParseDuration(durPart); err != nil {
-			return SyncPolicy{}, fmt.Errorf("leakprof: fsync policy %q: %w", s, err)
-		}
-	}
-	return SyncEvery(n, d), nil
+	return SyncPolicy{}, fmt.Errorf("leakprof: fsync policy %q: want sweep or close", s)
 }
 
 // StateStore is the pipeline's durable memory: the bug database (filed
@@ -190,15 +149,16 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // sweep's delta — to the active segment-NNNN.log, so the per-sweep write
 // cost is proportional to what the sweep changed, not to every key ever
 // tracked. Durability follows the SyncPolicy: by default every append is
-// fsynced before RecordSweep returns, and under group commit one fsync
-// covers a whole window of sweeps. Recovery replays segments in order; a
-// torn tail frame (a crash mid-append) is truncated rather than failing
-// the open, losing at most the unsynced window. When the active segment
-// outgrows its size bound the store rolls to the next segment, and the
-// RecordSweep that pushes the live segment count past its bound folds
-// them on the spot into one snapshot segment, then swings the
-// journal.json manifest pointer to it atomically. That sweep waits for
-// the fold, whose cost grows with the number of tracked keys.
+// fsynced before RecordSweep returns, and under SyncOnClose the syncs
+// wait for Flush or Close. Every fsync runs on the calling goroutine; the
+// store owns none. Recovery replays segments in order; a torn tail frame
+// (a crash mid-append) is truncated rather than failing the open, losing
+// at most the unsynced window. When the active segment outgrows its size
+// bound the store rolls to the next segment, and the RecordSweep that
+// pushes the live segment count past its bound folds them on the spot
+// into one snapshot segment, then swings the journal.json manifest
+// pointer to it atomically. That sweep waits for the fold, whose cost
+// grows with the number of tracked keys.
 //
 // Open a store, wire its BugDB and Tracker into the sinks, and attach it
 // to the pipeline:
@@ -227,15 +187,14 @@ type StateStore struct {
 	tracker *TrendTracker
 	last    *SweepRecord
 
-	base        int      // first live segment (manifest pointer; 0 = none)
-	activeSeq   int      // highest live segment, where appends go (0 = none yet)
-	active      *os.File // open append handle for the active segment
-	activeSize  int64
-	segCount    int       // live segments on disk
-	appended    int64     // total frame bytes appended since open (telemetry)
-	syncs       int64     // total fsyncs issued since open (telemetry)
-	unsynced    int       // frames appended to the active segment since its last sync
-	windowStart time.Time // store-clock time of the window's first unsynced append
+	base       int      // first live segment (manifest pointer; 0 = none)
+	activeSeq  int      // highest live segment, where appends go (0 = none yet)
+	active     *os.File // open append handle for the active segment
+	activeSize int64
+	segCount   int   // live segments on disk
+	appended   int64 // total frame bytes appended since open (telemetry)
+	syncs      int64 // total fsyncs issued since open (telemetry)
+	unsynced   int   // frames appended to the active segment since its last sync
 
 	// Segment string dictionary: the cumulative table the active
 	// segment's frames reference and append to. A roll resets it,
@@ -246,13 +205,6 @@ type StateStore struct {
 	// segment does not declare.
 	segDict     *frame.Dict
 	pendingSeed []string // dictionary seed owed to the head of a fresh segment
-
-	// Group-commit committer: a background goroutine issuing the
-	// time-window sync so it never rides a sweep's critical path.
-	committerWake chan struct{}
-	committerQuit chan struct{}
-	committerDone chan struct{}
-	asyncErr      error // the committer's sync errors, surfaced on the next store call
 }
 
 // StateOption tunes a StateStore at open time.
@@ -458,14 +410,7 @@ func (s *StateStore) writeManifest(base int) error {
 // it survive a power cut; without it a new segment or a manifest swing
 // can vanish even though the file's own data was synced. A variable so
 // tests can record when the store syncs.
-var syncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close() // read-only: closing cannot lose data
-	return d.Sync()
-}
+var syncDir = atomicfile.SyncDir
 
 // writeFileAtomic stages data in a temp file in dir, syncs it, and
 // renames it to path: on disk path holds either its old content or all
@@ -659,7 +604,7 @@ func (s *StateStore) encodeActiveFrame(rec *journalRecord) ([]byte, func(), erro
 // strings are already in the in-memory dictionary (the roll put them
 // there); this writes the declaration a replaying reader rebuilds it
 // from. The seed rides the same sync as the data frame that triggered
-// it, so it does not advance the group-commit frame count.
+// it, so it does not count as an unsynced frame of its own.
 func (s *StateStore) writePendingSeedLocked() error {
 	if len(s.pendingSeed) == 0 {
 		return nil
@@ -734,7 +679,7 @@ func (s *StateStore) openActive(incoming int64) (bool, error) {
 	return rolled, nil
 }
 
-// syncActiveLocked fsyncs the active segment and resets the group-commit
+// syncActiveLocked fsyncs the active segment, closing its unsynced
 // window.
 func (s *StateStore) syncActiveLocked() error {
 	if s.active == nil {
@@ -746,14 +691,12 @@ func (s *StateStore) syncActiveLocked() error {
 	}
 	s.syncs++
 	s.unsynced = 0
-	s.windowStart = time.Time{}
 	return nil
 }
 
 // appendRecord appends one framed record to the active segment and makes
-// it durable per the store's sync policy: immediately (SyncEverySweep),
-// when the group-commit window fills or its timer fires (SyncEvery), or
-// not until Flush/Close (SyncOnClose).
+// it durable per the store's sync policy: before it returns
+// (SyncEverySweep), or not until Flush/Close (SyncOnClose).
 func (s *StateStore) appendRecord(rec *journalRecord) error {
 	buf, commit, err := s.encodeActiveFrame(rec)
 	if err != nil {
@@ -781,111 +724,10 @@ func (s *StateStore) appendRecord(rec *journalRecord) error {
 	s.activeSize += int64(len(buf))
 	s.appended += int64(len(buf))
 	s.unsynced++
-	switch s.syncPolicy.mode {
-	case syncModeEverySweep:
-		return s.syncActiveLocked()
-	case syncModeWindow:
-		if s.unsynced == 1 {
-			s.windowStart = s.now()
-		}
-		if s.syncPolicy.every > 0 && s.unsynced >= s.syncPolicy.every {
-			return s.syncActiveLocked()
-		}
-		if s.syncPolicy.window > 0 {
-			// The window is measured on the store clock, so a fake-clock
-			// run syncs deterministically: an append past the window's
-			// store-clock deadline commits the window inline, and the
-			// committer only covers the real-time case where no later
-			// append arrives to observe the elapsed clock.
-			if s.now().Sub(s.windowStart) >= s.syncPolicy.window {
-				return s.syncActiveLocked()
-			}
-			s.wakeCommitterLocked()
-		}
+	if s.syncPolicy.onClose {
+		return nil
 	}
-	return nil
-}
-
-// wakeCommitterLocked starts the background committer on first use and
-// nudges it that unsynced frames exist; the committer issues one Sync
-// per time window off the critical path.
-func (s *StateStore) wakeCommitterLocked() {
-	if s.committerQuit == nil {
-		s.committerWake = make(chan struct{}, 1)
-		s.committerQuit = make(chan struct{})
-		s.committerDone = make(chan struct{})
-		go s.committer(s.committerWake, s.committerQuit, s.committerDone, s.syncPolicy.window)
-	}
-	select {
-	case s.committerWake <- struct{}{}:
-	default:
-	}
-}
-
-// committer is the group-commit background goroutine: woken by the first
-// unsynced append of a window, it waits the window out and issues one
-// Sync for everything appended meanwhile. The window itself is defined
-// by the store clock: when the real-time timer fires but the store clock
-// (a simulation's fake clock) says the window has not elapsed, the
-// committer re-arms instead of syncing early, so fake-clock runs see
-// timed syncs only when their clock crosses the deadline.
-func (s *StateStore) committer(wake, quit, done chan struct{}, window time.Duration) {
-	defer close(done)
-	timer := time.NewTimer(window)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-quit:
-			return
-		case <-wake:
-		}
-		for armed := true; armed; {
-			timer.Reset(window)
-			select {
-			case <-quit:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			s.mu.Lock()
-			switch {
-			case s.unsynced == 0:
-				armed = false
-			case s.now().Sub(s.windowStart) < window:
-				// Store clock behind the deadline (fake clock not yet
-				// advanced, or a fresh window started meanwhile): re-arm.
-			default:
-				if err := s.syncActiveLocked(); err != nil {
-					s.asyncErr = errors.Join(s.asyncErr, err)
-				}
-				armed = false
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// stopCommitter shuts the background committer down, outside the store
-// lock (the committer takes it to sync).
-func (s *StateStore) stopCommitter() {
-	s.mu.Lock()
-	quit, done := s.committerQuit, s.committerDone
-	s.committerQuit, s.committerDone, s.committerWake = nil, nil, nil
-	s.mu.Unlock()
-	if quit != nil {
-		close(quit)
-		<-done
-	}
-}
-
-// takeAsyncErrLocked surfaces and clears the background committer's
-// sync errors.
-func (s *StateStore) takeAsyncErrLocked() error {
-	err := s.asyncErr
-	s.asyncErr = nil
-	return err
+	return s.syncActiveLocked()
 }
 
 // Dir returns the store's directory.
@@ -904,19 +746,17 @@ func (s *StateStore) Tracker() *TrendTracker { return s.tracker }
 
 // Flush makes the journal current and durable: it appends a delta frame
 // for state mutated since the last recorded sweep (status transitions
-// from an embedder, say), fsyncs the unsynced group-commit window, and
-// surfaces the committer's errors. Tests and shutdown paths call it to
-// assert "everything I did is on disk" under every sync policy.
+// from an embedder, say) and fsyncs the unsynced window — where
+// SyncOnClose's syncs run. Tests and shutdown paths call it to assert
+// "everything I did is on disk" under either sync policy.
 func (s *StateStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var errs []error
-	errs = append(errs, s.appendPendingLocked())
+	err := s.appendPendingLocked()
 	if s.unsynced > 0 {
-		errs = append(errs, s.syncActiveLocked())
+		err = errors.Join(err, s.syncActiveLocked())
 	}
-	errs = append(errs, s.takeAsyncErrLocked())
-	return errors.Join(errs...)
+	return err
 }
 
 // appendPendingLocked journals un-recorded state as a sweep-less delta
@@ -950,23 +790,18 @@ func (s *StateStore) requeueDeltaLocked(rec *journalRecord) {
 }
 
 // Close flushes and releases the store: pending deltas and the unsynced
-// window are made durable (SyncOnClose's contract), the committer stops,
-// and the active segment handle closes. The flush runs before the
-// committer stops — a flush-time append may wake (or spawn) the
-// committer, and stopping afterwards guarantees no goroutine outlives
-// Close. Skipping Close under a relaxed sync policy forfeits the
+// window are made durable (SyncOnClose's contract), and the active
+// segment handle closes. Skipping Close under SyncOnClose forfeits the
 // unsynced window if the process dies before the OS writes it back.
 func (s *StateStore) Close() error {
 	err := s.Flush()
-	s.stopCommitter()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var cerr error
 	if s.active != nil {
-		cerr = s.active.Close()
+		err = errors.Join(err, s.active.Close())
 		s.active = nil
 	}
-	return errors.Join(err, cerr)
+	return err
 }
 
 // LastSweep returns a copy of the journaled previous sweep outcome, or
@@ -998,8 +833,8 @@ func (s *StateStore) LastFailureCounts() map[string]int {
 // the trend observations it added (TrendTracker.TakeNew), and the sweep
 // outcome. The write cost is O(the sweep's findings), not O(every key
 // ever tracked), and the frame is made durable per the sync policy —
-// under group commit the append returns without an fsync and one Sync
-// later covers the window. The sweep whose append pushes the live
+// fsynced before RecordSweep returns under SyncEverySweep, left for
+// Flush or Close under SyncOnClose. The sweep whose append pushes the live
 // segment count past the threshold then compacts synchronously, exactly
 // as Save does, and waits for the fold. A failed fold is returned, but
 // the sweep's delta is already journaled by then and the next
@@ -1028,7 +863,7 @@ func (s *StateStore) RecordSweep(sweep *Sweep) error {
 		// transient disk error would silently drop this sweep's filings
 		// from the journal forever.
 		s.requeueDeltaLocked(rec)
-		return errors.Join(err, s.takeAsyncErrLocked())
+		return err
 	}
 	if s.bugRetention > 0 {
 		// Age out after the append: a closing status transition must hit
@@ -1036,11 +871,10 @@ func (s *StateStore) RecordSweep(sweep *Sweep) error {
 		// resurrect the bug with its last journaled (open) status.
 		s.db.DropAged(s.now().Add(-s.bugRetention))
 	}
-	var err error
 	if s.segCount > s.maxSegments {
-		err = s.compactLocked()
+		return s.compactLocked()
 	}
-	return errors.Join(err, s.takeAsyncErrLocked())
+	return nil
 }
 
 // Save persists the full state as a snapshot, compacting the journal to
@@ -1178,8 +1012,8 @@ func (s *StateStore) journalBytesAppended() int64 {
 }
 
 // journalSyncs returns the number of segment-file fsyncs issued since
-// open — the group-commit acceptance probe: one per sweep under
-// SyncEverySweep, one per window under SyncEvery, plus the snapshot
+// open: one per sweep under SyncEverySweep, one per Flush, Close or fold
+// that finds frames unsynced under SyncOnClose, plus the snapshot
 // segment's per fold. It leaves out the directory fsync a new segment
 // adds, and the journal.json fsync and two directory fsyncs of a fold.
 func (s *StateStore) journalSyncs() int64 {

@@ -19,19 +19,18 @@ import (
 // durable DB), trend, and a write-through archive — and the state journal
 // recording every sweep.
 //
-// Three configurations bracket the durability critical path; every one
-// blocks the sweep at the sink drain barrier until the slowest sink (the
+// Two configurations bracket the durability critical path; both block
+// the sweep at the sink drain barrier until the slowest sink (the
 // archive disk) finishes:
 //
 //   - attached-sync-every-sweep is the strict default: one fsync inside
 //     every RecordSweep.
-//   - group-commit syncs once per 16-sweep window, off the critical path.
-//   - fold-pause is group commit with the journal rolling and folding
-//     on every sweep (1-byte segment budget, 1-segment cap), so each
-//     sweep's ns/op includes the synchronous fold of the 100K-key state.
+//   - fold-pause runs under SyncOnClose with the journal rolling and
+//     folding on every sweep (1-byte segment budget, 1-segment cap), so
+//     each sweep's ns/op includes the synchronous fold of the 100K-key
+//     state and the fsync of the sweep's delta that precedes it.
 //
-// The fsyncs/op metric is the group-commit acceptance probe (one per
-// window, not one per sweep). It counts segment-file fsyncs only: under
+// The fsyncs/op metric counts segment-file fsyncs only: under
 // fold-pause each sweep also issues three directory fsyncs (its new
 // segment, the snapshot segment, the manifest swing) and one of
 // journal.json that the metric leaves out. journal-KB/op tracks the
@@ -158,10 +157,7 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 	b.Run("attached-sync-every-sweep", func(b *testing.B) {
 		run(b, WithStateSync(SyncEverySweep))
 	})
-	b.Run("group-commit", func(b *testing.B) {
-		run(b, WithStateSync(SyncEvery(16, 0)))
-	})
 	b.Run("fold-pause", func(b *testing.B) {
-		run(b, WithStateSync(SyncEvery(16, 0)), WithStateCompaction(1, 1))
+		run(b, WithStateSync(SyncOnClose), WithStateCompaction(1, 1))
 	})
 }
