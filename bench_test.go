@@ -344,7 +344,12 @@ func BenchmarkStackParse(b *testing.B) {
 // materialize-then-parse baseline (the old collector flow: buffer the
 // body, Parse, walk the slice) on a production-shaped synthetic dump of
 // >=10K goroutines. The headline is allocs/op: streaming must stay
-// strictly below the Parse baseline (the PR-1 acceptance bound).
+// strictly below the Parse baseline (the PR-1 acceptance bound). The
+// snapshot sub-benchmark times the collection path itself —
+// gprofile.ScanSnapshotWith's counting scan through a shared intern pool
+// — over leak members in the shape a live service's dump carries (two
+// runtime frames above the leaf, two handler frames below), and reports
+// ns/goroutine.
 func BenchmarkScanDump(b *testing.B) {
 	cfg := synth.DumpConfig{Benign: 250, LeakClusters: 4, ClusterSize: 2500, Seed: 1}
 	dump := synth.Dump(cfg)
@@ -389,6 +394,27 @@ func BenchmarkScanDump(b *testing.B) {
 				b.Fatalf("blocked = %d", blocked)
 			}
 		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		deep := synth.PullDump(cfg)
+		pool := stack.NewInternPool(0)
+		b.SetBytes(int64(len(deep)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			snap, err := gprofile.ScanSnapshotWith("svc", "i1", time.Time{}, strings.NewReader(deep), pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blocked := 0
+			for _, n := range snap.PreAggregated {
+				blocked += n
+			}
+			if snap.TotalGoroutines != want || blocked != 4*2500 {
+				b.Fatalf("snapshot: %d goroutines, %d blocked", snap.TotalGoroutines, blocked)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*want), "ns/goroutine")
 	})
 }
 

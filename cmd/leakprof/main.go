@@ -51,7 +51,8 @@
 // bodies (plain or gzip), each body streaming through the scanner on
 // arrival. Arrivals fold into tumbling windows (-window, default 1m);
 // each closed window emits one normal sweep through the same alerting,
-// archive, and state-journal tail the pull modes use. Admission is
+// archive, and state-journal tail the pull modes use, and prints its new
+// alerts as it closes rather than at exit. Admission is
 // bounded (-ingest-queue): overflow POSTs get 429 + Retry-After and the
 // rejection is charged to the service's error accounting; -ingest-quota
 // additionally caps any one service's share of the queue so a noisy
@@ -71,6 +72,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -137,16 +139,11 @@ func main() {
 		opts = append(opts, leakprof.WithWindow(*window))
 	}
 	// Ingest mode's sweeps are emitted by the window loop, not returned
-	// from a Sweep call; collect them through the observer so the summary
-	// and alert rendering below work unchanged.
-	var winMu sync.Mutex
-	var winSweeps []*leakprof.Sweep
+	// from a Sweep call: the observer prints each window's alerts as the
+	// window closes and collects the sweeps for the summary below.
+	live := &alertLog{out: os.Stdout}
 	if *ingest != "" {
-		opts = append(opts, leakprof.WithOnSweep(func(s *leakprof.Sweep) {
-			winMu.Lock()
-			winSweeps = append(winSweeps, s)
-			winMu.Unlock()
-		}))
+		opts = append(opts, leakprof.WithOnSweep(live.observe))
 	}
 	if *stateDir != "" {
 		opts = append(opts,
@@ -192,6 +189,7 @@ func main() {
 		reporter.StaticAlarm = idx.AlarmFunc()
 	}
 	reportSink = &leakprof.ReportSink{Reporter: reporter}
+	live.sink = reportSink
 	pipe.AddSinks(reportSink)
 	if tracker != nil {
 		pipe.AddSinks(&leakprof.TrendSink{Tracker: tracker})
@@ -227,9 +225,9 @@ func main() {
 		sweeps = []*leakprof.Sweep{sweep}
 	case *ingest != "":
 		err = runIngest(ctx, pipe, *ingest, *ingestQueue, *ingestQuota, *foldWorkers, *ingestToken)
-		winMu.Lock()
-		sweeps = winSweeps
-		winMu.Unlock()
+		live.mu.Lock()
+		sweeps = live.sweeps
+		live.mu.Unlock()
 	case *endpoints != "":
 		var sweep *leakprof.Sweep
 		sweep, err = pipe.Sweep(ctx, leakprof.StaticEndpoints(parseEndpoints(*endpoints)...))
@@ -276,18 +274,43 @@ func main() {
 		fmt.Printf("collected %d profiles\n", profiles)
 	}
 
-	// Alerts accumulate across a multi-sweep replay.
+	// Alerts accumulate across a multi-sweep replay. Ingest mode printed
+	// each window's alerts as the window closed.
 	alerts := reportSink.Alerts()
 	if len(alerts) == 0 {
 		fmt.Println("no new suspicious blocking operations above threshold")
 	}
-	for _, a := range alerts {
-		fmt.Print(a.Render())
+	if *ingest == "" {
+		for _, a := range alerts {
+			fmt.Print(a.Render())
+		}
 	}
 	if tracker != nil {
 		for _, key := range tracker.Growing() {
 			fmt.Printf("trend: growing across sweeps: %q\n", key)
 		}
+	}
+}
+
+// alertLog is -ingest mode's sweep observer. The pipeline calls it after
+// each window's sinks ran, so the report sink's LastAlerts are that
+// window's new-defect alerts: it prints them to out the moment the window
+// closes, in the exit summary's text, and keeps the sweep for the
+// summary.
+type alertLog struct {
+	out  io.Writer
+	sink *leakprof.ReportSink // set before the first window runs
+
+	mu     sync.Mutex
+	sweeps []*leakprof.Sweep
+}
+
+func (l *alertLog) observe(s *leakprof.Sweep) {
+	l.mu.Lock()
+	l.sweeps = append(l.sweeps, s)
+	l.mu.Unlock()
+	for _, a := range l.sink.LastAlerts() {
+		fmt.Fprint(l.out, a.Render())
 	}
 }
 

@@ -50,7 +50,7 @@ type Profile struct {
 // collection metadata plus the goroutine population in one of two forms —
 // fully parsed records (Goroutines) or compact blocked-operation counts
 // (PreAggregated). ScanSnapshot, the streaming collection path, produces
-// only the compact form.
+// only the compact form, and never builds a goroutine record to do so.
 type Snapshot struct {
 	// Service is the owning service name.
 	Service string
@@ -63,9 +63,11 @@ type Snapshot struct {
 	// scanning instead of retaining records.
 	Goroutines []*stack.Goroutine
 	// PreAggregated carries blocked-operation counts aggregated at the
-	// source: ScanSnapshot builds them while streaming the profile body,
-	// and large-scale simulators use them instead of materialising
-	// millions of identical records. Wait durations are preserved in the
+	// source: ScanSnapshot counts them while streaming the profile body
+	// (stack.Scanner.Tally: no goroutine record is built, only each
+	// member's header and frames through the leaf are kept), and
+	// large-scale simulators use them instead of materialising millions
+	// of identical records. Wait durations are preserved in the
 	// key so duration-sensitive filters still apply; CountByLocation and
 	// the analyzer fold them away when grouping. Both representations
 	// may coexist and are merged by every consumer.
@@ -265,8 +267,10 @@ func ParseSnapshot(service, instance string, takenAt time.Time, body string) (*S
 
 // ScanSnapshot streams a debug=2 profile body and returns a compact
 // snapshot: per-(operation, location) blocked counts plus the total
-// goroutine count, built one goroutine at a time without ever holding the
-// body or the parsed records in memory. Wait durations stay in the
+// goroutine count, counted one member at a time by the scanner's Tally
+// path. Collection never builds goroutine records: it holds neither the
+// body nor a *stack.Goroutine per member, and allocates per distinct
+// string in the dump, not per goroutine. Wait durations stay in the
 // aggregation key (they are coarse, so cardinality is low) so criterion-2
 // filters that inspect blocking durations behave exactly as on full
 // records. This is the LEAKPROF collection path: peak memory per profile
@@ -294,10 +298,10 @@ func ScanSnapshotWith(service, instance string, takenAt time.Time, r io.Reader, 
 // strings from scratch.
 var scannerPool sync.Pool
 
-// scanSnapshotPartial is the shared scan-and-aggregate loop behind
+// scanSnapshotPartial is the shared counting scan behind
 // ScanSnapshotWith and the archive replay path. Unlike the exported
 // entry point it keeps what it scanned: on a mid-body error the partial
-// snapshot (records decoded before the corruption) is returned alongside
+// snapshot (members counted before the corruption) is returned alongside
 // the error — nil only when nothing was salvaged — so archive replay can
 // keep a torn member's valid prefix. Callers that keep the partial are
 // responsible for saying so in any surfaced error; the error here makes
@@ -314,21 +318,18 @@ func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reade
 	sc.SetInternPool(pool)
 	defer scannerPool.Put(sc)
 	snap := &Snapshot{Service: service, Instance: instance, TakenAt: takenAt}
-	for sc.Scan() {
-		g := sc.Goroutine()
+	sc.Tally(func(op stack.BlockedOp, n int, blocked bool) {
 		// A count-annotated record (a pre-aggregated cluster written by
-		// WriteSnapshot) stands for Multiplicity identical goroutines.
-		n := g.Multiplicity()
+		// WriteSnapshot) stands for n identical goroutines.
 		snap.TotalGoroutines += n
-		op, ok := g.BlockedChannelOp()
-		if !ok {
-			continue
+		if !blocked {
+			return
 		}
 		if snap.PreAggregated == nil {
 			snap.PreAggregated = make(map[stack.BlockedOp]int)
 		}
 		snap.PreAggregated[op] += n
-	}
+	})
 	snap.Malformed = sc.Malformed()
 	if err := sc.Err(); err != nil {
 		err = fmt.Errorf("gprofile: scanning %s/%s: %w", service, instance, err)

@@ -215,6 +215,11 @@ type BlockedOp struct {
 // BlockedChannelOp extracts the blocked channel operation from the
 // goroutine, or ok=false when the goroutine is not blocked on a channel.
 func (g *Goroutine) BlockedChannelOp() (BlockedOp, bool) {
+	return g.blockedOp(Frame.SourceLocation)
+}
+
+// blockedOp is BlockedChannelOp with the leaf's location rendered by loc.
+func (g *Goroutine) blockedOp(loc func(Frame) string) (BlockedOp, bool) {
 	k := g.Kind()
 	op := k.ChannelOp()
 	if op == "" {
@@ -223,7 +228,7 @@ func (g *Goroutine) BlockedChannelOp() (BlockedOp, bool) {
 	leaf := g.Leaf()
 	return BlockedOp{
 		Op:         op,
-		Location:   leaf.SourceLocation(),
+		Location:   loc(leaf),
 		Function:   leaf.Function,
 		NilChannel: k == KindChanSendNil || k == KindChanReceiveNil,
 		WaitTime:   int64(g.WaitTime),

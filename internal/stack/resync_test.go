@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -208,7 +210,8 @@ func TestScannerFrameSalvage(t *testing.T) {
 // inputs the legacy parser accepts cleanly, resyncs are counted whenever
 // the legacy parser would have rejected the dump, and frame-level salvage
 // (orphaned frame pairs behind a torn blank) preserves member identity
-// while never losing frames.
+// while never losing frames. The counting path is checked differentially:
+// Tally must agree with folding Scan's records (see checkTallyParity).
 func FuzzScan(f *testing.F) {
 	for _, dump := range goldenDumps() {
 		f.Add(dump)
@@ -223,6 +226,19 @@ func FuzzScan(f *testing.F) {
 	f.Add("goroutine 1 [chan send]:\nsvc.a()\n\t/src/a.go:5 +0x2b\n\nsvc.rest()\n\t/src/r.go:9 +0x1\n")
 	f.Add(goodBlock("1", "svc.a") + "\ncreated by svc.spawn in goroutine 7\n\t/src/sp.go:3 +0x1\n" + goodBlock("2", "svc.b"))
 	f.Add("orphan.fn()\n\t/src/o.go:1 +0x1\n")
+	// Counting-path shapes: a torn blank before the leaf (the probe
+	// reattaches the leaf), a runtime frame above the leaf with no
+	// location line, a count header, a nil-channel state, and a state
+	// settled only by the runtime frames.
+	f.Add("goroutine 1 [chan send]:\nruntime.gopark()\n\t/go/src/runtime/proc.go:382 +0xc6\n\n" +
+		"svc.leak()\n\t/src/l.go:5 +0x2b\nsvc.handle()\n\t/src/h.go:3 +0x9\n\n" + goodBlock("2", "svc.b"))
+	f.Add("goroutine 3 [chan receive]:\nruntime.gopark()\nruntime.chanrecv1()\n\t/go/src/runtime/chan.go:442 +0x18\n" +
+		"svc.recv()\n\t/src/r.go:7 +0x1\nsvc.handle()\n\t/src/h.go:3 +0x9\n")
+	f.Add("goroutine 4 [chan send, 5 minutes, 2000 times]:\nsvc.leak()\n\t/src/l.go:5 +0x2b\n" +
+		"created by svc.spawn in goroutine 1\n\t/src/l.go:1 +0x5c\n")
+	f.Add("goroutine 5 [chan receive (nil chan), 3 minutes]:\nsvc.dead()\n\t/src/d.go:9 +0x1\n")
+	f.Add("goroutine 6 [waiting]:\nruntime.gopark()\n\t/go/src/runtime/proc.go:382 +0xc6\n" +
+		"runtime.selectgo()\n\t/go/src/runtime/select.go:327 +0x7be\nsvc.fan()\n\t/src/f.go:12 +0x3\n")
 	f.Fuzz(func(t *testing.T, dump string) {
 		if len(dump) > 1<<20 {
 			t.Skip("bounded corpus")
@@ -230,5 +246,49 @@ func FuzzScan(f *testing.F) {
 		if msg := checkScannerBehaviour(dump); msg != "" {
 			t.Fatal(msg)
 		}
+		if msg := checkTallyParity(dump); msg != "" {
+			t.Fatal(msg)
+		}
 	})
+}
+
+// tallied is what the collection path keeps of a dump.
+type tallied struct {
+	counts    map[BlockedOp]int
+	total     int
+	malformed int
+	err       string
+}
+
+// checkTallyParity is the counting path's oracle: Tally must give the
+// same counts by BlockedOp, total multiplicity, Malformed and Err as
+// folding Scan's records through BlockedChannelOp and Multiplicity. Tally
+// runs twice through one scanner, Reset between, so the member record it
+// recycles across dumps is checked too.
+func checkTallyParity(dump string) string {
+	gs, malformed, err := scanAllCounting(dump)
+	want := tallied{counts: map[BlockedOp]int{}, malformed: malformed, err: fmt.Sprint(err)}
+	for _, g := range gs {
+		want.total += g.Multiplicity()
+		if op, ok := g.BlockedChannelOp(); ok {
+			want.counts[op] += g.Multiplicity()
+		}
+	}
+
+	sc := NewScanner(nil)
+	for pass := 0; pass < 2; pass++ {
+		got := tallied{counts: map[BlockedOp]int{}}
+		sc.Reset(strings.NewReader(dump))
+		sc.Tally(func(op BlockedOp, n int, blocked bool) {
+			got.total += n
+			if blocked {
+				got.counts[op] += n
+			}
+		})
+		got.malformed, got.err = sc.Malformed(), fmt.Sprint(sc.Err())
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Sprintf("Tally pass %d diverges from the Scan fold:\ntally: %+v\nscan:  %+v", pass, got, want)
+		}
+	}
+	return ""
 }

@@ -24,13 +24,26 @@ import (
 // lines, and strings that repeat across goroutines — function names, file
 // paths, state annotations — are interned so a profile with thousands of
 // identical leaked stacks costs a handful of allocations per goroutine
-// instead of a copy of the body. This is the collection hot path LEAKPROF
-// pays per instance per sweep, where a single profile can run to hundreds
-// of megabytes.
+// instead of a copy of the body. LEAKPROF pays a scan per instance per
+// sweep, where a single profile can run to hundreds of megabytes; its
+// collection path runs the counting variant, Tally.
 //
 // Each call to Scan invalidates nothing: yielded Goroutines are freshly
 // allocated and owned by the caller (their strings are shared via the
 // intern table, which is immutable once published).
+//
+// Tally is the counting path over the same line state machine, for
+// callers that need only each member's blocked operation: header parse,
+// resync, the held member and the torn-blank probe run exactly as under
+// Scan, so Tally's Malformed and Err match Scan's on every input. Per
+// member it keeps only the header fields and the frames through the leaf
+// (the first non-runtime frame) — all that Kind and Leaf read. It
+// recycles one member record instead of allocating, checks the shape of
+// later frame and created-by lines without interning them, and renders
+// the leaf's file:line once per distinct location. Nothing it passes to
+// fn outlives the call: the member record is reused for the next member,
+// and fn gets only values (op's strings are immutable shared copies, safe
+// to keep as map keys).
 type Scanner struct {
 	lines *bufio.Scanner
 	buf   []byte // initial line buffer, reused across Reset
@@ -71,6 +84,21 @@ type Scanner struct {
 	headers map[string]headerInfo
 	// locs caches parsed location lines ("/src/a.go:12 +0x2b").
 	locs map[string]Frame
+
+	// counting is set while Tally runs: members are recycled records
+	// holding frames only through the leaf. spare is the record the last
+	// fn call released. The first Tally makes skip, which absorbs the
+	// location line of a frame or created-by line Tally does not keep,
+	// and srcs, which caches rendered leaf locations by file and line.
+	counting bool
+	spare    *Goroutine
+	skip     *Frame
+	srcs     map[srcKey]string
+}
+
+type srcKey struct {
+	file string
+	line int
 }
 
 type headerInfo struct {
@@ -137,6 +165,9 @@ func (s *Scanner) Reset(r io.Reader) {
 	if len(s.locs) > maxCacheEntries {
 		s.locs = make(map[string]Frame)
 	}
+	if len(s.srcs) > maxCacheEntries {
+		s.srcs = make(map[srcKey]string)
+	}
 }
 
 // SetInternPool attaches a shared intern pool: strings the scanner would
@@ -193,6 +224,41 @@ func (s *Scanner) Scan() bool {
 // Goroutine returns the goroutine yielded by the last successful Scan.
 func (s *Scanner) Goroutine() *Goroutine { return s.g }
 
+// Tally scans the rest of the dump as Scan would and calls fn once per
+// member, in dump order, with the member's blocked channel operation
+// (BlockedChannelOp; blocked is false, and op zero, when the member is
+// not blocked on a channel) and its Multiplicity. It is the collection
+// path's counting scan: see the Scanner doc for what it keeps. Err and
+// Malformed report on the dump afterwards, as after a Scan loop.
+func (s *Scanner) Tally(fn func(op BlockedOp, n int, blocked bool)) {
+	if s.skip == nil {
+		s.skip, s.srcs = new(Frame), make(map[srcKey]string)
+	}
+	s.counting = true
+	defer func() { s.counting = false }()
+	for s.Scan() {
+		g := s.g
+		op, blocked := g.blockedOp(s.sourceLocation)
+		fn(op, g.Multiplicity(), blocked)
+		s.g, s.spare = nil, g
+	}
+}
+
+// sourceLocation is Frame.SourceLocation rendered once per distinct file
+// and line, then served from the srcs cache.
+func (s *Scanner) sourceLocation(f Frame) string {
+	if f.File == "" {
+		return f.Function
+	}
+	k := srcKey{f.File, f.Line}
+	if v, ok := s.srcs[k]; ok {
+		return v
+	}
+	v := f.SourceLocation()
+	s.srcs[k] = v
+	return v
+}
+
 // Err returns the first error encountered, if any. io.EOF is not an
 // error: a dump simply ends. Malformed content is not an error either —
 // the scanner resyncs at the next goroutine header and counts the loss
@@ -235,7 +301,7 @@ func (s *Scanner) process(line []byte) bool {
 				s.cur.CreatedBy = s.probeFrame
 				s.cur.CreatorID = s.probeCreator
 			} else {
-				s.cur.Frames = append(s.cur.Frames, s.probeFrame)
+				*s.nextFrame() = s.probeFrame
 			}
 			return false
 		}
@@ -376,7 +442,26 @@ func (s *Scanner) parseHeader(line []byte) (*Goroutine, error) {
 		info = headerInfo{state: s.internString(state), wait: wait, locked: locked, count: count}
 		s.headers[string(content)] = info
 	}
-	return &Goroutine{ID: id, State: info.state, WaitTime: info.wait, Locked: info.locked, Count: info.count}, nil
+	g := s.spare
+	if s.counting && g != nil {
+		s.spare = nil
+		*g = Goroutine{Frames: g.Frames[:0]}
+	} else {
+		g = new(Goroutine)
+	}
+	g.ID, g.State, g.WaitTime, g.Locked, g.Count = id, info.state, info.wait, info.locked, info.count
+	return g, nil
+}
+
+// nextFrame returns where the current member's next frame goes: a new
+// element of its Frames, or — when counting and the leaf is already kept
+// — the skip frame, which only absorbs the frame's location line.
+func (s *Scanner) nextFrame() *Frame {
+	if n := len(s.cur.Frames); s.counting && n > 0 && !isRuntimeFrame(s.cur.Frames[n-1].Function) {
+		return s.skip
+	}
+	s.cur.Frames = append(s.cur.Frames, Frame{})
+	return &s.cur.Frames[len(s.cur.Frames)-1]
 }
 
 // parseFrameLine parses a function line ("svc.leak(0x12, 0x34)") and arms
@@ -386,13 +471,21 @@ func (s *Scanner) parseFrameLine(line []byte) {
 	if p <= 0 {
 		return
 	}
-	s.cur.Frames = append(s.cur.Frames, Frame{Function: s.internBytes(line[:p])})
-	s.pendingLoc = &s.cur.Frames[len(s.cur.Frames)-1]
+	f := s.nextFrame()
+	if f != s.skip {
+		f.Function = s.internBytes(line[:p])
+	}
+	s.pendingLoc = f
 }
 
 // parseCreatedBy parses "created by pkg.Fn in goroutine 7" and arms the
-// location lookahead for the creation site.
+// location lookahead for the creation site. Counting keeps no creation
+// site: only the location lookahead is armed.
 func (s *Scanner) parseCreatedBy(line []byte) {
+	if s.counting {
+		s.pendingLoc = s.skip
+		return
+	}
 	rest := line[len("created by "):]
 	var creator int64
 	if j := bytes.Index(rest, []byte(" in goroutine ")); j >= 0 {

@@ -31,8 +31,17 @@ func (c DumpConfig) Goroutines() int {
 
 // Dump renders the synthetic profile in the runtime's debug=2 text
 // encoding, for exercising the parse/scan/aggregate pipeline on
-// production-shaped input.
-func Dump(cfg DumpConfig) string {
+// production-shaped input. Each leak member carries one frame, the
+// blocking call.
+func Dump(cfg DumpConfig) string { return render(cfg, false) }
+
+// PullDump is Dump with each leak member in the shape a live service's
+// dump carries: the two runtime frames above the blocking call
+// (runtime.gopark and the channel operation's entry point) and two
+// request-handling frames below it.
+func PullDump(cfg DumpConfig) string { return render(cfg, true) }
+
+func render(cfg DumpConfig, deep bool) string {
 	pats := []*patterns.Pattern{
 		patterns.TimeoutLeak, patterns.NCast, patterns.PrematureReturn,
 		patterns.ContractDone, patterns.UnclosedRange,
@@ -42,13 +51,37 @@ func Dump(cfg DumpConfig) string {
 	b.WriteString(stack.Format(patterns.BenignStacks(r, 1, cfg.Benign)))
 	id := int64(cfg.Benign + 1)
 	for c := 0; c < cfg.LeakClusters; c++ {
-		gs := pats[c%len(pats)].Stacks(id, cfg.ClusterSize)
+		p := pats[c%len(pats)]
+		gs := p.Stacks(id, cfg.ClusterSize)
 		patterns.Relocate(gs, dumpLeakFile(c), 40+c)
+		if deep {
+			for _, g := range gs {
+				g.Frames = append([]stack.Frame{
+					{Function: "runtime.gopark", File: "/usr/local/go/src/runtime/proc.go", Line: 425, Offset: 0xce},
+					{Function: runtimeEntry(p.Kind), File: "/usr/local/go/src/runtime/chan.go", Line: 161, Offset: 0x25},
+				}, g.Frames...)
+				g.Frames = append(g.Frames,
+					stack.Frame{Function: "services/svc.(*Server).handle", File: "services/svc/server.go", Line: 120, Offset: 0x1a5},
+					stack.Frame{Function: "net/http.HandlerFunc.ServeHTTP", File: "/usr/local/go/src/net/http/server.go", Line: 2220, Offset: 0x29})
+			}
+		}
 		id += int64(cfg.ClusterSize)
 		b.WriteByte('\n')
 		b.WriteString(stack.Format(gs))
 	}
 	return b.String()
+}
+
+// runtimeEntry names the runtime function a goroutine blocked in k's
+// channel operation sits in, under runtime.gopark.
+func runtimeEntry(k stack.Kind) string {
+	switch k.ChannelOp() {
+	case "send":
+		return "runtime.chansend1"
+	case "receive":
+		return "runtime.chanrecv1"
+	}
+	return "runtime.selectgo"
 }
 
 // dumpLeakFile names cluster c's source file, the location LEAKPROF
