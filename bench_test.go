@@ -346,7 +346,7 @@ func BenchmarkStackParse(b *testing.B) {
 // >=10K goroutines. The headline is allocs/op: streaming must stay
 // strictly below the Parse baseline (the PR-1 acceptance bound). The
 // snapshot sub-benchmark times the collection path itself —
-// gprofile.ScanSnapshotWith's counting scan through a shared intern pool
+// gprofile.ScanSnapshot's counting scan through a shared intern pool
 // — over leak members in the shape a live service's dump carries (two
 // runtime frames above the leaf, two handler frames below), and reports
 // ns/goroutine.
@@ -402,7 +402,7 @@ func BenchmarkScanDump(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			snap, err := gprofile.ScanSnapshotWith("svc", "i1", time.Time{}, strings.NewReader(deep), pool)
+			snap, err := gprofile.ScanSnapshot("svc", "i1", time.Time{}, strings.NewReader(deep), pool)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -569,21 +569,12 @@ func heartbeat(ctx context.Context) {
 // BenchmarkAblationMinWaitFilter measures the wait-duration extension: a
 // profile mixing freshly blocked goroutines with long-stuck ones.
 func BenchmarkAblationMinWaitFilter(b *testing.B) {
-	snap := &gprofile.Snapshot{Service: "svc", Instance: "i1"}
-	for i := 0; i < 20000; i++ {
-		wait := time.Duration(0)
-		fn, file, line := "svc.leak", "/svc/l.go", 5
-		if i%2 == 0 {
-			wait = 2 * time.Second // transient blockers
-			fn, file, line = "svc.busy", "/svc/b.go", 9
-		} else {
-			wait = time.Hour
-		}
-		snap.Goroutines = append(snap.Goroutines, &stack.Goroutine{
-			ID: int64(i), State: "chan send", WaitTime: wait,
-			Frames: []stack.Frame{{Function: fn, File: file, Line: line}},
-		})
-	}
+	snap := &gprofile.Snapshot{Service: "svc", Instance: "i1", TotalGoroutines: 20000,
+		PreAggregated: map[stack.BlockedOp]int{
+			// Transient blockers, then long-stuck ones, half each.
+			{Op: "send", Function: "svc.busy", Location: "/svc/b.go:9", WaitTime: int64(2 * time.Second)}: 10000,
+			{Op: "send", Function: "svc.leak", Location: "/svc/l.go:5", WaitTime: int64(time.Hour)}:       10000,
+		}}
 	for _, minWait := range []time.Duration{0, 10 * time.Minute} {
 		minWait := minWait
 		b.Run(fmt.Sprintf("minwait-%s", minWait), func(b *testing.B) {

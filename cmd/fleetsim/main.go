@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fleet"
-	"repro/internal/gprofile"
 	"repro/internal/patterns"
 	"repro/leakprof"
 )
@@ -226,29 +225,6 @@ func runSweep(src leakprof.Source, threshold int, stateDir string) {
 	}
 }
 
-// captureSource wraps a Source and records every emitted snapshot, so
-// the load generator can render the fleet's dump bodies once instead of
-// re-simulating them per POST. Emission still reaches the pipeline so
-// the capture sweep completes normally.
-type captureSource struct {
-	inner leakprof.Source
-	mu    sync.Mutex
-	snaps []*gprofile.Snapshot
-}
-
-func (c *captureSource) Name() string { return c.inner.Name() }
-
-func (c *captureSource) Sweep(ctx context.Context, env *leakprof.SweepEnv) error {
-	orig := env.Emit
-	env.Emit = func(s *gprofile.Snapshot) {
-		c.mu.Lock()
-		c.snaps = append(c.snaps, s)
-		c.mu.Unlock()
-		orig(s)
-	}
-	return c.inner.Sweep(ctx, env)
-}
-
 // dumpBody is one pre-rendered POST payload: the debug=2 text (possibly
 // gzipped) plus the origin headers the ingest endpoint reads.
 type dumpBody struct {
@@ -276,29 +252,17 @@ func runLoadGen(f *fleet.Fleet, url string, posters, posts int, gz bool, retries
 
 	// Render every instance's dump once, up front, so the posting loop
 	// measures the endpoint and not the simulator.
-	capture := &captureSource{inner: f.Source()}
-	pipe := leakprof.New(leakprof.WithThreshold(1 << 30))
-	if _, err := pipe.Sweep(context.Background(), capture); err != nil {
-		return fmt.Errorf("rendering fleet dumps: %w", err)
-	}
-	bodies := make([]dumpBody, 0, len(capture.snaps))
-	for _, s := range capture.snaps {
-		var buf bytes.Buffer
-		var w io.Writer = &buf
-		var zw *gzip.Writer
+	var bodies []dumpBody
+	for _, in := range f.Instances() {
+		body := in.Dump()
 		if gz {
-			zw = gzip.NewWriter(&buf)
-			w = zw
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			zw.Write(body) // a bytes.Buffer never fails a write
+			zw.Close()
+			body = buf.Bytes()
 		}
-		if err := gprofile.WriteSnapshot(w, s); err != nil {
-			return fmt.Errorf("rendering %s/%s: %w", s.Service, s.Instance, err)
-		}
-		if zw != nil {
-			if err := zw.Close(); err != nil {
-				return err
-			}
-		}
-		bodies = append(bodies, dumpBody{service: s.Service, instance: s.Instance, body: buf.Bytes()})
+		bodies = append(bodies, dumpBody{service: in.Service, instance: in.Name, body: body})
 	}
 	if len(bodies) == 0 {
 		return fmt.Errorf("fleet rendered no dump bodies")

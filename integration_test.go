@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -251,12 +252,16 @@ func TestSuppressionListLifecycleAcrossTools(t *testing.T) {
 	}
 
 	// Production: LEAKPROF has no suppression concept; the same code
-	// path, grown to a cluster, is reported.
+	// path, grown to a cluster, is reported from the instance's dump.
 	gs := patterns.MissingReceiver.Stacks(1, 12000)
 	patterns.Relocate(gs, "services/legacy/send.go", 5)
-	findings := analyze([]*gprofile.Snapshot{{
-		Service: "legacy", Instance: "i1", Goroutines: gs,
-	}})
+	sweep, err := leakprof.New().Sweep(context.Background(), leakprof.Dumps(leakprof.Dump{
+		Service: "legacy", Instance: "i1", Body: strings.NewReader(stack.Format(gs)),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := sweep.Findings
 	if len(findings) != 1 {
 		t.Fatalf("production findings = %d, want 1", len(findings))
 	}
@@ -286,7 +291,7 @@ func TestPipelineDrivesAllSourceKinds(t *testing.T) {
 	endpoints, shutdown := f.Serve()
 	defer shutdown()
 	archiveDir := t.TempDir()
-	archiveSink, err := leakprof.NewArchiveSink(archiveDir)
+	archiveSink, err := leakprof.NewSweepArchiveSink(archiveDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestPipelineDrivesAllSourceKinds(t *testing.T) {
 
 	// Third kind: the archive the endpoint sweep wrote through.
 	sweep, err := leakprof.New(leakprof.WithThreshold(1000)).
-		Sweep(context.Background(), leakprof.Archive(archiveDir))
+		Sweep(context.Background(), leakprof.Archive(filepath.Join(archiveDir, "sweep-0001")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,7 @@ func TestMalformHeadersScannerSalvage(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		gs = append(gs, patterns.TimeoutLeak.Stacks(int64(1+i*10), 1)...)
 	}
-	snap := &gprofile.Snapshot{Service: "svc", Instance: "i-0", Goroutines: gs}
-	body := renderSnapshot(snap)
+	body := []byte(stack.Format(gs))
 
 	mutated, count := MalformHeaders(body, 2)
 	if count != 3 {
@@ -83,7 +82,7 @@ func TestMalformHeadersScannerSalvage(t *testing.T) {
 		t.Fatalf("mutated body lacks the malformed-header shape:\n%s", mutated)
 	}
 
-	scanned, err := gprofile.ScanSnapshot("svc", "i-0", time.Time{}, bytes.NewReader(mutated))
+	scanned, err := gprofile.ScanSnapshot("svc", "i-0", time.Time{}, bytes.NewReader(mutated), nil)
 	if err != nil {
 		t.Fatalf("scan of malformed body hard-failed: %v", err)
 	}

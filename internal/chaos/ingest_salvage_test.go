@@ -32,7 +32,7 @@ func TestIngestSalvageAccounting(t *testing.T) {
 		for i := 0; i < members; i++ {
 			gs = append(gs, patterns.TimeoutLeak.Stacks(int64(1+i*10), 1)...)
 		}
-		return renderSnapshot(&gprofile.Snapshot{Goroutines: gs})
+		return []byte(stack.Format(gs))
 	}
 
 	type post struct {
@@ -67,7 +67,7 @@ func TestIngestSalvageAccounting(t *testing.T) {
 			p.wantCode = http.StatusBadRequest
 			wantScanErr++
 		default:
-			snap, err := gprofile.ScanSnapshot("svc-a", p.instance, time.Time{}, bytes.NewReader(p.body))
+			snap, err := gprofile.ScanSnapshot("svc-a", p.instance, time.Time{}, bytes.NewReader(p.body), nil)
 			switch {
 			case err != nil:
 				p.wantCode = http.StatusBadRequest

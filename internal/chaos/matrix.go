@@ -602,11 +602,11 @@ func runIngest(ctx context.Context, sc *Scenario) *Result {
 	for w := 0; w < sc.Windows && err == nil; w++ {
 		posts := carry
 		carry = nil
-		for _, snap := range f.SnapshotsAggregated() {
-			key := snap.Instance
+		for _, in := range f.Instances() {
+			key := in.Name
 			n := uint64(w)
-			body := renderSnapshot(snap)
-			p := ingestPost{service: snap.Service, instance: snap.Instance}
+			body := in.Dump()
+			p := ingestPost{service: in.Service, instance: in.Name}
 			switch {
 			case sc.PostBadGzip > 0 && Hash01(sc.Seed, "badgzip", key, n) < sc.PostBadGzip:
 				p.body, p.gz = CorruptGzip(gzipBody(body)), true

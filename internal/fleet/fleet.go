@@ -17,6 +17,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -200,37 +201,20 @@ func (f *Fleet) DeployRolling(frac float64) {
 	}
 }
 
-// Snapshots captures one collection sweep directly (no HTTP), with the
-// leaked cluster fully materialised — faithful but memory-proportional to
-// the blocked population. Use SnapshotsAggregated for platform-scale
-// sweeps.
-func (f *Fleet) Snapshots() []*gprofile.Snapshot {
-	at := f.origin.Add(time.Duration(f.Day) * 24 * time.Hour)
-	var out []*gprofile.Snapshot
-	for _, in := range f.Instances() {
-		out = append(out, &gprofile.Snapshot{
-			Service:    in.Service,
-			Instance:   in.Name,
-			TakenAt:    at,
-			Goroutines: in.Stacks(),
-		})
-	}
-	return out
-}
-
-// snapshotAggregated captures this instance in the pre-aggregated form:
-// the benign population is materialised, while the leaked cluster —
-// thousands of goroutines with the identical stack, exactly what a leak
-// produces — is carried as a (operation, location) count. The analyzer
-// consumes both forms identically.
+// snapshotAggregated counts this instance the way a scan of its dump
+// would: the leaked cluster — thousands of goroutines with the identical
+// stack, exactly what a leak produces — as one (operation, location)
+// count, and the benign background, none of it channel-blocked, only in
+// the total.
 func (in *Instance) snapshotAggregated(at time.Time) *gprofile.Snapshot {
 	snap := &gprofile.Snapshot{
-		Service:    in.Service,
-		Instance:   in.Name,
-		TakenAt:    at,
-		Goroutines: in.benign,
+		Service:         in.Service,
+		Instance:        in.Name,
+		TakenAt:         at,
+		TotalGoroutines: len(in.benign),
 	}
 	if blocked := int(in.blocked.Load()); blocked > 0 && in.cfg.Pattern != nil {
+		snap.TotalGoroutines += blocked
 		// One representative record determines the operation kind
 		// and location; the count rides alongside.
 		rep := in.cfg.Pattern.Stacks(1, 1)
@@ -242,9 +226,20 @@ func (in *Instance) snapshotAggregated(at time.Time) *gprofile.Snapshot {
 	return snap
 }
 
-// SnapshotsAggregated captures one sweep in the pre-aggregated form,
-// materialising the per-instance slice. Platform-scale sweeps should
-// sweep Source, which streams instances into the pipeline instead.
+// Dump renders the instance's debug=2 dump as it would push it: the
+// benign background in full, then the leaked cluster as one
+// count-annotated record (gprofile.WriteSnapshot). A scan of it counts
+// what the instance's snapshot carries, without expanding the cluster.
+func (in *Instance) Dump() []byte {
+	var buf bytes.Buffer
+	buf.WriteString(stack.Format(in.benign))
+	gprofile.WriteSnapshot(&buf, in.snapshotAggregated(time.Time{})) // a bytes.Buffer never fails a write
+	return buf.Bytes()
+}
+
+// SnapshotsAggregated captures one sweep as counts, materialising the
+// per-instance slice. Platform-scale sweeps should sweep Source, which
+// streams instances into the pipeline instead.
 func (f *Fleet) SnapshotsAggregated() []*gprofile.Snapshot {
 	at := f.origin.Add(time.Duration(f.Day) * 24 * time.Hour)
 	var out []*gprofile.Snapshot
@@ -255,9 +250,9 @@ func (f *Fleet) SnapshotsAggregated() []*gprofile.Snapshot {
 }
 
 // Source returns a leakprof.Source sweeping the fleet's current day
-// directly (no HTTP), one instance at a time in the pre-aggregated form —
-// the simulator origin for the unified Pipeline, letting platform-scale
-// simulations drive the exact engine production sweeps use.
+// directly (no HTTP), one instance at a time as counts — the simulator
+// origin for the unified Pipeline, letting platform-scale simulations
+// drive the exact engine production sweeps use.
 func (f *Fleet) Source() leakprof.Source {
 	return fleetSource{f: f}
 }

@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/gprofile"
 	"repro/internal/patterns"
+	"repro/internal/stack"
 	"repro/leakprof"
 )
 
@@ -88,13 +92,54 @@ func TestHotInstanceConcentration(t *testing.T) {
 	}
 }
 
+// TestInstanceViewsAgree checks that three views of one simulated
+// instance count the same population: the snapshot the fleet emits, a
+// scan of the dump the instance pushes (Dump), and a scan of the full
+// dump its HTTP endpoint serves (stack.Format of Stacks).
+func TestInstanceViewsAgree(t *testing.T) {
+	leaky := leakyConfig(2)
+	leaky.HotInstances, leaky.HotLeakPerDay = 1, 2500
+	quiet := leakyConfig(1)
+	quiet.Name, quiet.Pattern = "quiet", nil
+	f := New(time.Unix(0, 0), []ServiceConfig{leaky, quiet})
+	f.AdvanceDay()
+
+	snaps := f.SnapshotsAggregated()
+	var blocked []int
+	for i, in := range f.Instances() {
+		emitted := snaps[i]
+		blocked = append(blocked, in.Blocked())
+		views := map[string][]byte{
+			"dump":     in.Dump(),
+			"endpoint": []byte(stack.Format(in.Stacks())),
+		}
+		for view, body := range views {
+			scanned, err := gprofile.ScanSnapshot(in.Service, in.Name, time.Time{}, bytes.NewReader(body), nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", in.Name, view, err)
+			}
+			if scanned.TotalGoroutines != emitted.TotalGoroutines {
+				t.Errorf("%s %s: %d goroutines, snapshot says %d",
+					in.Name, view, scanned.TotalGoroutines, emitted.TotalGoroutines)
+			}
+			if got, want := scanned.CountByLocation(), emitted.CountByLocation(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: counts %v, snapshot says %v", in.Name, view, got, want)
+			}
+		}
+	}
+	// A hot instance, a leaking one and a quiet one.
+	if want := []int{2500, 100, 0}; !reflect.DeepEqual(blocked, want) {
+		t.Fatalf("blocked per instance = %v, want %v", blocked, want)
+	}
+}
+
 func TestSnapshotsFeedAnalyzer(t *testing.T) {
 	cfg := leakyConfig(3)
 	cfg.LeakPerDay = 600
 	f := New(time.Unix(0, 0), []ServiceConfig{cfg})
 	pipe := leakprof.New(leakprof.WithThreshold(500))
 	analyze := func() []*leakprof.Finding {
-		sweep, err := pipe.Sweep(context.Background(), leakprof.FromSnapshots(f.Snapshots()))
+		sweep, err := pipe.Sweep(context.Background(), leakprof.FromSnapshots(f.SnapshotsAggregated()))
 		if err != nil {
 			t.Fatal(err)
 		}

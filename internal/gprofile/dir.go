@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/stack"
 )
 
 // ErrSalvaged marks failure reports about profiles that were decoded by
@@ -26,11 +24,11 @@ var ErrSalvaged = errors.New("profile salvaged")
 // DirWriter streams snapshots into a directory archive one at a time, the
 // write-through path production sweeps use to record themselves: each
 // snapshot is written as its fetch completes, so archiving a sweep never
-// holds more than one snapshot — and within a snapshot, pre-aggregated
-// leak clusters are expanded straight to the file record by record rather
-// than materialised as one giant string. Files are named
-// <service>_<instance>.txt in the debug=2 encoding LoadDir and ScanDir
-// read back. Write is safe for concurrent use.
+// holds more than one snapshot — and within a snapshot, each blocked
+// cluster is written as one count-annotated record (WriteSnapshot), not
+// one record per goroutine. Files are named <service>_<instance>.txt in
+// the debug=2 encoding ScanDir reads back. Write is safe for concurrent
+// use.
 type DirWriter struct {
 	dir     string
 	mu      sync.Mutex             // guards names and entries
@@ -98,18 +96,17 @@ func (w *DirWriter) Write(s *Snapshot) error {
 	return nil
 }
 
-// WriteSnapshot renders the snapshot to w as a plain debug=2 dump. A
-// pre-aggregated cluster is written as one count-annotated record —
-// "goroutine N [chan send, 2000 times]:" — instead of being expanded
-// into 2000 identical blocks: a 100K-goroutine cluster costs one record
-// on disk and one record's worth of allocation to write and to scan
-// back (the scanner recovers the count via stack.Goroutine.Count). A
-// reader without count support still sees a well-formed record standing
-// for the cluster's location.
+// WriteSnapshot renders the snapshot's blocked counts to w as a plain
+// debug=2 dump. Only the blocked goroutines are rendered: the rest of
+// the population is not in the snapshot, so a replayed archive counts
+// only its blocked goroutines in TotalGoroutines. Each cluster is
+// written as one count-annotated record — "goroutine N [chan send, 2000
+// times]:" — instead of being expanded into 2000 identical blocks: a
+// 100K-goroutine cluster costs one record on disk and one record's
+// worth of allocation to write and to scan back (the scanner recovers
+// the count via stack.Goroutine.Count). A reader without count support
+// still sees a well-formed record standing for the cluster's location.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	if _, err := io.WriteString(w, stack.Format(s.Goroutines)); err != nil {
-		return err
-	}
 	id := int64(1 << 20)
 	for op, n := range s.PreAggregated {
 		state := "chan " + op.Op
@@ -132,24 +129,6 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// SaveDir writes snapshots as debug=2 profile files named
-// <service>_<instance>.txt, the on-disk layout LoadDir reads back. It is
-// a convenience over DirWriter for already-materialised sweeps; streaming
-// collection paths should write through a DirWriter (or the leakprof
-// ArchiveSink) instead of building the slice.
-func SaveDir(dir string, snaps []*Snapshot) error {
-	w, err := NewDirWriter(dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range snaps {
-		if err := w.Write(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ScanDir streams every <service>_<instance>.txt profile in dir through
 // the incremental scanner, one file at a time: emit receives each decoded
 // compact snapshot, and fail (optional) each corrupt or unreadable
@@ -162,8 +141,8 @@ func SaveDir(dir string, snaps []*Snapshot) error {
 // not erase an instance from the sweep. Members with corrupt goroutine
 // headers mid-dump are salvaged even further: the scanner resyncs at the
 // next well-formed header, the whole remainder is kept, and the
-// malformed-member count is reported through fail. Unlike LoadDir it never
-// materialises goroutine records or more than one open file, so archives
+// malformed-member count is reported through fail. It never builds
+// goroutine records or holds more than one open file, so archives
 // recorded at production scale replay in O(locations) memory. Cancelling
 // ctx stops the replay between files.
 func ScanDir(ctx context.Context, dir string, takenAt time.Time, emit func(*Snapshot), fail func(name string, err error)) error {
@@ -227,7 +206,7 @@ func scanFile(path, service, instance string, takenAt time.Time) (*Snapshot, err
 }
 
 // splitArchiveName recovers (service, instance) from an archive file
-// name, mirroring how LoadDir names were produced.
+// name, mirroring how DirWriter.Write names were produced.
 func splitArchiveName(name string) (service, instance string) {
 	base := strings.TrimSuffix(name, ".txt")
 	service, instance, ok := strings.Cut(base, "_")
@@ -235,36 +214,6 @@ func splitArchiveName(name string) (service, instance string) {
 		return base, base
 	}
 	return service, instance
-}
-
-// LoadDir reads every <service>_<instance>.txt profile in dir into fully
-// parsed snapshots. Files that fail to parse are skipped with their error
-// reported in errs; a sweep archive must tolerate a corrupt member.
-// Replays that only need blocked-count aggregates should use ScanDir,
-// which streams instead of materialising records.
-func LoadDir(dir string, takenAt time.Time) (snaps []*Snapshot, errs []error, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gprofile: reading %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".txt") {
-			continue
-		}
-		body, rerr := os.ReadFile(filepath.Join(dir, e.Name()))
-		if rerr != nil {
-			errs = append(errs, rerr)
-			continue
-		}
-		service, instance := splitArchiveName(e.Name())
-		snap, perr := ParseSnapshot(service, instance, takenAt, string(body))
-		if perr != nil {
-			errs = append(errs, perr)
-			continue
-		}
-		snaps = append(snaps, snap)
-	}
-	return snaps, errs, nil
 }
 
 func sanitize(s string) string {

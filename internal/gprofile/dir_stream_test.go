@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // TestDirWriterScanDirRoundTrip drives the streaming archive path both
 // ways: snapshots written through one at a time (from concurrent
 // writers, as ArchiveSink does during a sweep) and replayed one file at a
-// time, preserving the blocked-operation counts.
+// time, preserving the blocked-operation counts of every operation kind.
 func TestDirWriterScanDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewDirWriter(dir)
@@ -23,12 +24,11 @@ func TestDirWriterScanDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	send := stack.BlockedOp{Op: "send", Function: "pay.leak", Location: "/pay/l.go:9"}
+	sel := stack.BlockedOp{Op: "select", Function: "pay.worker", Location: "/pay/w.go:22"}
 	snaps := []*Snapshot{
-		{Service: "pay", Instance: "i1", PreAggregated: map[stack.BlockedOp]int{send: 3}},
+		{Service: "pay", Instance: "i1", PreAggregated: map[stack.BlockedOp]int{send: 3, sel: 2}},
 		{Service: "pay", Instance: "i2", PreAggregated: map[stack.BlockedOp]int{send: 5}},
-		{Service: "search", Instance: "h/1", Goroutines: []*stack.Goroutine{
-			mkGoroutine(1, "IO wait", "search.read", "/s/r.go", 7),
-		}},
+		{Service: "search", Instance: "h/1"}, // nothing blocked; slash sanitised in filename
 	}
 	var wg sync.WaitGroup
 	for _, s := range snaps {
@@ -50,19 +50,17 @@ func TestDirWriterScanDirRoundTrip(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("replayed %d snapshots, want 3", len(got))
 	}
-	total := 0
+	total := map[stack.BlockedOp]int{}
 	for _, s := range got {
 		if !s.TakenAt.Equal(time.Unix(9, 0)) {
 			t.Errorf("timestamp = %v", s.TakenAt)
 		}
 		for op, n := range s.CountByLocation() {
-			if op.Op == "send" && op.Location == "/pay/l.go:9" {
-				total += n
-			}
+			total[op] += n
 		}
 	}
-	if total != 8 {
-		t.Errorf("replayed blocked total = %d, want 8", total)
+	if want := map[stack.BlockedOp]int{send: 8, sel: 2}; !reflect.DeepEqual(total, want) {
+		t.Errorf("replayed blocked counts = %v, want %v", total, want)
 	}
 }
 

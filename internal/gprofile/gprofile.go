@@ -5,7 +5,8 @@
 //
 // LEAKPROF (Section V of the paper) consumes these profiles: every service
 // instance exposes the endpoint, the collector fetches a snapshot per
-// instance per day, and the analyzer inspects the parsed goroutines.
+// instance per day, and the scan counts its channel-blocked goroutines
+// by operation and location; the analyzer reads only those counts.
 //
 // Two text encodings exist:
 //
@@ -47,10 +48,11 @@ type Profile struct {
 }
 
 // Snapshot is one instance's goroutine profile as LEAKPROF consumes it:
-// collection metadata plus the goroutine population in one of two forms —
-// fully parsed records (Goroutines) or compact blocked-operation counts
-// (PreAggregated). ScanSnapshot, the streaming collection path, produces
-// only the compact form, and never builds a goroutine record to do so.
+// collection metadata plus the population as counts — how many
+// goroutines are blocked at each channel operation and source location,
+// and how many goroutines there are in all. ScanSnapshot builds it while
+// streaming a dump, without building a goroutine record; simulators
+// build it directly.
 type Snapshot struct {
 	// Service is the owning service name.
 	Service string
@@ -58,42 +60,19 @@ type Snapshot struct {
 	Instance string
 	// TakenAt is the collection timestamp.
 	TakenAt time.Time
-	// Goroutines are all goroutines in the instance at collection time.
-	// Empty for snapshots built by ScanSnapshot, which aggregates while
-	// scanning instead of retaining records.
-	Goroutines []*stack.Goroutine
-	// PreAggregated carries blocked-operation counts aggregated at the
-	// source: ScanSnapshot counts them while streaming the profile body
-	// (stack.Scanner.Tally: no goroutine record is built, only each
-	// member's header and frames through the leaf are kept), and
-	// large-scale simulators use them instead of materialising millions
-	// of identical records. Wait durations are preserved in the
-	// key so duration-sensitive filters still apply; CountByLocation and
-	// the analyzer fold them away when grouping. Both representations
-	// may coexist and are merged by every consumer.
+	// PreAggregated counts the channel-blocked goroutines per
+	// (operation, location). Wait durations are preserved in the key
+	// so duration-sensitive filters still apply; CountByLocation and
+	// the analyzer fold them away when grouping.
 	PreAggregated map[stack.BlockedOp]int
-	// TotalGoroutines is the number of goroutines scanned, including
-	// unblocked ones, when the snapshot was built by ScanSnapshot; zero
-	// for snapshots carrying full records (use len(Goroutines)).
+	// TotalGoroutines is the instance's whole goroutine population,
+	// blocked or not.
 	TotalGoroutines int
 	// Malformed counts goroutine members the scan dropped while
 	// resyncing past corrupt headers (stack.Scanner.Malformed): the
 	// per-dump diagnostic that a profile was salvaged rather than
 	// decoded cleanly. Zero for a clean scan.
 	Malformed int
-}
-
-// NumGoroutines returns the instance's goroutine population size in
-// either representation.
-func (s *Snapshot) NumGoroutines() int {
-	if s.TotalGoroutines > 0 {
-		return s.TotalGoroutines
-	}
-	n := len(s.Goroutines)
-	for _, c := range s.PreAggregated {
-		n += c
-	}
-	return n
 }
 
 // Aggregate folds full goroutine records into debug=1 form, grouping by
@@ -253,37 +232,20 @@ func parseFrameLine(line string) (stack.Frame, error) {
 	return f, nil
 }
 
-// ParseSnapshot decodes a debug=2 profile body into a Snapshot with fully
-// parsed goroutine records. Collection paths that only need blocked-count
-// aggregates should use ScanSnapshot, which streams the body instead of
-// materialising it.
-func ParseSnapshot(service, instance string, takenAt time.Time, body string) (*Snapshot, error) {
-	gs, err := stack.Parse(body)
-	if err != nil {
-		return nil, fmt.Errorf("gprofile: parsing %s/%s: %w", service, instance, err)
-	}
-	return &Snapshot{Service: service, Instance: instance, TakenAt: takenAt, Goroutines: gs}, nil
-}
-
-// ScanSnapshot streams a debug=2 profile body and returns a compact
-// snapshot: per-(operation, location) blocked counts plus the total
-// goroutine count, counted one member at a time by the scanner's Tally
-// path. Collection never builds goroutine records: it holds neither the
-// body nor a *stack.Goroutine per member, and allocates per distinct
-// string in the dump, not per goroutine. Wait durations stay in the
-// aggregation key (they are coarse, so cardinality is low) so criterion-2
-// filters that inspect blocking durations behave exactly as on full
-// records. This is the LEAKPROF collection path: peak memory per profile
-// is O(distinct blocked locations), not O(goroutines).
-func ScanSnapshot(service, instance string, takenAt time.Time, r io.Reader) (*Snapshot, error) {
-	return ScanSnapshotWith(service, instance, takenAt, r, nil)
-}
-
-// ScanSnapshotWith is ScanSnapshot with a shared intern pool: strings the
-// scan interns (function names, file paths, state annotations) are drawn
-// from pool when non-nil, so a sweep's many fetches stop re-interning the
-// fleet's identical strings once per Scanner.
-func ScanSnapshotWith(service, instance string, takenAt time.Time, r io.Reader, pool *stack.InternPool) (*Snapshot, error) {
+// ScanSnapshot streams a debug=2 profile body and returns its counts:
+// per-(operation, location) blocked counts plus the total goroutine
+// count, counted one member at a time by the scanner's Tally path. It
+// holds neither the body nor a *stack.Goroutine per member, and
+// allocates per distinct string in the dump, not per goroutine. Wait
+// durations stay in the aggregation key (they are coarse, so
+// cardinality is low) so criterion-2 filters that inspect blocking
+// durations see them. Strings the scan interns (function names, file
+// paths, state annotations) are drawn from pool, so a sweep's many
+// fetches stop re-interning the fleet's identical strings once per
+// Scanner; a nil pool interns privately. This is the LEAKPROF
+// collection path: peak memory per profile is O(distinct blocked
+// locations), not O(goroutines).
+func ScanSnapshot(service, instance string, takenAt time.Time, r io.Reader, pool *stack.InternPool) (*Snapshot, error) {
 	snap, err := scanSnapshotPartial(service, instance, takenAt, r, pool)
 	if err != nil {
 		return nil, err
@@ -299,13 +261,13 @@ func ScanSnapshotWith(service, instance string, takenAt time.Time, r io.Reader, 
 var scannerPool sync.Pool
 
 // scanSnapshotPartial is the shared counting scan behind
-// ScanSnapshotWith and the archive replay path. Unlike the exported
+// ScanSnapshot and the archive replay path. Unlike the exported
 // entry point it keeps what it scanned: on a mid-body error the partial
 // snapshot (members counted before the corruption) is returned alongside
 // the error — nil only when nothing was salvaged — so archive replay can
 // keep a torn member's valid prefix. Callers that keep the partial are
 // responsible for saying so in any surfaced error; the error here makes
-// no salvage claim, since ScanSnapshotWith discards the partial.
+// no salvage claim, since ScanSnapshot discards the partial.
 func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reader, pool *stack.InternPool) (*Snapshot, error) {
 	sc, ok := scannerPool.Get().(*stack.Scanner)
 	if ok {
@@ -347,16 +309,8 @@ func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reade
 func (s *Snapshot) CountByLocation() map[stack.BlockedOp]int {
 	counts := make(map[stack.BlockedOp]int, len(s.PreAggregated))
 	for op, n := range s.PreAggregated {
-		op.WaitTime = 0
-		counts[op] += n
-	}
-	for _, g := range s.Goroutines {
-		op, ok := g.BlockedChannelOp()
-		if !ok {
-			continue
-		}
 		op.WaitTime = 0 // group irrespective of individual wait times
-		counts[op] += g.Multiplicity()
+		counts[op] += n
 	}
 	return counts
 }

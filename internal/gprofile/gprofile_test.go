@@ -131,7 +131,7 @@ goroutine 4 [running]:
 svc.handler()
 	/svc/h.go:1 +0x1
 `
-	snap, err := ParseSnapshot("svc", "inst-1", time.Unix(100, 0), body)
+	snap, err := ScanSnapshot("svc", "inst-1", time.Unix(100, 0), strings.NewReader(body), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

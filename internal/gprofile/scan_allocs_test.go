@@ -17,7 +17,7 @@ import (
 
 // TestScanSnapshotAllocs pins the counting scan's allocation profile:
 // once a scan has warmed the pooled scanner and the shared intern pool,
-// ScanSnapshotWith allocates per distinct string and per dump, never per
+// ScanSnapshot allocates per distinct string and per dump, never per
 // member, so a 10K-goroutine clustered dump costs what a 1K one does.
 func TestScanSnapshotAllocs(t *testing.T) {
 	pool := stack.NewInternPool(0)
@@ -25,7 +25,7 @@ func TestScanSnapshotAllocs(t *testing.T) {
 		cfg := synth.DumpConfig{Benign: 200, LeakClusters: 4, ClusterSize: clusterSize, Seed: 1}
 		dump := synth.PullDump(cfg)
 		return testing.AllocsPerRun(5, func() {
-			snap, err := ScanSnapshotWith("svc", "i1", time.Time{}, strings.NewReader(dump), pool)
+			snap, err := ScanSnapshot("svc", "i1", time.Time{}, strings.NewReader(dump), pool)
 			if err != nil {
 				t.Fatal(err)
 			}

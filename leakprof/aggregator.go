@@ -368,9 +368,6 @@ func impactFromStats(r Ranking, g *locStats, serviceInstances int) float64 {
 // filteredCounts groups one snapshot's channel-blocked goroutines by
 // (operation, location), applying criterion-2 filters per operation —
 // before aggregation folds wait durations away, so filters can see them.
-// Full goroutine records and pre-aggregated counts (the streaming
-// collector and large-scale simulator paths) pass through the same
-// filters and merge.
 func filteredCounts(filters []OpFilter, snap *gprofile.Snapshot) map[stack.BlockedOp]int {
 	dropped := func(op stack.BlockedOp) bool {
 		for _, f := range filters {
@@ -387,14 +384,6 @@ func filteredCounts(filters []OpFilter, snap *gprofile.Snapshot) map[stack.Block
 		}
 		op.WaitTime = 0
 		counts[op] += n
-	}
-	for _, g := range snap.Goroutines {
-		op, ok := g.BlockedChannelOp()
-		if !ok || dropped(op) {
-			continue
-		}
-		op.WaitTime = 0
-		counts[op] += g.Multiplicity()
 	}
 	return counts
 }

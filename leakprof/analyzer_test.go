@@ -12,31 +12,15 @@ import (
 	"repro/internal/stack"
 )
 
-// snap builds a snapshot with n goroutines blocked at the given op/location
-// plus some benign background goroutines.
+// snap builds a snapshot with n goroutines blocked at each given
+// op/location plus two benign background goroutines.
 func snap(service, instance string, blocked map[stack.BlockedOp]int) *gprofile.Snapshot {
-	s := &gprofile.Snapshot{Service: service, Instance: instance, TakenAt: time.Unix(0, 0)}
-	id := int64(1)
+	s := &gprofile.Snapshot{Service: service, Instance: instance, TakenAt: time.Unix(0, 0),
+		PreAggregated: map[stack.BlockedOp]int{}, TotalGoroutines: 2}
 	for op, n := range blocked {
-		state := map[string]string{"send": "chan send", "receive": "chan receive", "select": "select"}[op.Op]
-		for i := 0; i < n; i++ {
-			s.Goroutines = append(s.Goroutines, &stack.Goroutine{
-				ID:    id,
-				State: state,
-				Frames: []stack.Frame{{
-					Function: op.Function,
-					File:     op.Location[:len(op.Location)-2], // strip ":N"
-					Line:     atoiTail(op.Location),
-				}},
-			})
-			id++
-		}
+		s.PreAggregated[op] += n
+		s.TotalGoroutines += n
 	}
-	// Background noise: a running goroutine and an IO-wait goroutine.
-	s.Goroutines = append(s.Goroutines,
-		&stack.Goroutine{ID: id, State: "running", Frames: []stack.Frame{{Function: "svc.handler", File: "/svc/h.go", Line: 1}}},
-		&stack.Goroutine{ID: id + 1, State: "IO wait", Frames: []stack.Frame{{Function: "svc.read", File: "/svc/r.go", Line: 2}}},
-	)
 	return s
 }
 
@@ -49,12 +33,6 @@ func analyze(t testing.TB, snaps []*gprofile.Snapshot, opts ...Option) []*Findin
 		t.Fatal(err)
 	}
 	return sweep.Findings
-}
-
-func atoiTail(loc string) int {
-	var n int
-	fmt.Sscanf(loc[len(loc)-1:], "%d", &n)
-	return n
 }
 
 func op(kind, fn, loc string) stack.BlockedOp {

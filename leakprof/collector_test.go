@@ -58,13 +58,9 @@ func TestCollectFetchesAndScans(t *testing.T) {
 	if !snap.TakenAt.Equal(time.Unix(42, 0)) {
 		t.Errorf("timestamp = %v", snap.TakenAt)
 	}
-	// The body streamed through the scanner: the snapshot is compact,
-	// carrying aggregates rather than goroutine records.
-	if len(snap.Goroutines) != 0 {
-		t.Errorf("snapshot retained %d goroutine records", len(snap.Goroutines))
-	}
-	if snap.NumGoroutines() != 2 {
-		t.Errorf("total goroutines = %d, want 2", snap.NumGoroutines())
+	// The body streamed through the scanner into counts.
+	if snap.TotalGoroutines != 2 {
+		t.Errorf("total goroutines = %d, want 2", snap.TotalGoroutines)
 	}
 	want := stack.BlockedOp{Op: "send", Location: "/svc/l.go:5", Function: "svc.leak"}
 	if n := snap.PreAggregated[want]; n != 1 {
@@ -190,8 +186,8 @@ func TestCollectRejectsOversizedProfile(t *testing.T) {
 	if sweep.Errors != 0 {
 		t.Fatalf("at-limit profile errored: %v", sweep.Failures)
 	}
-	if snaps[0].NumGoroutines() != 50 {
-		t.Errorf("goroutines = %d, want 50", snaps[0].NumGoroutines())
+	if snaps[0].TotalGoroutines != 50 {
+		t.Errorf("goroutines = %d, want 50", snaps[0].TotalGoroutines)
 	}
 }
 

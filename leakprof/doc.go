@@ -19,17 +19,18 @@
 //		&leakprof.ReportSink{Reporter: reporter}, // dedup + top-N alerts
 //		&leakprof.TrendSink{Tracker: tracker},    // cross-sweep verdicts
 //	)
-//	sweep, err := pipe.Sweep(ctx, leakprof.Endpoints(enumerateFleet))
+//	sweep, err := pipe.Sweep(ctx, leakprof.StaticEndpoints(fleet...))
 //
 // Every profile origin drives the identical engine:
 //
-//   - Endpoints / StaticEndpoints — HTTP fleet collection with bounded
+//   - StaticEndpoints — HTTP fleet collection with bounded
 //     parallelism, bounded jittered retry, and per-service error
 //     budgets; response bodies stream through the incremental stack
 //     scanner, never materialised.
-//   - Archive — replay of an on-disk sweep archive, one file at a time.
+//   - Archive — replay of one recorded sweep directory, one file at a
+//     time (Pipeline.Replay walks every sweep an ArchiveSink recorded).
 //   - fleet.(*Fleet).Source — a simulated platform (internal/fleet).
-//   - FromSnapshots / Dumps — materialised snapshots or raw debug=2
+//   - FromSnapshots / Dumps — snapshots already counted, or raw debug=2
 //     bodies (synthetic dumps, out-of-band captures).
 //
 // Sinks receive each snapshot as it is collected plus the completed

@@ -69,7 +69,7 @@ func TestStateStoreSyncPolicies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			store, err := OpenStateStore(dir, StateSync(tc.policy))
+			store, err := OpenStateStore(dir, WithStateSync(tc.policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestStateStoreStartsNoGoroutine(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncEverySweep, SyncOnClose} {
 		t.Run(policy.String(), func(t *testing.T) {
 			opts := goleak.IgnoreCurrent()
-			store, err := OpenStateStore(t.TempDir(), StateSync(policy))
+			store, err := OpenStateStore(t.TempDir(), WithStateSync(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestStateStoreCrashRecoveryPerSyncPolicy(t *testing.T) {
 	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			store, err := OpenStateStore(dir, StateSync(tc.policy))
+			store, err := OpenStateStore(dir, WithStateSync(tc.policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestStateStoreCrashRecoveryPerSyncPolicy(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			re, err := OpenStateStore(dir, StateSync(tc.policy))
+			re, err := OpenStateStore(dir, WithStateSync(tc.policy))
 			if err != nil {
 				t.Fatalf("%s: crash recovery failed: %v", tc.name, err)
 			}
@@ -311,7 +311,7 @@ func TestStateStoreSyncsDirectory(t *testing.T) {
 // sweep ever recorded.
 func TestStateStoreConcurrentCompactionStress(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir, StateCompaction(1, 2))
+	store, err := OpenStateStore(dir, WithStateCompaction(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestStateStoreBugRetention(t *testing.T) {
 	dir := t.TempDir()
 	day := 1
 	clock := func() time.Time { return time.Unix(0, 0).Add(time.Duration(day) * 24 * time.Hour) }
-	store, err := OpenStateStore(dir, StateClock(clock), StateBugRetention(3*24*time.Hour))
+	store, err := OpenStateStore(dir, WithClock(clock), WithBugRetention(3*24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestStateStoreBugRetention(t *testing.T) {
 
 	// Recovery replays history that still names the aged bug; the window
 	// re-applies at open.
-	re, err := OpenStateStore(dir, StateClock(clock), StateBugRetention(3*24*time.Hour))
+	re, err := OpenStateStore(dir, WithClock(clock), WithBugRetention(3*24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package leakprof
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,18 +50,13 @@ func handler(ctx context.Context, ch chan int) {
 
 	// Profiles show big clusters at both selects; only the ordinary
 	// one must survive.
-	mk := func(fn, loc string, line, n int) *gprofile.Snapshot {
-		s := &gprofile.Snapshot{Service: "svc", Instance: "i1"}
-		for i := 0; i < n; i++ {
-			s.Goroutines = append(s.Goroutines, &stack.Goroutine{
-				ID: int64(i), State: "select",
-				Frames: []stack.Frame{{Function: fn, File: "svc/worker.go", Line: line}},
-			})
-		}
-		return s
+	mk := func(fn, loc string, n int) *gprofile.Snapshot {
+		op := stack.BlockedOp{Op: "select", Function: fn, Location: loc}
+		return &gprofile.Snapshot{Service: "svc", Instance: "i1",
+			PreAggregated: map[stack.BlockedOp]int{op: n}, TotalGoroutines: n}
 	}
-	snapTransient := mk("svc.heartbeat", "svc/worker.go:5", 5, 500)
-	snapBlocking := mk("svc.handler", "svc/worker.go:13", 13, 500)
+	snapTransient := mk("svc.heartbeat", "svc/worker.go:5", 500)
+	snapBlocking := mk("svc.handler", "svc/worker.go:13", 500)
 
 	findings := analyze(t, []*gprofile.Snapshot{snapTransient, snapBlocking}, WithThreshold(100), WithFilters(filter))
 	if len(findings) != 1 {
@@ -83,12 +80,17 @@ func TestFilterMinWait(t *testing.T) {
 		ID: 3, State: "chan send",
 		Frames: []stack.Frame{{Function: "svc.opaque", File: "/svc/o.go", Line: 2}},
 	}
-	snap := &gprofile.Snapshot{Service: "svc", Instance: "i1",
-		Goroutines: []*stack.Goroutine{longBlocked, justBlocked, noWaitInfo}}
+	body := stack.Format([]*stack.Goroutine{longBlocked, justBlocked, noWaitInfo})
 
-	findings := analyze(t, []*gprofile.Snapshot{snap}, WithThreshold(1), WithFilters(FilterMinWait(time.Minute)))
+	// The dump goes through the scanner, which must keep each wait
+	// duration for the filter to see.
+	pipe := New(WithThreshold(1), WithFilters(FilterMinWait(time.Minute)))
+	sweep, err := pipe.Sweep(context.Background(), Dumps(Dump{Service: "svc", Instance: "i1", Body: strings.NewReader(body)}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := map[string]bool{}
-	for _, f := range findings {
+	for _, f := range sweep.Findings {
 		got[f.Function] = true
 	}
 	if !got["svc.leak"] {

@@ -128,7 +128,7 @@ func FuzzDecodeJournalPayload(f *testing.F) {
 // delta segment headed by a dictionary-seed frame, and a compacted
 // snapshot segment — each with its frame end offsets.
 func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
-	store, err := OpenStateStore(f.TempDir(), StateCompaction(1, 100))
+	store, err := OpenStateStore(f.TempDir(), WithStateCompaction(1, 100))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 	"repro/internal/gprofile"
 )
 
-// Always-on streaming ingestion. The pull plane (Endpoints, the paper's
+// Always-on streaming ingestion. The pull plane (StaticEndpoints, the paper's
 // daily sweep) fans a fetch out to every instance, so fleet growth
 // multiplies per-sweep fan-out and peak collection latency. The push
 // plane inverts it: instances POST their own debug=2 dumps to an

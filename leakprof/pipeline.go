@@ -275,9 +275,9 @@ func WithBugRetention(age time.Duration) Option {
 //		leakprof.WithErrorBudget(3),
 //	)
 //	pipe.AddSinks(&leakprof.ReportSink{Reporter: rep}, &leakprof.TrendSink{Tracker: tr})
-//	sweep, err := pipe.Sweep(ctx, leakprof.Endpoints(enumerate))
+//	sweep, err := pipe.Sweep(ctx, leakprof.StaticEndpoints(fleet...))
 //
-// The same pipeline sweeps HTTP fleets (Endpoints), on-disk archives
+// The same pipeline sweeps HTTP fleets (StaticEndpoints), on-disk archives
 // (Archive), simulated fleets (fleet.(*Fleet).Source), materialised
 // snapshots (FromSnapshots), and raw dump bodies (Dumps). Sweeps are
 // serialised per Pipeline; the collection inside one sweep is
@@ -331,13 +331,7 @@ func (p *Pipeline) State() (*StateStore, error) {
 	p.stateOnce.Do(func() {
 		// The store inherits the pipeline's clock so journal frames are
 		// stamped with the same (possibly fake) time the sweeps use.
-		p.store, p.stateErr = OpenStateStore(p.cfg.StateDir,
-			StateClock(p.cfg.now),
-			StateCompaction(p.cfg.StateSegmentBytes, p.cfg.StateMaxSegments),
-			StateTrendRetention(p.cfg.TrendRetention),
-			StateSync(p.cfg.StateSync),
-			StateBugRetention(p.cfg.BugRetention),
-		)
+		p.store, p.stateErr = openStateStore(p.cfg.StateDir, &p.cfg)
 	})
 	return p.store, p.stateErr
 }

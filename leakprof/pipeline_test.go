@@ -2,6 +2,7 @@ package leakprof
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func TestPipelineUnifiesSources(t *testing.T) {
 	defer shutdown()
 
 	dir := t.TempDir()
-	archiveSink, err := NewArchiveSink(dir)
+	archiveSink, err := NewSweepArchiveSink(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestPipelineUnifiesSources(t *testing.T) {
 	// Origin 2: the archive the first sweep wrote through, replayed by
 	// a fresh pipeline with the same detection options.
 	replayPipe := New(WithThreshold(100))
-	archSweep, err := replayPipe.Sweep(context.Background(), Archive(dir))
+	archSweep, err := replayPipe.Sweep(context.Background(), Archive(filepath.Join(dir, "sweep-0001")))
 	if err != nil {
 		t.Fatal(err)
 	}

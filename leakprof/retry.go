@@ -133,7 +133,7 @@ func (b *errorBudget) spend(service string) {
 	b.mu.Unlock()
 }
 
-// fetchFleet is the Endpoints source's HTTP collection loop: bounded
+// fetchFleet is the StaticEndpoints source's HTTP collection loop: bounded
 // parallelism, bounded retry with jittered backoff, per-service error
 // budgets (optionally pre-seeded with prevFailures, the previous sweep's
 // journaled per-service failure counts), and each response body streaming

@@ -217,7 +217,7 @@ type MetricsTotals struct {
 func (m *MetricsSink) Snapshot(snap *gprofile.Snapshot) {
 	m.mu.Lock()
 	m.t.Profiles++
-	m.t.Goroutines += snap.NumGoroutines()
+	m.t.Goroutines += snap.TotalGoroutines
 	m.mu.Unlock()
 }
 
@@ -247,13 +247,13 @@ func (m *MetricsSink) Totals() MetricsTotals {
 // index, format version), so replaying the archive reconstructs the
 // sweep at its recorded time instead of the replay time.
 //
-// NewArchiveSink records one sweep per directory (a repeated sweep
-// overwrites); NewSweepArchiveSink rotates a fresh timestamp-manifested
-// subdirectory per sweep, the multi-sweep layout Pipeline.Replay walks
-// in recorded order — the durable form of the paper's daily cadence.
+// Each sweep lands in a fresh timestamp-manifested sweep-NNNN
+// subdirectory of one base directory, the multi-sweep layout
+// Pipeline.Replay walks in recorded order — the durable form of the
+// paper's daily cadence. Archive replays one such subdirectory.
 type ArchiveSink struct {
-	base string // multi-sweep base dir; empty in single-sweep mode
-	keep int    // multi-sweep retention: max finalised sweeps kept (0 = unlimited)
+	base string // base dir holding one sweep-NNNN subdirectory per sweep
+	keep int    // retention: max finalised sweeps kept (0 = unlimited)
 
 	mu       sync.Mutex
 	w        *gprofile.DirWriter
@@ -262,7 +262,7 @@ type ArchiveSink struct {
 	written  int
 }
 
-// ArchiveOption tunes a multi-sweep archive sink.
+// ArchiveOption tunes an archive sink.
 type ArchiveOption func(*ArchiveSink)
 
 // KeepSweeps bounds the archive to the n most recently recorded
@@ -279,16 +279,6 @@ func KeepSweeps(n int) ArchiveOption {
 			s.keep = n
 		}
 	}
-}
-
-// NewArchiveSink creates dir and returns a write-through sink recording
-// one sweep into it.
-func NewArchiveSink(dir string) (*ArchiveSink, error) {
-	w, err := gprofile.NewDirWriter(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &ArchiveSink{w: w}, nil
 }
 
 // NewSweepArchiveSink creates base and returns a rotating sink: each
@@ -324,14 +314,8 @@ func NewSweepArchiveSink(base string, opts ...ArchiveOption) (*ArchiveSink, erro
 	return s, nil
 }
 
-// Dir returns the archive directory: the base directory in multi-sweep
-// mode, the sweep directory otherwise.
-func (s *ArchiveSink) Dir() string {
-	if s.base != "" {
-		return s.base
-	}
-	return s.w.Dir()
-}
+// Dir returns the archive's base directory.
+func (s *ArchiveSink) Dir() string { return s.base }
 
 // Written returns the number of snapshots archived so far, across all
 // sweeps.
@@ -342,7 +326,7 @@ func (s *ArchiveSink) Written() int {
 }
 
 // writer returns the current sweep's directory writer, opening the next
-// rotation subdirectory on demand in multi-sweep mode.
+// rotation subdirectory on demand.
 func (s *ArchiveSink) writer() (*gprofile.DirWriter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,19 +359,17 @@ func (s *ArchiveSink) Snapshot(snap *gprofile.Snapshot) {
 }
 
 // SweepDone finalises the sweep's directory with its manifest — stamped
-// with the sweep's recorded time — rotates in multi-sweep mode, prunes
-// sweeps beyond the retention bound, and surfaces the first write error
-// of the sweep, if any.
+// with the sweep's recorded time — rotates, prunes sweeps beyond the
+// retention bound, and surfaces the first write error of the sweep, if
+// any.
 func (s *ArchiveSink) SweepDone(sweep *Sweep) error {
 	s.mu.Lock()
 	w, err := s.w, s.writeErr
 	s.writeErr = nil
-	if s.base != "" {
-		s.w = nil // next sweep rotates into a fresh subdirectory
-	}
+	s.w = nil // next sweep rotates into a fresh subdirectory
 	s.mu.Unlock()
 	if w == nil {
-		return err // multi-sweep mode, empty sweep: nothing archived
+		return err // empty sweep: nothing archived
 	}
 	if merr := w.WriteManifest(sweep.At, sweep.Source); err == nil {
 		err = merr
@@ -406,7 +388,7 @@ func (s *ArchiveSink) SweepDone(sweep *Sweep) error {
 // replay of old history recorded into a retained archive is still the
 // newest recording and must survive its own finalisation.
 func (s *ArchiveSink) prune() error {
-	if s.base == "" || s.keep <= 0 {
+	if s.keep <= 0 {
 		return nil
 	}
 	entries, err := os.ReadDir(s.base)

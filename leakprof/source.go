@@ -65,29 +65,20 @@ type Source interface {
 	Sweep(ctx context.Context, env *SweepEnv) error
 }
 
-// Endpoints returns a Source collecting over HTTP from the fleet the
-// enumerator returns. Enumeration runs at each sweep because deployments
-// churn between sweeps. Fetches honour the pipeline's parallelism,
-// timeout, retry policy, and per-service error budget, and each response
-// body streams straight through the stack scanner — this is the
-// production collection path.
-func Endpoints(enumerate func() []Endpoint) Source {
-	return endpointSource{enumerate: enumerate}
-}
-
-// StaticEndpoints is Endpoints over a fixed fleet.
+// StaticEndpoints returns a Source collecting over HTTP from a fixed
+// fleet; a caller whose deployments churn builds a new one per sweep.
+// Fetches honour the pipeline's parallelism, timeout, retry policy, and
+// per-service error budget, and each response body streams straight
+// through the stack scanner — this is the production collection path.
 func StaticEndpoints(eps ...Endpoint) Source {
-	return Endpoints(func() []Endpoint { return eps })
+	return endpointSource(eps)
 }
 
-type endpointSource struct {
-	enumerate func() []Endpoint
-}
+type endpointSource []Endpoint
 
 func (endpointSource) Name() string { return "endpoints" }
 
-func (s endpointSource) Sweep(ctx context.Context, env *SweepEnv) error {
-	eps := s.enumerate()
+func (eps endpointSource) Sweep(ctx context.Context, env *SweepEnv) error {
 	fetchFleet(ctx, env.Config, env.prevFailures, eps, func(i int, snap *gprofile.Snapshot, err error) {
 		if err != nil {
 			env.Fail(eps[i].Service, eps[i].Instance, err)
@@ -116,16 +107,17 @@ func salvageError(malformed int) error {
 	return fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, malformed)
 }
 
-// Archive returns a Source replaying an on-disk sweep archive (the
-// <service>_<instance>.txt layout ArchiveSink and gprofile.SaveDir
-// write). Files stream through the scanner one at a time; corrupt
-// members fail individually — with any salvageable prefix records still
-// emitted — without aborting the replay. When the archive carries a
-// manifest (every ArchiveSink finalisation writes one), the sweep
-// replays at its recorded timestamp, so trend verdicts over replayed
-// history match the verdicts the original sweeps produced. For a
-// multi-sweep archive (NewSweepArchiveSink's layout), use
-// Pipeline.Replay, which runs one timestamped sweep per recorded sweep.
+// Archive returns a Source replaying one recorded sweep: a directory in
+// the <service>_<instance>.txt layout gprofile.DirWriter writes, such as
+// one sweep-NNNN subdirectory of an ArchiveSink. Files stream through
+// the scanner one at a time; corrupt members fail individually — with
+// any salvageable prefix records still emitted — without aborting the
+// replay. When the directory carries a manifest (every ArchiveSink
+// finalisation writes one), the sweep replays at its recorded
+// timestamp, so trend verdicts over replayed history match the verdicts
+// the original sweeps produced. To replay a whole ArchiveSink base
+// directory, use Pipeline.Replay, which runs one timestamped sweep per
+// recorded sweep.
 func Archive(dir string) Source {
 	return archiveSource{dir: dir}
 }
@@ -193,7 +185,7 @@ func (s dumpSource) Sweep(ctx context.Context, env *SweepEnv) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		snap, err := gprofile.ScanSnapshotWith(d.Service, d.Instance, env.Config.now(), d.Body, env.Config.Intern)
+		snap, err := gprofile.ScanSnapshot(d.Service, d.Instance, env.Config.now(), d.Body, env.Config.Intern)
 		if err != nil {
 			env.Fail(d.Service, d.Instance, err)
 			continue

@@ -160,19 +160,21 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // pointer to it atomically. That sweep waits for the fold, whose cost
 // grows with the number of tracked keys.
 //
-// Open a store, wire its BugDB and Tracker into the sinks, and attach it
-// to the pipeline:
+// A pipeline opens its store under WithStateDir, with the pipeline's
+// clock, compaction thresholds, sync policy, and retention windows;
+// Pipeline.State returns it, and its BugDB and Tracker are what the
+// sinks wire to:
 //
-//	store, err := leakprof.OpenStateStore(dir)
 //	pipe := leakprof.New(leakprof.WithStateDir(dir), ...)
+//	store, err := pipe.State()
 //	pipe.AddSinks(
 //		&leakprof.ReportSink{Reporter: &leakprof.Reporter{DB: store.BugDB()}},
 //		&leakprof.TrendSink{Tracker: store.Tracker()},
 //	)
 //
-// (Pipeline.State returns the same store the pipeline opened — with the
-// pipeline's clock, compaction thresholds, sync policy, and retention
-// windows wired in — so the explicit OpenStateStore call is optional.)
+// OpenStateStore opens a store outside a pipeline — a tool reading the
+// journal — and takes the same options. Keep one open store per
+// directory.
 type StateStore struct {
 	dir string
 	now func() time.Time
@@ -207,67 +209,10 @@ type StateStore struct {
 	pendingSeed []string // dictionary seed owed to the head of a fresh segment
 }
 
-// StateOption tunes a StateStore at open time.
-type StateOption func(*StateStore)
-
-// StateClock injects the store's timestamp source, used to stamp every
-// journal frame's SavedAt. The pipeline passes its own clock through, so
-// a run under a fake WithClock clock produces deterministic journal
-// timestamps.
-func StateClock(now func() time.Time) StateOption {
-	return func(s *StateStore) {
-		if now != nil {
-			s.now = now
-		}
-	}
-}
-
-// StateCompaction sets the journal's compaction thresholds: the active
-// segment rolls over once it exceeds segmentBytes, and a fold into one
-// snapshot segment runs once more than maxSegments segments are live.
-// Non-positive values keep the defaults.
-func StateCompaction(segmentBytes int64, maxSegments int) StateOption {
-	return func(s *StateStore) {
-		if segmentBytes > 0 {
-			s.segmentBytes = segmentBytes
-		}
-		if maxSegments > 0 {
-			s.maxSegments = maxSegments
-		}
-	}
-}
-
-// StateTrendRetention bounds the trend history to the last n observations
-// per key. The window is honored everywhere: verdicts and exports see at
-// most n observations, restores trim longer histories, and compaction
-// rewrites the journal without the trimmed past, so the state dir stops
-// growing with the age of the deployment. Zero keeps unlimited history.
-func StateTrendRetention(n int) StateOption {
-	return func(s *StateStore) {
-		if n > 0 {
-			s.tracker.Retention = n
-		}
-	}
-}
-
-// StateSync sets the store's fsync policy (default SyncEverySweep).
-func StateSync(p SyncPolicy) StateOption {
-	return func(s *StateStore) { s.syncPolicy = p }
-}
-
-// StateBugRetention ages closed (fixed or rejected) bugs out of the
-// store once their last sighting is older than age: they leave the
-// in-memory database, stop riding delta frames, and are excluded from
-// compaction folds, so neither memory nor the journal grows with every
-// defect ever resolved. Open bugs never age out — dedup against a
-// still-open report must hold however old it is. Zero keeps everything.
-func StateBugRetention(age time.Duration) StateOption {
-	return func(s *StateStore) {
-		if age > 0 {
-			s.bugRetention = age
-		}
-	}
-}
+// StateClock is WithClock. The repository benchmark opens its seed store
+// with it, and that harness changes only with its own measurement
+// contract, so the name stays until then.
+func StateClock(now func() time.Time) Option { return WithClock(now) }
 
 // OpenStateStore creates dir if needed and recovers its journal. The
 // returned store's BugDB and Tracker are pre-seeded with everything the
@@ -277,7 +222,22 @@ func StateBugRetention(age time.Duration) StateOption {
 // sweep — with one deliberate exception: a torn tail frame in the active
 // segment (a crash mid-append) is truncated, so recovery loses at most
 // the frames the sync policy had not yet made durable.
-func OpenStateStore(dir string, opts ...StateOption) (*StateStore, error) {
+//
+// The store takes the pipeline's options and reads the ones that concern
+// it: WithClock stamps every journal frame's SavedAt, and
+// WithStateCompaction, WithStateSync, WithTrendRetention and
+// WithBugRetention tune the journal. Other options are ignored.
+func OpenStateStore(dir string, opts ...Option) (*StateStore, error) {
+	var cfg Config
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return openStateStore(dir, &cfg)
+}
+
+// openStateStore opens the store under cfg's clock and journal settings;
+// non-positive thresholds and retention windows keep the defaults.
+func openStateStore(dir string, cfg *Config) (*StateStore, error) {
 	if dir == "" {
 		return nil, errors.New("leakprof: state dir must be non-empty")
 	}
@@ -286,15 +246,19 @@ func OpenStateStore(dir string, opts ...StateOption) (*StateStore, error) {
 	}
 	s := &StateStore{
 		dir:          dir,
-		now:          time.Now,
+		now:          cfg.now,
 		segmentBytes: DefaultStateSegmentBytes,
 		maxSegments:  DefaultStateMaxSegments,
-		syncPolicy:   SyncEverySweep,
+		syncPolicy:   cfg.StateSync,
+		bugRetention: cfg.BugRetention,
 		db:           report.NewDB(),
-		tracker:      &TrendTracker{},
+		tracker:      &TrendTracker{Retention: cfg.TrendRetention},
 	}
-	for _, opt := range opts {
-		opt(s)
+	if cfg.StateSegmentBytes > 0 {
+		s.segmentBytes = cfg.StateSegmentBytes
+	}
+	if cfg.StateMaxSegments > 0 {
+		s.maxSegments = cfg.StateMaxSegments
 	}
 	// Arm the tracker's delta export before any observation is recorded:
 	// this store is the journal that drains it.

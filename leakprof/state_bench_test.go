@@ -31,7 +31,7 @@ func BenchmarkStateJournal(b *testing.B) {
 
 	seed := func(b *testing.B) *StateStore {
 		b.Helper()
-		store, err := OpenStateStore(b.TempDir(), StateTrendRetention(30))
+		store, err := OpenStateStore(b.TempDir(), WithTrendRetention(30))
 		if err != nil {
 			b.Fatal(err)
 		}

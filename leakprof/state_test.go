@@ -628,7 +628,7 @@ func TestStateStoreMidCompactionCrash(t *testing.T) {
 	// segmentBytes=1 forces every sweep into its own segment, the
 	// multi-segment layout compaction exists for.
 	open := func(dir string) *StateStore {
-		store, err := OpenStateStore(dir, StateCompaction(1, 100))
+		store, err := OpenStateStore(dir, WithStateCompaction(1, 100))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,7 +699,7 @@ func errorsIsNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }
 func TestStateStoreTrendRetention(t *testing.T) {
 	const retention = 3
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir, StateTrendRetention(retention))
+	store, err := OpenStateStore(dir, WithTrendRetention(retention))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +730,7 @@ func TestStateStoreTrendRetention(t *testing.T) {
 		t.Errorf("retained window = %+v, want it to end at total 700", obs)
 	}
 
-	re, err := OpenStateStore(dir, StateTrendRetention(retention))
+	re, err := OpenStateStore(dir, WithTrendRetention(retention))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +747,7 @@ func TestStateStoreCompactionThreshold(t *testing.T) {
 	dir := t.TempDir()
 	// Every frame rolls (segmentBytes=1); more than 3 live segments
 	// compacts.
-	store, err := OpenStateStore(dir, StateCompaction(1, 3))
+	store, err := OpenStateStore(dir, WithStateCompaction(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,7 +762,7 @@ func TestStateStoreCompactionThreshold(t *testing.T) {
 	journalSweep(t, store, 5, map[string]int{"/k.go:1": 50})
 	store.Close()
 
-	re, err := OpenStateStore(dir, StateCompaction(1, 3))
+	re, err := OpenStateStore(dir, WithStateCompaction(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -972,7 +972,7 @@ func TestStateStoreFailedCompactionKeepsState(t *testing.T) {
 	// (segmentBytes=1) and more than 2 live segments compacts.
 	thresholdFold := func(t *testing.T, policy SyncPolicy, wantSyncs int64) {
 		dir := t.TempDir()
-		store, err := OpenStateStore(dir, StateCompaction(1, 2), StateSync(policy))
+		store, err := OpenStateStore(dir, WithStateCompaction(1, 2), WithStateSync(policy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1018,7 +1018,7 @@ func TestStateStoreFailedCompactionKeepsState(t *testing.T) {
 // snapshot subsumes.
 func TestStateStoreFoldKeepsConcurrentMutations(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir, StateCompaction(1, 2))
+	store, err := OpenStateStore(dir, WithStateCompaction(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1224,7 +1224,7 @@ func TestStateStoreTornDictionaryFrame(t *testing.T) {
 	dir := t.TempDir()
 	// segmentBytes=1 rolls every sweep into a fresh segment, each opening
 	// with a dictionary seed carried from the previous segment.
-	store, err := OpenStateStore(dir, StateCompaction(1, 100))
+	store, err := OpenStateStore(dir, WithStateCompaction(1, 100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 	// keys, compacted to one snapshot segment.
 	seedState := func(b *testing.B, dir string) {
 		b.Helper()
-		store, err := OpenStateStore(dir, StateTrendRetention(30))
+		store, err := OpenStateStore(dir, WithTrendRetention(30))
 		if err != nil {
 			b.Fatal(err)
 		}
