@@ -13,6 +13,11 @@
 // failing scenario replays identically under -race, under -count=100,
 // and in CI. Faults compose freely — one request can be slow AND serve
 // a torn body — because each kind rolls its own independent hash.
+//
+// One runner (runner.go) drives a fleet through each delivery mode:
+// batch pull, sharded pull with reports handed off through files or an
+// HTTP ShardInbox, and push ingestion, every mode reading the same dump
+// bytes. The scenario matrix (Run) and the mode-parity tests use it.
 package chaos
 
 import (

@@ -28,11 +28,12 @@ import (
 // production misbehaves" — every fault decision is seeded, so a red
 // cell reproduces exactly.
 //
-// Scoring is per service. A scenario plants leaks in half its services
-// (growing past the detection threshold), leaves the rest benign, and
-// optionally adds sub-threshold leakers as hard negatives. A service is
-// detected when any sweep the scenario ran reports a finding for it.
-// Precision = TP/(TP+FP) (1.0 when nothing was detected), recall =
+// The mode runner (runner.go) runs a scenario's fleet through its mode;
+// Run scores what it returns. Scoring is per service. A scenario plants
+// leaks in half its services (growing past the detection threshold),
+// leaves the rest benign, and optionally adds sub-threshold leakers as
+// hard negatives. A service is detected when any sweep the scenario ran
+// reports a finding for it. Precision = TP/(TP+FP) (1.0 when nothing was detected), recall =
 // TP/planted — with planted reduced to the surviving partition when the
 // scenario deliberately crashes or writes off a shard.
 
@@ -93,7 +94,8 @@ type Scenario struct {
 	ErrorBudget int
 	Parallelism int
 
-	// Pull-path fault mix (batch mode).
+	// Pull-path fault mix, in front of every endpoint (batch and sharded
+	// mode).
 	Faults Faults
 	// RollingDeployFrac, with Faults.DeployAfter, rolls this fraction
 	// of every service's instances when the deploy fires.
@@ -107,7 +109,7 @@ type Scenario struct {
 	StragglerDelay    time.Duration
 	StragglerDeadline time.Duration
 	// Inbox routes shard reports over an HTTP ShardInbox instead of
-	// in-process fetches; Duplicates re-POSTs every report (replay);
+	// handoff files; Duplicates re-POSTs every report (replay);
 	// Token arms shared-secret auth; RogueUnauth adds an
 	// unauthenticated poster injecting a fabricated leak.
 	Inbox       bool
@@ -115,10 +117,12 @@ type Scenario struct {
 	Token       string
 	RogueUnauth bool
 
-	// Ingest-mode shape: Windows windows, each one simulated day of
-	// leak growth, every instance POSTing once per window. The Post*
-	// probabilities corrupt POSTed bodies per (window, instance);
-	// PostSkew delays the post into the next window (poster clock
+	// Windows is the number of rounds (at least one), each a simulated
+	// day of leak growth; in ingest mode a round is one window with
+	// every instance POSTing once. The Post* probabilities damage an
+	// instance's dump per (round, instance), in every mode: the endpoint
+	// serves, and the poster POSTs, the same bytes. PostSkew delays an
+	// ingest post into the next window (poster clock
 	// skew). Gzip compresses honest bodies.
 	Windows     int
 	PostTorn    float64
@@ -126,6 +130,9 @@ type Scenario struct {
 	PostBadGzip float64
 	PostSkew    float64
 	Gzip        bool
+	// FoldWorkers sizes the ingest server's fold pool; 0 keeps its
+	// default.
+	FoldWorkers int
 
 	// Floors and SLO. LatencySLO bounds the sweep wall-clock (batch,
 	// sharded) or the slowest window close (ingest).
@@ -183,21 +190,33 @@ func (o observed) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Run executes one scenario and scores it.
+// Run executes one scenario and scores it. Services owned by a
+// deliberately lost shard (crashed, or a straggler its deadline cuts
+// loose) leave the planted set: their leaks are the price of the
+// injected fault, and the scenario instead asserts the loss is visible
+// in the error accounting.
 func Run(ctx context.Context, sc *Scenario) *Result {
 	ctx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
-	switch sc.Mode {
-	case ModeSharded:
-		if sc.Inbox {
-			return runInbox(ctx, sc)
-		}
-		return runSharded(ctx, sc)
-	case ModeIngest:
-		return runIngest(ctx, sc)
-	default:
-		return runBatch(ctx, sc)
+	f, planted := buildFleet(sc)
+	out, err := drive(ctx, sc, f, sc.rollBodyFault, pipelineOptions(sc)...)
+	lost := -1
+	if sc.CrashShard > 0 {
+		lost = sc.CrashShard - 1
+	} else if sc.StragglerShard > 0 && sc.StragglerDeadline > 0 && sc.StragglerDeadline < sc.StragglerDelay {
+		lost = sc.StragglerShard - 1
 	}
+	for svc := range planted {
+		if leakprof.ShardOfService(svc, sc.Shards) == lost {
+			delete(planted, svc)
+		}
+	}
+	detected := make(map[string]bool)
+	obs := out.evidence
+	for _, sweep := range out.Sweeps {
+		tallySweep(sweep, detected, &obs)
+	}
+	return finish(sc, planted, detected, out.Latency, obs, err)
 }
 
 // RunAll executes every scenario in order.
@@ -391,150 +410,7 @@ func finish(sc *Scenario, planted, detected map[string]bool, latency time.Durati
 	return res
 }
 
-// runBatch drives a pull sweep over fault-wrapped HTTP endpoints.
-func runBatch(ctx context.Context, sc *Scenario) *Result {
-	f, planted := buildFleet(sc)
-	inj := &Injector{Seed: sc.Seed, Faults: sc.Faults}
-	if sc.RollingDeployFrac > 0 {
-		frac := sc.RollingDeployFrac
-		inj.OnDeploy = func() { f.DeployRolling(frac) }
-	}
-	endpoints, shutdown := f.ServeWith(func(in *fleet.Instance, h http.Handler) http.Handler {
-		return inj.Wrap(in.Name, h)
-	})
-	defer shutdown()
-
-	pipe := leakprof.New(pipelineOptions(sc)...)
-	start := time.Now()
-	sweep, err := pipe.Sweep(ctx, leakprof.StaticEndpoints(endpoints...))
-	latency := time.Since(start)
-	if cerr := pipe.Close(); err == nil {
-		err = cerr
-	}
-
-	detected := make(map[string]bool)
-	var obs observed
-	tallySweep(sweep, detected, &obs)
-	st := inj.Stats()
-	obs.deploys = st.Deploys
-	obs.faults = st.Fired()
-	return finish(sc, planted, detected, latency, obs, err)
-}
-
-// runSharded drives a distributed topology sweep, optionally crashing
-// one shard or delaying one past the straggler deadline. Services owned
-// by a deliberately lost shard leave the planted set: their leaks are
-// the price of the injected fault, and the scenario instead asserts the
-// loss is visible in the error accounting.
-func runSharded(ctx context.Context, sc *Scenario) *Result {
-	f, planted := buildFleet(sc)
-	topo := fleet.NewTopology(f, sc.Shards, pipelineOptions(sc)...)
-	lost := -1
-	if sc.CrashShard > 0 {
-		topo.FailShard = sc.CrashShard - 1
-		lost = topo.FailShard
-	}
-	if sc.StragglerShard > 0 {
-		topo.DelayShard = sc.StragglerShard - 1
-		topo.ShardDelay = sc.StragglerDelay
-		if sc.StragglerDeadline > 0 && sc.StragglerDeadline < sc.StragglerDelay {
-			lost = topo.DelayShard
-		}
-	}
-	topo.StragglerDeadline = sc.StragglerDeadline
-
-	start := time.Now()
-	sweep, err := topo.Sweep(ctx)
-	latency := time.Since(start)
-	if cerr := topo.Coordinator.Close(); err == nil {
-		err = cerr
-	}
-
-	if lost >= 0 {
-		for svc := range planted {
-			if leakprof.ShardOfService(svc, sc.Shards) == lost {
-				delete(planted, svc)
-			}
-		}
-	}
-	detected := make(map[string]bool)
-	var obs observed
-	tallySweep(sweep, detected, &obs)
-	return finish(sc, planted, detected, latency, obs, err)
-}
-
-// runInbox drives a sharded sweep over the HTTP ShardInbox transport:
-// workers POST their reports (optionally twice — the replay), a rogue
-// poster optionally injects an unauthenticated report, and the
-// coordinator merges whatever the inbox accepted.
-func runInbox(ctx context.Context, sc *Scenario) *Result {
-	f, planted := buildFleet(sc)
-	opts := pipelineOptions(sc)
-
-	var reports []*leakprof.ShardReport
-	var err error
-	for i := 0; i < sc.Shards && err == nil; i++ {
-		worker := leakprof.New(opts...)
-		var rep *leakprof.ShardReport
-		rep, err = worker.ShardSweep(ctx, f.ShardSource(i, sc.Shards), fmt.Sprintf("shard-%d", i), nil)
-		if err == nil {
-			reports = append(reports, rep)
-		}
-		worker.Close()
-	}
-	if err != nil {
-		return finish(sc, planted, nil, 0, observed{}, err)
-	}
-
-	inbox := leakprof.NewShardInbox(sc.Shards)
-	inbox.Token = sc.Token
-	hs := httptest.NewServer(inbox)
-	defer hs.Close()
-
-	var obs observed
-	start := time.Now()
-	if sc.RogueUnauth {
-		// A poster without the token replays a real report; the inbox
-		// must refuse it before it can double-count the shard.
-		if perr := leakprof.PostShardReport(ctx, nil, hs.URL, reports[0]); perr == nil {
-			err = errors.New("unauthenticated shard report was accepted")
-		}
-		obs.authRejects = inbox.AuthRejected()
-	}
-	for _, rep := range reports {
-		if perr := leakprof.PostShardReportAuth(ctx, nil, hs.URL, sc.Token, rep); perr != nil && err == nil {
-			err = perr
-		}
-		if sc.Duplicates {
-			// The replayed delivery: same shard, same sequence. The
-			// inbox must 409 it or the merge double-counts.
-			if perr := leakprof.PostShardReportAuth(ctx, nil, hs.URL, sc.Token, rep); perr != nil {
-				obs.dupRejects++
-			} else if err == nil {
-				err = fmt.Errorf("duplicate report for %s was accepted", rep.Shard)
-			}
-		}
-	}
-	var fetches []leakprof.ShardFetch
-	for i := 0; i < sc.Shards; i++ {
-		fetches = append(fetches, inbox.Fetch(fmt.Sprintf("shard-%d", i)))
-	}
-	coord := leakprof.New(opts...)
-	sweep, serr := coord.Sweep(ctx, leakprof.MergedReports(fetches...))
-	latency := time.Since(start)
-	if err == nil {
-		err = serr
-	}
-	if cerr := coord.Close(); err == nil {
-		err = cerr
-	}
-
-	detected := make(map[string]bool)
-	tallySweep(sweep, detected, &obs)
-	return finish(sc, planted, detected, latency, obs, err)
-}
-
-// fakeClock is the ingest scenarios' pipeline clock.
+// fakeClock is the runner's pipeline clock.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -552,140 +428,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// ingestPost is one POST the ingest scenarios send: possibly corrupted,
-// possibly deferred into the next window by poster clock skew.
-type ingestPost struct {
-	service, instance string
-	body              []byte
-	gz                bool
-}
-
-// runIngest drives push ingestion through fake-clock tumbling windows:
-// every instance POSTs once per window (one simulated day of growth per
-// window), with the scenario's fault mix corrupting or delaying
-// individual posts. Detection is scored over the union of window
-// sweeps; the latency metric is the slowest window close (tick to
-// emitted sweep).
-func runIngest(ctx context.Context, sc *Scenario) *Result {
-	f, planted := buildFleet(sc)
-	window := time.Minute
-	clock := &fakeClock{t: matrixOrigin.Add(time.Duration(sc.Days) * 24 * time.Hour)}
-	ticks := make(chan time.Time, 1)
-	sweepCh := make(chan *leakprof.Sweep, sc.Windows+2)
-
-	opts := append(pipelineOptions(sc),
-		leakprof.WithWindow(window),
-		leakprof.WithClock(clock.Now),
-		leakprof.WithOnSweep(func(s *leakprof.Sweep) { sweepCh <- s }),
-	)
-	pipe := leakprof.New(opts...)
-	iopts := []leakprof.IngestOption{leakprof.IngestTicks(ticks)}
-	if sc.Token != "" {
-		iopts = append(iopts, leakprof.IngestAuthToken(sc.Token))
-	}
-	srv := leakprof.NewIngestServer(pipe, iopts...)
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		srv.Run(ictx)
-	}()
-
-	detected := make(map[string]bool)
-	var obs observed
-	var err error
-	var maxClose time.Duration
-	var carry []ingestPost // skewed posts arriving a window late
-
-	rogueBody := renderRogue(sc)
-	for w := 0; w < sc.Windows && err == nil; w++ {
-		posts := carry
-		carry = nil
-		for _, in := range f.Instances() {
-			key := in.Name
-			n := uint64(w)
-			body := in.Dump()
-			p := ingestPost{service: in.Service, instance: in.Name}
-			switch {
-			case sc.PostBadGzip > 0 && Hash01(sc.Seed, "badgzip", key, n) < sc.PostBadGzip:
-				p.body, p.gz = CorruptGzip(gzipBody(body)), true
-			default:
-				if sc.PostTorn > 0 && Hash01(sc.Seed, "torn", key, n) < sc.PostTorn {
-					body = Torn(body, 0.5)
-				}
-				if sc.PostMalform > 0 && Hash01(sc.Seed, "malform", key, n) < sc.PostMalform {
-					body, _ = MalformHeaders(body, 2)
-				}
-				p.body = body
-				if sc.Gzip {
-					p.body, p.gz = gzipBody(body), true
-				}
-			}
-			if sc.PostSkew > 0 && Hash01(sc.Seed, "skew", key, n) < sc.PostSkew {
-				carry = append(carry, p) // the poster's clock runs behind
-				continue
-			}
-			posts = append(posts, p)
-		}
-		if sc.RogueUnauth {
-			// The rogue poster fabricates a leak for a benign service;
-			// without the token the claim must die at the door.
-			code := postIngest(srv, ingestPost{service: benignService(sc), instance: "rogue-0", body: rogueBody}, "")
-			if code != http.StatusUnauthorized {
-				err = fmt.Errorf("rogue unauthenticated post got %d, want 401", code)
-			}
-		}
-		for _, p := range posts {
-			postIngest(srv, p, sc.Token)
-		}
-		// Everything admitted must fold before the window closes, so
-		// each window's findings are deterministic.
-		if werr := waitStats(srv, func(st leakprof.IngestStats) bool {
-			return st.Folded == st.Admitted
-		}); werr != nil && err == nil {
-			err = werr
-		}
-		clock.Advance(window + time.Millisecond)
-		closeStart := time.Now()
-		select {
-		case ticks <- time.Time{}:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		select {
-		case sweep := <-sweepCh:
-			if d := time.Since(closeStart); d > maxClose {
-				maxClose = d
-			}
-			tallySweep(sweep, detected, &obs)
-		case <-time.After(10 * time.Second):
-			if err == nil {
-				err = fmt.Errorf("window %d never closed", w)
-			}
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		f.AdvanceDay() // next window sees another day of growth
-	}
-	cancel()
-	<-runDone
-	pipe.Close()
-
-	st := srv.Stats()
-	obs.scanErrors = st.ScanErrors
-	obs.authRejects = st.AuthRejected
-	return finish(sc, planted, detected, maxClose, obs, err)
-}
-
-// benignService names the scenario's first benign (odd-index) service.
-func benignService(sc *Scenario) string { return "chaos-01" }
+// benignService is the catalogue's first benign (odd-index) service.
+const benignService = "chaos-01"
 
 // renderRogue fabricates a dump body claiming a huge leak — what an
 // attacker would POST to frame a healthy service.
 func renderRogue(sc *Scenario) []byte {
 	snap := &gprofile.Snapshot{
-		Service:  benignService(sc),
+		Service:  benignService,
 		Instance: "rogue-0",
 		PreAggregated: map[stack.BlockedOp]int{
 			{Op: "send", Location: "services/rogue/evil.go:666", Function: "rogue.frame"}: sc.Threshold * 10,
@@ -704,11 +454,17 @@ func renderSnapshot(snap *gprofile.Snapshot) []byte {
 	return buf.Bytes()
 }
 
+// gzipWriters recycles compressor state: a fresh gzip.Writer allocates
+// about a megabyte, and a round can gzip a thousand bodies.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 func gzipBody(b []byte) []byte {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(&buf)
 	zw.Write(b)
 	zw.Close()
+	gzipWriters.Put(zw)
 	return buf.Bytes()
 }
 
@@ -736,6 +492,13 @@ func waitStats(srv *leakprof.IngestServer, cond func(leakprof.IngestStats) bool)
 		time.Sleep(time.Millisecond)
 	}
 	return nil
+}
+
+// ingestPost is one POST the ingest mode sends.
+type ingestPost struct {
+	service, instance string
+	body              []byte
+	gz                bool
 }
 
 // Catalogue is the named scenario matrix: ≥8 scenarios spanning every
@@ -899,11 +662,4 @@ func Lookup(names []string) ([]*Scenario, error) {
 		return nil, fmt.Errorf("chaos: unknown scenarios: %s", strings.Join(missing, ", "))
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

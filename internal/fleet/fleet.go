@@ -9,8 +9,8 @@
 // library (identical state strings and frame shapes to real leaks,
 // relocated to per-service source coordinates) rather than spawning
 // millions of real goroutines. For end-to-end runs over HTTP, Serve
-// stands up one real net/http server per instance with the same handler
-// the production services mount.
+// mounts one real profile endpoint per instance, with the same handler
+// the production services mount, on one net/http listener.
 //
 // Time is discrete (days, matching LEAKPROF's collection cadence) and all
 // randomness is seeded.
@@ -18,7 +18,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -252,31 +251,10 @@ func (f *Fleet) SnapshotsAggregated() []*gprofile.Snapshot {
 // Source returns a leakprof.Source sweeping the fleet's current day
 // directly (no HTTP), one instance at a time as counts — the simulator
 // origin for the unified Pipeline, letting platform-scale simulations
-// drive the exact engine production sweeps use.
+// drive the exact engine production sweeps use. It is the one-shard
+// partition, named "fleet".
 func (f *Fleet) Source() leakprof.Source {
-	return fleetSource{f: f}
-}
-
-type fleetSource struct {
-	f *Fleet
-}
-
-func (fleetSource) Name() string { return "fleet" }
-
-func (s fleetSource) Sweep(ctx context.Context, env *leakprof.SweepEnv) error {
-	at := s.f.origin.Add(time.Duration(s.f.Day) * 24 * time.Hour)
-	for _, svc := range s.f.Services {
-		for _, in := range svc.instances {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if s.f.FetchLatency > 0 {
-				time.Sleep(s.f.FetchLatency)
-			}
-			env.Emit(in.snapshotAggregated(at))
-		}
-	}
-	return nil
+	return f.ShardSource(0, 1)
 }
 
 // Serve stands up a real HTTP profile endpoint per instance and returns
@@ -291,28 +269,26 @@ func (f *Fleet) Serve() ([]leakprof.Endpoint, func()) {
 // handler and returns the handler actually mounted, letting
 // fault-injection middleware (delays, hangs, corrupted bodies) sit
 // between the sweep and the honest endpoint without the fleet knowing.
+// One listener serves the whole fleet, each instance at its own path,
+// so a fleet of thousands of instances costs one socket, not thousands.
 func (f *Fleet) ServeWith(wrap func(in *Instance, h http.Handler) http.Handler) ([]leakprof.Endpoint, func()) {
+	mux := http.NewServeMux()
+	srv := httptest.NewServer(mux)
 	var endpoints []leakprof.Endpoint
-	var servers []*httptest.Server
 	for _, in := range f.Instances() {
-		in := in
 		var h http.Handler = gprofile.Handler{Stacks: in.Stacks}
 		if wrap != nil {
 			h = wrap(in, h)
 		}
-		srv := httptest.NewServer(h)
-		servers = append(servers, srv)
+		path := "/" + in.Name + "/debug/pprof/goroutine"
+		mux.Handle(path, h)
 		endpoints = append(endpoints, leakprof.Endpoint{
 			Service:  in.Service,
 			Instance: in.Name,
-			URL:      srv.URL + "/debug/pprof/goroutine?debug=2",
+			URL:      srv.URL + path + "?debug=2",
 		})
 	}
-	return endpoints, func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
+	return endpoints, srv.Close
 }
 
 // TotalBlocked sums blocked goroutines across a service's instances.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -9,15 +8,9 @@ import (
 	"repro/leakprof"
 )
 
-// In-process distributed topology: the simulator twin of a sharded
-// deployment. N shard-worker pipelines each sweep the fleet partition
-// their shard owns (services hashed by leakprof.ShardOfService, so every
-// service lives wholly in one shard) and hand their folded ShardReport
-// to a coordinator pipeline that merges them and runs the normal sink
-// fan-out and state journal. Everything runs under the pipelines'
-// injected clock, so topology sweeps are as deterministic as
-// single-process ones — the parity tests assert the merged moments are
-// byte-for-byte the single fold.
+// Shard partitions read straight from the simulator, for in-process
+// shard workers. Sharded sweeps over real endpoints and report handoffs
+// run through the mode runner in internal/chaos.
 
 // ShardSource returns a Source sweeping only the services owned by shard
 // (of shards total) on the fleet's current day — the partition a shard
@@ -32,6 +25,9 @@ type shardFleetSource struct {
 }
 
 func (s shardFleetSource) Name() string {
+	if s.shards <= 1 {
+		return "fleet"
+	}
 	return fmt.Sprintf("fleet-shard-%d/%d", s.shard, s.shards)
 }
 
@@ -52,110 +48,4 @@ func (s shardFleetSource) Sweep(ctx context.Context, env *leakprof.SweepEnv) err
 		}
 	}
 	return nil
-}
-
-// Topology is an in-process multi-shard sweep plane over one simulated
-// fleet: shard workers plus a coordinator, all sharing the option set
-// (clock, threshold, filters) a real deployment would configure
-// identically on every node.
-type Topology struct {
-	// Coordinator merges shard reports and runs sinks/journal; add sinks
-	// and state options here.
-	Coordinator *leakprof.Pipeline
-	// Workers are the per-shard collection pipelines, Workers[i] owning
-	// shard i's partition.
-	Workers []*leakprof.Pipeline
-
-	fleet *Fleet
-	// Wire, when true (the default from NewTopology), round-trips every
-	// shard report through the binary wire codec before the coordinator
-	// merges it, so in-process sweeps exercise the exact bytes a
-	// networked deployment ships.
-	Wire bool
-	// FailShard, when non-negative, drops that shard's report on the
-	// floor (the crash simulation): the sweep completes with the shard's
-	// loss in the error accounting.
-	FailShard int
-	// StragglerDeadline, when positive, closes each merge after that
-	// wait: a worker still sweeping is written off as one failed
-	// instance and the coordinator merges the reports that made it
-	// (leakprof.MergedReportsWithin). Zero waits for the slowest worker.
-	StragglerDeadline time.Duration
-	// DelayShard, when non-negative, holds that shard's report back for
-	// ShardDelay before delivering it — the straggler simulation. With a
-	// StragglerDeadline shorter than the delay the coordinator writes
-	// the shard off; with a longer one the report still makes the merge.
-	DelayShard int
-	// ShardDelay is how long DelayShard's report is held.
-	ShardDelay time.Duration
-}
-
-// NewTopology builds a coordinator and one worker pipeline per shard,
-// each configured with opts.
-func NewTopology(f *Fleet, shards int, opts ...leakprof.Option) *Topology {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &Topology{
-		Coordinator: leakprof.New(opts...),
-		fleet:       f,
-		Wire:        true,
-		FailShard:   -1,
-		DelayShard:  -1,
-	}
-	for i := 0; i < shards; i++ {
-		t.Workers = append(t.Workers, leakprof.New(opts...))
-	}
-	return t
-}
-
-// Sweep runs one distributed sweep of the fleet's current day: every
-// worker sweeps its partition concurrently (each producing a
-// ShardReport), the coordinator merges the reports and delivers the
-// merged sweep to its sinks and state journal exactly as a
-// single-process sweep would be delivered.
-func (t *Topology) Sweep(ctx context.Context) (*leakprof.Sweep, error) {
-	fetches := make([]leakprof.ShardFetch, len(t.Workers))
-	for i := range t.Workers {
-		i := i
-		name := fmt.Sprintf("shard-%d", i)
-		worker := t.Workers[i]
-		src := t.fleet.ShardSource(i, len(t.Workers))
-		fetches[i] = leakprof.ShardFetch{
-			Name: name,
-			Fetch: func(ctx context.Context, env *leakprof.SweepEnv) (*leakprof.ShardReport, error) {
-				if i == t.FailShard {
-					return nil, fmt.Errorf("fleet: shard %d crashed before reporting", i)
-				}
-				if i == t.DelayShard && t.ShardDelay > 0 {
-					select {
-					case <-time.After(t.ShardDelay):
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					}
-				}
-				rep, err := worker.ShardSweep(ctx, src, name, env.PrevFailures())
-				if err != nil {
-					return rep, err
-				}
-				if t.Wire {
-					return roundTripReport(rep)
-				}
-				return rep, nil
-			},
-		}
-	}
-	if t.StragglerDeadline > 0 {
-		return t.Coordinator.Sweep(ctx, leakprof.MergedReportsWithin(t.StragglerDeadline, fetches...))
-	}
-	return t.Coordinator.Sweep(ctx, leakprof.MergedReports(fetches...))
-}
-
-// roundTripReport pushes a report through the wire codec both ways.
-func roundTripReport(rep *leakprof.ShardReport) (*leakprof.ShardReport, error) {
-	var buf bytes.Buffer
-	if err := leakprof.WriteShardReport(&buf, rep); err != nil {
-		return nil, err
-	}
-	return leakprof.ReadShardReport(&buf)
 }

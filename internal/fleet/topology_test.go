@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -37,76 +39,13 @@ func topoConfigs(services, instances int) []ServiceConfig {
 	return cfgs
 }
 
-// TestTopologyParity is the distributed-correctness anchor: a sharded
-// sweep (workers folding partitions, reports round-tripped through the
-// wire codec, coordinator merging) must produce byte-for-byte the
-// moments, findings, and counts of a single-process sweep of the same
-// fleet under the same clock.
-func TestTopologyParity(t *testing.T) {
-	origin := time.Unix(0, 0).UTC()
-	clock := leakprof.WithClock(func() time.Time { return origin })
-	for _, shards := range []int{2, 3, 4, 8} {
-		f := New(origin, topoConfigs(12, 6))
-		for d := 0; d < 3; d++ {
-			f.AdvanceDay()
-		}
-
-		single := leakprof.New(clock)
-		want, err := single.Sweep(context.Background(), f.Source())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		topo := NewTopology(f, shards, clock)
-		got, err := topo.Sweep(context.Background())
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-
-		if got.Profiles != want.Profiles || got.Errors != want.Errors {
-			t.Fatalf("shards=%d: profiles/errors = %d/%d, want %d/%d",
-				shards, got.Profiles, got.Errors, want.Profiles, want.Errors)
-		}
-		if !reflect.DeepEqual(got.Moments(), want.Moments()) {
-			t.Fatalf("shards=%d: merged moments diverge from the single fold", shards)
-		}
-		if !reflect.DeepEqual(got.Findings, want.Findings) {
-			t.Fatalf("shards=%d: findings diverge\ngot  %+v\nwant %+v",
-				shards, got.Findings, want.Findings)
-		}
-	}
-}
-
-// TestTopologyShardCrash loses one shard's report: the sweep must
-// complete, carrying the surviving shards' moments and the lost shard in
-// the error accounting.
-func TestTopologyShardCrash(t *testing.T) {
-	origin := time.Unix(0, 0).UTC()
-	clock := leakprof.WithClock(func() time.Time { return origin })
-	f := New(origin, topoConfigs(12, 6))
-	f.AdvanceDay()
-
-	topo := NewTopology(f, 4, clock)
-	topo.FailShard = 1
-	sweep, err := topo.Sweep(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.Errors != 1 {
-		t.Fatalf("Errors = %d, want 1 (the lost shard)", sweep.Errors)
-	}
-	if sweep.FailedByService["shard-1"] != 1 {
-		t.Fatalf("FailedByService = %v, want shard-1:1", sweep.FailedByService)
-	}
-	// The surviving shards' services are all present.
-	whole := leakprof.New(clock)
-	want, err := whole.Sweep(context.Background(), f.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.Profiles >= want.Profiles || sweep.Profiles == 0 {
-		t.Fatalf("Profiles = %d, want partial coverage below %d", sweep.Profiles, want.Profiles)
-	}
+// workerFetch is one shard worker sweeping its partition inside the
+// coordinator's merge, its error budget seeded from the coordinator's
+// journaled failure counts.
+func workerFetch(name string, worker *leakprof.Pipeline, src leakprof.Source) leakprof.ShardFetch {
+	return leakprof.ShardFetch{Name: name, Fetch: func(ctx context.Context, env *leakprof.SweepEnv) (*leakprof.ShardReport, error) {
+		return worker.ShardSweep(ctx, src, name, env.PrevFailures())
+	}}
 }
 
 // TestTopologyGlobalErrorBudget checks the coordinator's journaled
@@ -120,12 +59,16 @@ func TestTopologyGlobalErrorBudget(t *testing.T) {
 	f.AdvanceDay()
 
 	dir := t.TempDir()
-	topo := NewTopology(f, 2, clock, leakprof.WithStateDir(dir))
-	topo.FailShard = 0
-	if _, err := topo.Sweep(context.Background()); err != nil {
+	coord := leakprof.New(clock, leakprof.WithStateDir(dir))
+	workers := []*leakprof.Pipeline{leakprof.New(clock), leakprof.New(clock)}
+	crashed := leakprof.ShardFetch{Name: "shard-0", Fetch: func(context.Context, *leakprof.SweepEnv) (*leakprof.ShardReport, error) {
+		return nil, errors.New("shard 0 crashed before reporting")
+	}}
+	first := leakprof.MergedReports(crashed, workerFetch("shard-1", workers[1], f.ShardSource(1, 2)))
+	if _, err := coord.Sweep(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	store, err := topo.Coordinator.State()
+	store, err := coord.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +76,21 @@ func TestTopologyGlobalErrorBudget(t *testing.T) {
 		t.Fatalf("journaled failure counts = %v, want shard-0:1", got)
 	}
 	// The next sweep's workers all receive the journaled counts.
-	seen := make(chan map[string]int, len(topo.Workers))
-	fetches := make([]leakprof.ShardFetch, len(topo.Workers))
-	for i := range topo.Workers {
+	seen := make(chan map[string]int, len(workers))
+	fetches := make([]leakprof.ShardFetch, len(workers))
+	for i := range workers {
 		name := fmt.Sprintf("probe-%d", i)
-		worker := topo.Workers[i]
-		src := f.ShardSource(i, len(topo.Workers))
+		worker := workers[i]
+		src := f.ShardSource(i, len(workers))
 		fetches[i] = leakprof.ShardFetch{Name: name, Fetch: func(ctx context.Context, env *leakprof.SweepEnv) (*leakprof.ShardReport, error) {
 			seen <- env.PrevFailures()
 			return worker.ShardSweep(ctx, src, name, env.PrevFailures())
 		}}
 	}
-	if _, err := topo.Coordinator.Sweep(context.Background(), leakprof.MergedReports(fetches...)); err != nil {
+	if _, err := coord.Sweep(context.Background(), leakprof.MergedReports(fetches...)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(topo.Workers); i++ {
+	for i := 0; i < len(workers); i++ {
 		if prev := <-seen; prev["shard-0"] != 1 {
 			t.Fatalf("worker %d saw prevFailures %v, want shard-0:1", i, prev)
 		}
@@ -161,7 +104,9 @@ func TestTopologyGlobalErrorBudget(t *testing.T) {
 // serialises) dominates. FetchLatency models the per-endpoint round
 // trip a real collection pays — the cost sharding actually
 // parallelises — so the scaling curve holds even on a single-core
-// host, where pure CPU folding could never speed up.
+// host, where pure CPU folding could never speed up. Workers run in
+// process and hand the coordinator their reports directly; the wire
+// round trip is left out.
 func BenchmarkShardedSweep(b *testing.B) {
 	origin := time.Unix(0, 0).UTC()
 	cfgs := topoConfigs(64, 32)
@@ -176,11 +121,15 @@ func BenchmarkShardedSweep(b *testing.B) {
 	clock := leakprof.WithClock(func() time.Time { return origin })
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			topo := NewTopology(f, shards, clock)
+			coord := leakprof.New(clock)
+			fetches := make([]leakprof.ShardFetch, shards)
+			for i := range fetches {
+				fetches[i] = workerFetch(fmt.Sprintf("shard-%d", i), leakprof.New(clock), f.ShardSource(i, shards))
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := topo.Sweep(context.Background()); err != nil {
+				if _, err := coord.Sweep(context.Background(), leakprof.MergedReports(fetches...)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -205,6 +154,14 @@ func TestNestedTopologyParity(t *testing.T) {
 	}
 	const leaves = 4
 
+	// roundTripReport pushes a report through the wire codec both ways.
+	roundTripReport := func(rep *leakprof.ShardReport) (*leakprof.ShardReport, error) {
+		var buf bytes.Buffer
+		if err := leakprof.WriteShardReport(&buf, rep); err != nil {
+			return nil, err
+		}
+		return leakprof.ReadShardReport(&buf)
+	}
 	leaf := func(i int) leakprof.ShardFetch {
 		name := fmt.Sprintf("worker-%d", i)
 		worker := leakprof.New(clock)
@@ -255,33 +212,5 @@ func TestNestedTopologyParity(t *testing.T) {
 	}
 	if len(want.Findings) == 0 {
 		t.Fatal("parity vacuous: flat sweep found nothing")
-	}
-}
-
-// TestTopologyStragglerDeadline slows every fetch far past the
-// coordinator's straggler deadline: each shard is written off as one
-// failed instance and the sweep still completes, bounded by the
-// deadline instead of the slowest worker.
-func TestTopologyStragglerDeadline(t *testing.T) {
-	origin := time.Unix(0, 0).UTC()
-	clock := leakprof.WithClock(func() time.Time { return origin })
-	f := New(origin, topoConfigs(4, 3))
-	f.AdvanceDay()
-	// ~12 instances x 50ms dwarfs the 30ms deadline.
-	f.FetchLatency = 50 * time.Millisecond
-
-	topo := NewTopology(f, 2, clock)
-	topo.StragglerDeadline = 30 * time.Millisecond
-	start := time.Now()
-	sweep, err := topo.Sweep(context.Background())
-	if err != nil {
-		t.Fatalf("stragglers failed the sweep: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("sweep took %v, the deadline never cut the stragglers loose", elapsed)
-	}
-	if sweep.Errors != 2 || sweep.FailedByService["shard-0"] != 1 || sweep.FailedByService["shard-1"] != 1 {
-		t.Fatalf("Errors=%d FailedByService=%v, want both shards written off",
-			sweep.Errors, sweep.FailedByService)
 	}
 }

@@ -101,7 +101,10 @@ func timeoutSender(ch chan int, wg *sync.WaitGroup) {
 
 // TimeoutLeak is the context-cancellation variant of premature return:
 // a handler selects between the worker channel and ctx.Done(), and the
-// context wins.
+// context wins. Trigger's deadline has already fired, so its handler
+// waits on ctx.Done() alone: a select that also offered the receive
+// would take it whenever the sender was already parked on its send, and
+// that sender would not leak.
 var TimeoutLeak = register(&Pattern{
 	Name:       "timeout-leak",
 	Doc:        "Listing 8: handler returns on ctx.Done() before receiving from the worker",
@@ -118,11 +121,7 @@ var TimeoutLeak = register(&Pattern{
 			cancel() // the request deadline has already fired
 			wg.Add(1)
 			go timeoutSender(ch, &wg)
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				// Handler returns; sender leaks.
-			}
+			<-ctx.Done() // handler returns; sender leaks
 		}
 		return &Instance{
 			N: n, Releasable: true,

@@ -179,8 +179,9 @@
 // Transport is pluggable through ShardFetch: ShardReportFromFile reads
 // a worker's atomic file handoff (WriteShardReportFile), ShardInbox
 // accepts HTTP POSTs (PostShardReport) with natural backpressure, and
-// an in-process closure drives nested or test topologies
-// (internal/fleet.NewTopology). On the wire a report is one framed,
+// an in-process closure drives nested topologies. The simulator's mode
+// runner (internal/chaos, runner.go) drives sharded sweeps over the
+// file and inbox transports. On the wire a report is one framed,
 // CRC-checksummed binary payload sharing the journal codec's
 // primitives, with one string table amortising every repeated service,
 // location, and function name across the report; bodies past a size
@@ -300,10 +301,11 @@
 // Every robustness mechanism above — retries, error budgets, scanner
 // salvage, straggler deadlines, sequence dedup, admission backpressure
 // — exists because production misbehaves. internal/chaos is the layer
-// that proves they compose: it wraps the pull path (fleet.ServeWith
-// mounts an Injector between the sweep and each honest endpoint) and
-// the push path (posters corrupt their own POSTed bodies) with
-// independently seeded, freely combinable faults:
+// that proves they compose: its mode runner drives one simulated fleet
+// through batch, sharded and ingest delivery, wrapping the pull path
+// (fleet.ServeWith mounts an Injector in front of each endpoint) and
+// damaging the dump bodies every mode reads, with independently seeded,
+// freely combinable faults:
 //
 //   - slow and hung endpoints (exercising WithTimeout and WithRetry),
 //   - flapping instances answering 503 (retry recovery),

@@ -160,7 +160,6 @@ type IngestServer struct {
 	scanFails    atomic.Uint64
 	windows      atomic.Uint64
 	pauseNS      atomic.Int64
-	lastPause    atomic.Int64
 }
 
 // IngestOption tunes an IngestServer.
@@ -437,9 +436,7 @@ func (s *IngestServer) Run(ctx context.Context) error {
 	}
 	for {
 		if start := s.closeStart.Swap(0); start != 0 {
-			pause := time.Since(time.Unix(0, start))
-			s.pauseNS.Add(int64(pause))
-			s.lastPause.Store(int64(pause))
+			s.pauseNS.Add(int64(time.Since(time.Unix(0, start))))
 		}
 		s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks})
 		s.windows.Add(1)
@@ -578,23 +575,22 @@ type IngestStats struct {
 	QueueLen int
 	// WindowPause is the cumulative real time the fold loop spent
 	// between closing one window (sink handoff, journal append) and
-	// draining the next; LastWindowPause is the most recent close's.
-	// Admission continues during the pause — only folding waits.
-	WindowPause, LastWindowPause time.Duration
+	// draining the next. Admission continues during the pause — only
+	// folding waits.
+	WindowPause time.Duration
 }
 
 // Stats returns current counters; safe for concurrent use.
 func (s *IngestServer) Stats() IngestStats {
 	return IngestStats{
-		Admitted:        s.admitted.Load(),
-		Folded:          s.folded.Load(),
-		Rejected:        s.rejects.Load(),
-		QuotaRejected:   s.quotaRejects.Load(),
-		ScanErrors:      s.scanFails.Load(),
-		AuthRejected:    s.authRejects.Load(),
-		Windows:         s.windows.Load(),
-		QueueLen:        len(s.queue),
-		WindowPause:     time.Duration(s.pauseNS.Load()),
-		LastWindowPause: time.Duration(s.lastPause.Load()),
+		Admitted:      s.admitted.Load(),
+		Folded:        s.folded.Load(),
+		Rejected:      s.rejects.Load(),
+		QuotaRejected: s.quotaRejects.Load(),
+		ScanErrors:    s.scanFails.Load(),
+		AuthRejected:  s.authRejects.Load(),
+		Windows:       s.windows.Load(),
+		QueueLen:      len(s.queue),
+		WindowPause:   time.Duration(s.pauseNS.Load()),
 	}
 }

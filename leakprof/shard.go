@@ -26,7 +26,7 @@ import (
 // shard, so per-group statistics never split across reports, per-shard
 // error-budget enforcement is globally correct, and the merged moments
 // are byte-for-byte the single-process fold (see TestTopologyParity in
-// internal/fleet, and TestMergeMomentsMatchesSingleFold here).
+// internal/chaos, and TestMergeMomentsMatchesSingleFold here).
 
 // ShardOfService maps a service onto one of n shards by FNV-1a hash.
 // Sharding by service — never by instance — keeps each aggregation
