@@ -331,8 +331,8 @@ func parityInput(services, rounds, shards, workers int, flags byte, rest ...byte
 // same fleet, under the same fake clock, goes through batch pull,
 // sharded pull with file handoff, sharded pull with the HTTP inbox, and
 // push ingestion, each journaling to its own state dir. Every round
-// must agree on Profiles, Errors, FailedByService, Findings and
-// Moments; below the Failures cap, on which instances failed and which
+// must agree on its timestamp, Profiles, Errors, FailedByService,
+// Findings and Moments; below the Failures cap, on which instances failed and which
 // of those were salvaged; at the end, on every bug's status and
 // sightings. Each journal, reopened, must give back its live state.
 func FuzzModeParity(f *testing.F) {
@@ -405,6 +405,9 @@ func FuzzModeParity(f *testing.F) {
 			name := modes[m].name
 			for r, want := range ref.Sweeps {
 				got := outs[m].Sweeps[r]
+				if !got.At.Equal(want.At) {
+					t.Fatalf("%s round %d: swept at %v, batch at %v", name, r, got.At, want.At)
+				}
 				if got.Profiles != want.Profiles || got.Errors != want.Errors {
 					t.Fatalf("%s round %d: profiles/errors = %d/%d, batch %d/%d",
 						name, r, got.Profiles, got.Errors, want.Profiles, want.Errors)
