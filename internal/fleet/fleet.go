@@ -109,8 +109,9 @@ type Fleet struct {
 	origin   time.Time
 
 	// FetchLatency simulates the per-endpoint round trip a real sweep
-	// pays to fetch one instance's profile: the in-process sources sleep
-	// this long before emitting each snapshot. Zero (the default) keeps
+	// pays to fetch one instance's profile: the in-process sources wait
+	// this long per emitted snapshot, in total across a sweep, however
+	// coarse the host's timer. Zero (the default) keeps
 	// tests instant; benchmarks set it so sweep wall-clock reflects the
 	// collection latency that sharding parallelises, independent of how
 	// many cores the host happens to expose.

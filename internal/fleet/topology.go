@@ -33,6 +33,13 @@ func (s shardFleetSource) Name() string {
 
 func (s shardFleetSource) Sweep(ctx context.Context, env *leakprof.SweepEnv) error {
 	at := s.f.origin.Add(time.Duration(s.f.Day) * 24 * time.Hour)
+	// A sleep shorter than the timer's granularity overshoots (50 µs
+	// lasts about a millisecond on a coarse-tick host), so the modelled
+	// waits are paid as a debt: each instance adds FetchLatency, a sleep
+	// pays off what is owed, and an overshoot carries forward as credit.
+	// A sweep's total wait comes to instances × FetchLatency, within one
+	// timer tick.
+	var owed time.Duration
 	for _, svc := range s.f.Services {
 		if leakprof.ShardOfService(svc.Cfg.Name, s.shards) != s.shard {
 			continue
@@ -42,7 +49,11 @@ func (s shardFleetSource) Sweep(ctx context.Context, env *leakprof.SweepEnv) err
 				return err
 			}
 			if s.f.FetchLatency > 0 {
-				time.Sleep(s.f.FetchLatency)
+				if owed += s.f.FetchLatency; owed > 0 {
+					slept := time.Now()
+					time.Sleep(owed)
+					owed -= time.Since(slept)
+				}
 			}
 			env.Emit(in.snapshotAggregated(at))
 		}

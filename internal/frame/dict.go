@@ -1,6 +1,10 @@
 package frame
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
 
 // Dict is a segment-scoped string dictionary: one cumulative table
 // shared by every dictionary-referencing frame in a journal segment.
@@ -78,16 +82,19 @@ type DictTable struct {
 	added []string
 }
 
-// NewDictTable returns a write view over dict for one frame.
-func NewDictTable(dict *Dict) *DictTable {
-	return &DictTable{dict: dict, index: make(map[string]uint64)}
+// NewDictTable returns a write view over dict for one frame, with room
+// for hint appended strings before it grows.
+func NewDictTable(dict *Dict, hint int) *DictTable {
+	return &DictTable{dict: dict, index: make(map[string]uint64, hint), added: make([]string, 0, hint)}
 }
 
 // Ref returns the cumulative dictionary index for s, scheduling s as
 // one of this frame's appended strings if the dictionary lacks it.
 func (t *DictTable) Ref(s string) uint64 {
-	if i, ok := t.dict.Lookup(s); ok {
-		return i
+	if t.dict.Len() > 0 {
+		if i, ok := t.dict.Lookup(s); ok {
+			return i
+		}
 	}
 	if i, ok := t.index[s]; ok {
 		return i
@@ -99,10 +106,15 @@ func (t *DictTable) Ref(s string) uint64 {
 }
 
 // AppendTo serializes the frame's appended strings (count, then
-// length-prefixed strings, the layout Reader.StringTable reads). It
-// must precede the sections that reference the dictionary so decoding
-// is one pass.
+// length-prefixed strings, the layout Reader.StringTable reads), growing
+// b at most once. It must precede the sections that reference the
+// dictionary so decoding is one pass.
 func (t *DictTable) AppendTo(b []byte) []byte {
+	n := uvarintLen(uint64(len(t.added)))
+	for _, s := range t.added {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	b = slices.Grow(b, n)
 	b = binary.AppendUvarint(b, uint64(len(t.added)))
 	for _, s := range t.added {
 		b = binary.AppendUvarint(b, uint64(len(s)))
@@ -113,8 +125,17 @@ func (t *DictTable) AppendTo(b []byte) []byte {
 
 // Commit publishes the appended strings into the segment dictionary.
 // Call it only after the frame holding them was written successfully.
+// An empty dictionary takes over the table's index and strings as they
+// are: they already hold every string at the index Extend would give it.
 func (t *DictTable) Commit() {
-	t.dict.Extend(t.added)
+	if t.dict.Len() == 0 {
+		t.dict.index, t.dict.strs = t.index, t.added
+	} else {
+		t.dict.Extend(t.added)
+	}
 	t.added = nil
 	t.index = nil
 }
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

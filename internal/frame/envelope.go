@@ -37,18 +37,33 @@ type Format struct {
 	Version byte
 }
 
-// Seal wraps body in the format's envelope, flate-compressing it when
-// compress is set. The result is a frame payload: it must fit the frame
-// bound.
-func (f Format) Seal(body []byte, compress bool) ([]byte, error) {
+// Seal wraps the concatenation of parts in the format's envelope,
+// flate-compressing it when compress is set. The parts go to the
+// compressor one by one, never joined into one buffer first, and flate
+// output does not depend on how its input is split across writes. The
+// result is a frame payload: it must fit the frame bound.
+func (f Format) Seal(compress bool, parts ...[]byte) ([]byte, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	var payload []byte
 	if !compress {
-		payload = append([]byte{f.Magic, f.Version, 0}, body...)
+		payload = append(make([]byte, 0, envelopeHeader+n), f.Magic, f.Version, 0)
+		for _, p := range parts {
+			payload = append(payload, p...)
+		}
 	} else {
-		buf := bytes.NewBuffer([]byte{f.Magic, f.Version, flagFlate})
+		// A journal snapshot deflates about sixfold (7.5 MB to 1.27 MB at
+		// the end of an ingest-wide benchmark run), so a quarter of the
+		// input holds the output in one allocation; output that needs
+		// more grows the buffer as before.
+		buf := bytes.NewBuffer(append(make([]byte, 0, envelopeHeader+n/4), f.Magic, f.Version, flagFlate))
 		zw, err := flate.NewWriter(buf, flate.DefaultCompression)
-		if err == nil {
-			_, err = zw.Write(body)
+		for _, p := range parts {
+			if err == nil {
+				_, err = zw.Write(p)
+			}
 		}
 		if err == nil {
 			err = zw.Close()

@@ -11,7 +11,7 @@ import (
 func TestEnvelopeInflationCap(t *testing.T) {
 	format := Format{Name: "test record", Magic: 0xB9, Version: 4}
 	body := make([]byte, 64<<10) // zeros: inflates ~1000x from a tiny payload
-	payload, err := format.Seal(body, true)
+	payload, err := format.Seal(true, body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestFrameImplausibleLengthDoesNotAllocate(t *testing.T) {
 
 func TestBodyPrimitivesRoundTrip(t *testing.T) {
 	at := time.Date(2026, 8, 7, 12, 0, 0, 42, time.UTC)
-	tbl := NewDictTable(NewDict())
+	tbl := NewDictTable(NewDict(), 0)
 	refs := []uint64{tbl.Ref("svc"), tbl.Ref("op"), tbl.Ref("svc")}
 	if refs[0] != refs[2] {
 		t.Fatal("Ref did not deduplicate")

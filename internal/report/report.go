@@ -252,20 +252,25 @@ func (db *DB) Get(key string) (Bug, bool) {
 	return *b, true
 }
 
-// All returns copies of all bugs sorted by filing time then key.
+// All returns copies of all bugs sorted by filing time then key. It
+// sorts pointers and copies each bug once, into its final place.
 func (db *DB) All() []Bug {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]Bug, 0, len(db.bugs))
+	ptrs := make([]*Bug, 0, len(db.bugs))
 	for _, b := range db.bugs {
-		out = append(out, *b)
+		ptrs = append(ptrs, b)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].FiledAt.Equal(out[j].FiledAt) {
-			return out[i].FiledAt.Before(out[j].FiledAt)
+	sort.Slice(ptrs, func(i, j int) bool {
+		if !ptrs[i].FiledAt.Equal(ptrs[j].FiledAt) {
+			return ptrs[i].FiledAt.Before(ptrs[j].FiledAt)
 		}
-		return out[i].Key < out[j].Key
+		return ptrs[i].Key < ptrs[j].Key
 	})
+	out := make([]Bug, len(ptrs))
+	for i, b := range ptrs {
+		out[i] = *b
+	}
 	return out
 }
 

@@ -205,11 +205,10 @@ var indexFormat = frame.Format{Name: "findings index", Magic: 0xB3, Version: 1}
 
 // WriteTo writes the index as one framed record.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	tbl := frame.NewDictTable(frame.NewDict())
+	tbl := frame.NewDictTable(frame.NewDict(), 0)
 	body := idx.encodeBody(tbl)
-	full := tbl.AppendTo(make([]byte, 0, len(body)+64))
-	full = append(full, body...)
-	payload, err := indexFormat.Seal(full, len(full) >= frame.FlateMin)
+	strs := tbl.AppendTo(nil)
+	payload, err := indexFormat.Seal(len(strs)+len(body) >= frame.FlateMin, strs, body)
 	if err != nil {
 		return 0, fmt.Errorf("staticindex: %w", err)
 	}

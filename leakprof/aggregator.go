@@ -1,8 +1,10 @@
 package leakprof
 
 import (
+	"cmp"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/gprofile"
@@ -164,12 +166,40 @@ func (a *Aggregator) Findings(r Ranking) []*Finding {
 		sh.mu.Unlock()
 	}
 	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].Impact != findings[j].Impact {
-			return findings[i].Impact > findings[j].Impact
+		a, b := findings[i], findings[j]
+		if a.Impact != b.Impact {
+			return a.Impact > b.Impact
 		}
-		return findings[i].Key() < findings[j].Key()
+		return compareKeys(a.Service, a.Op, a.Location, b.Service, b.Op, b.Location) < 0
 	})
 	return findings
+}
+
+// compareKeys orders two groups as their dedup keys (Finding.Key,
+// Moment.Key) compare, without building either key: it walks both as
+// service, NUL, op, NUL, location. The parts cannot be compared one by
+// one, because a service name taken from an ingest request may itself
+// hold a NUL byte.
+func compareKeys(svcA, opA, locA, svcB, opB, locB string) int {
+	a := [...]string{svcA, "\x00", opA, "\x00", locA}
+	b := [...]string{svcB, "\x00", opB, "\x00", locB}
+	var x, y string // unread rest of the current part of each key
+	for i, j := 0, 0; ; {
+		for x == "" && i < len(a) {
+			x, i = a[i], i+1
+		}
+		for y == "" && j < len(b) {
+			y, j = b[j], j+1
+		}
+		if x == "" || y == "" {
+			return cmp.Compare(len(x), len(y)) // the shorter key is a prefix
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
 }
 
 // Moment is the exported form of one group's streaming moments: the raw
@@ -260,7 +290,10 @@ func (a *Aggregator) Moments() []Moment {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		return compareKeys(a.Service, a.Op.Op, a.Op.Location, b.Service, b.Op.Op, b.Op.Location) < 0
+	})
 	return out
 }
 

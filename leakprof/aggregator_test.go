@@ -244,3 +244,50 @@ func TestAggregatorZeroInstancesCountTowardDenominator(t *testing.T) {
 		t.Errorf("RMS over 4 instances = %f, want 200", li)
 	}
 }
+
+// TestRankingOrderMatchesKeys checks the window ranking on random
+// aggregator inputs: every adjacent pair of Findings descends by impact
+// and breaks ties by Key(), and every adjacent pair of Moments ascends by
+// Key(). Counts come from a short list, so many groups tie on RMS impact,
+// and service names carry NUL bytes, as an ingest request may send them:
+// a compare that takes service, operation and location one field at a
+// time, rather than as the joined key, orders "svc" before "svc\x00a"
+// and fails.
+func TestRankingOrderMatchesKeys(t *testing.T) {
+	services := []string{"svc", "svc\x00", "svc\x00a", "svc\x00send", "svc\x01", "sv", ""}
+	ops := []string{"send", "receive", "select", ""}
+	locs := []string{"/a.go:1", "/a.go:10", "/b.go:1", "\x00", ""}
+	counts := []int{3, 10, 20}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		agg := NewAggregator(10)
+		for inst := rng.Intn(4); inst >= 0; inst-- {
+			for _, svc := range services {
+				pre := make(map[stack.BlockedOp]int)
+				for k := rng.Intn(10); k > 0; k-- {
+					op := stack.BlockedOp{
+						Op:       ops[rng.Intn(len(ops))],
+						Location: locs[rng.Intn(len(locs))],
+						Function: []string{"f", "g"}[rng.Intn(2)],
+					}
+					pre[op] = counts[rng.Intn(len(counts))]
+				}
+				agg.Add(&gprofile.Snapshot{Service: svc, Instance: fmt.Sprintf("i%d", inst), PreAggregated: pre})
+			}
+		}
+		findings := agg.Findings(RankRMS)
+		for i := 1; i < len(findings); i++ {
+			a, b := findings[i-1], findings[i]
+			if a.Impact < b.Impact || (a.Impact == b.Impact && a.Key() > b.Key()) {
+				t.Fatalf("seed %d: finding %d (impact %v, key %q) ranks before finding %d (impact %v, key %q)",
+					seed, i-1, a.Impact, a.Key(), i, b.Impact, b.Key())
+			}
+		}
+		moments := agg.Moments()
+		for i := 1; i < len(moments); i++ {
+			if a, b := moments[i-1].Key(), moments[i].Key(); a > b {
+				t.Fatalf("seed %d: moment %d (key %q) sorts before moment %d (key %q)", seed, i-1, a, i, b)
+			}
+		}
+	}
+}

@@ -56,9 +56,7 @@ func encodeBinaryRecordDict(rec *journalRecord, dt *frame.DictTable) ([]byte, er
 	body := encodeBinaryBody(rec, dt)
 	// The appended-strings table precedes the sections that reference
 	// the dictionary so decoding is one pass.
-	full := dt.AppendTo(make([]byte, 0, len(body)+64))
-	full = append(full, body...)
-	return journalFormat.Seal(full, rec.Kind == recordSnapshot)
+	return journalFormat.Seal(rec.Kind == recordSnapshot, dt.AppendTo(nil), body)
 }
 
 // encodeDictSeedPayload renders a dictionary-seed frame payload: the
@@ -66,17 +64,15 @@ func encodeBinaryRecordDict(rec *journalRecord, dt *frame.DictTable) ([]byte, er
 // written at a rolled segment's head so hot strings carried over from
 // the previous segment keep resolving as references.
 func encodeDictSeedPayload(seed []string) ([]byte, error) {
-	dt := frame.NewDictTable(frame.NewDict())
+	dt := frame.NewDictTable(frame.NewDict(), len(seed))
 	for _, s := range seed {
 		dt.Ref(s)
 	}
-	full := dt.AppendTo(make([]byte, 0, 64))
-	full = binary.AppendUvarint(full, binaryKindDict)
-	return journalFormat.Seal(full, false)
+	return journalFormat.Seal(false, dt.AppendTo(nil), []byte{binaryKindDict})
 }
 
 func encodeBinaryBody(rec *journalRecord, tbl *frame.DictTable) []byte {
-	b := make([]byte, 0, 256)
+	b := make([]byte, 0, bodySize(rec))
 	kind := uint64(binaryKindDelta)
 	if rec.Kind == recordSnapshot {
 		kind = binaryKindSnapshot
@@ -130,6 +126,22 @@ func encodeBinaryBody(rec *journalRecord, tbl *frame.DictTable) []byte {
 		b = binary.AppendVarint(b, int64(n))
 	}
 	return b
+}
+
+// bodySize sizes rec's body from its counts, so encodeBinaryBody
+// allocates it once. While the dictionary holds fewer than 2M strings
+// and counts stay below a million, a bug takes at most 55 bytes (seven
+// references, two timestamps, a float and three small counters) and a
+// trend observation 23; a body past that grows as append grows it.
+func bodySize(rec *journalRecord) int {
+	n := 64 + 64*len(rec.Bugs)
+	for _, obs := range rec.Trend {
+		n += 8 + 24*len(obs)
+	}
+	if rec.Sweep != nil {
+		n += 8 * len(rec.Sweep.FailedByService)
+	}
+	return n
 }
 
 // decodePayload decodes one frame payload against the segment

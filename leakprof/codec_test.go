@@ -17,7 +17,7 @@ import (
 // fresh dictionary makes the frame's appended-strings table carry every
 // string it references, the shape of a snapshot segment's only frame.
 func encodeBinaryRecord(rec *journalRecord) ([]byte, error) {
-	return encodeBinaryRecordDict(rec, frame.NewDictTable(frame.NewDict()))
+	return encodeBinaryRecordDict(rec, frame.NewDictTable(frame.NewDict(), 0))
 }
 
 // decodePayload decodes one self-contained frame payload, without a

@@ -255,7 +255,7 @@
 // # Hot-path tuning
 //
 // The ingest-to-journal path is built to hold its throughput and its
-// pause behaviour at fleet scale; four mechanisms carry that, each with
+// pause behaviour at fleet scale; five mechanisms carry that, each with
 // a knob or a metric:
 //
 // Parallel window folds. Admitted dumps are folded into the sharded
@@ -295,6 +295,25 @@
 // seeds the hot strings (keys, locations, service names), and
 // subsequent frames reference them by ordinal instead of repeating
 // them, which shrinks steady-state journal bytes by over a third.
+//
+// A fold that copies nothing twice. A fold rewrites the whole state as
+// one snapshot frame, and each input is captured once: the bug DB is
+// sorted as pointers and each bug copied once (report.DB.All), the trend
+// history is exported into one backing array, the string table and the
+// body are sized from the record's counts and fed to flate one after
+// the other (frame.Format.Seal), and the table becomes the snapshot
+// segment's dictionary as it stands instead of being inserted into a
+// second map. The frame's bytes are unchanged; TestGoldenBytes pins a
+// 90 KB fold frame by its digest. At 100K keys
+// (BenchmarkSweepCriticalPath/fold-pause, 2-vCPU box) a fold went from
+// 142 MB and 103,700 allocations to 70 MB and 2,470, and from 0.58–0.67
+// s to 0.49–0.58 s; at 20K keys TestSnapshotFoldAllocs reads 392
+// allocations against 21,264 and pins them below 1,000. Window ranking
+// compares dedup keys in place instead of concatenating two per
+// comparison: sorting 1,000 moments keyed like ingest-wide's fell from
+// 2.6 ms and 20,183 allocations to 0.7 ms and 3. Together they took the
+// repository benchmark's ingest-wide cpu_ms_per_dump from 3.17 to 2.51
+// ms (medians of 10 alternating pairs).
 //
 // # Chaos & fault injection
 //

@@ -555,7 +555,7 @@ func (s *StateStore) encodeActiveFrame(rec *journalRecord) ([]byte, func(), erro
 	if s.segDict == nil {
 		s.segDict = frame.NewDict()
 	}
-	dt := frame.NewDictTable(s.segDict)
+	dt := frame.NewDictTable(s.segDict, 0)
 	payload, err := encodeBinaryRecordDict(rec, dt)
 	if err != nil {
 		return nil, nil, err
@@ -871,7 +871,10 @@ func (s *StateStore) Save() error {
 // it.
 func encodeSnapshotFrame(rec *journalRecord) ([]byte, *frame.Dict, error) {
 	dict := frame.NewDict()
-	dt := frame.NewDictTable(dict)
+	// Each bug names a key, a location and a function no other bug
+	// shares, and a trend key may have no bug; services, operations and
+	// owners repeat.
+	dt := frame.NewDictTable(dict, 3*len(rec.Bugs)+len(rec.Trend))
 	payload, err := encodeBinaryRecordDict(rec, dt)
 	if err != nil {
 		return nil, nil, err

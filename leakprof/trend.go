@@ -162,14 +162,15 @@ func (t *TrendTracker) ObserveMoments(at time.Time, moments []Moment) {
 		if m.Total <= 0 {
 			continue
 		}
-		o := merged[m.Key()]
+		key := m.Key()
+		o := merged[key]
 		o.at = at
 		o.total += m.Total
 		o.sumSquares += m.SumSquares
 		if m.ServiceProfiles > o.profiles {
 			o.profiles = m.ServiceProfiles
 		}
-		merged[m.Key()] = o
+		merged[key] = o
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -200,18 +201,7 @@ type TrendObservation struct {
 func (t *TrendTracker) Export() map[string][]TrendObservation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.exportLocked()
-}
-
-func (t *TrendTracker) exportLocked() map[string][]TrendObservation {
-	if len(t.history) == 0 {
-		return nil
-	}
-	out := make(map[string][]TrendObservation, len(t.history))
-	for key, obs := range t.history {
-		out[key] = exportObservations(obs)
-	}
-	return out
+	return exportHistory(t.history)
 }
 
 // TakeNew returns the observations recorded since the last TakeNew and
@@ -230,13 +220,7 @@ func (t *TrendTracker) TakeNew() map[string][]TrendObservation {
 
 func (t *TrendTracker) takeNewLocked() map[string][]TrendObservation {
 	t.pendingArmed = true
-	if len(t.pending) == 0 {
-		return nil
-	}
-	out := make(map[string][]TrendObservation, len(t.pending))
-	for key, obs := range t.pending {
-		out[key] = exportObservations(obs)
-	}
+	out := exportHistory(t.pending)
 	t.pending = nil
 	return out
 }
@@ -249,15 +233,31 @@ func (t *TrendTracker) takeNewLocked() map[string][]TrendObservation {
 func (t *TrendTracker) exportTakeNew() (history, taken map[string][]TrendObservation) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.exportLocked(), t.takeNewLocked()
+	return exportHistory(t.history), t.takeNewLocked()
 }
 
-func exportObservations(obs []observation) []TrendObservation {
-	exported := make([]TrendObservation, len(obs))
-	for i, o := range obs {
-		exported[i] = TrendObservation{At: o.at, Total: o.total, Profiles: o.profiles, SumSquares: o.sumSquares}
+// exportHistory exports every key's observations into one backing
+// array, each key's slice capped at its own length so an append to one
+// cannot run into the next.
+func exportHistory(history map[string][]observation) map[string][]TrendObservation {
+	if len(history) == 0 {
+		return nil
 	}
-	return exported
+	n := 0
+	for _, obs := range history {
+		n += len(obs)
+	}
+	all := make([]TrendObservation, n)
+	out := make(map[string][]TrendObservation, len(history))
+	for key, obs := range history {
+		exported := all[:len(obs):len(obs)]
+		all = all[len(obs):]
+		for i, o := range obs {
+			exported[i] = TrendObservation{At: o.at, Total: o.total, Profiles: o.profiles, SumSquares: o.sumSquares}
+		}
+		out[key] = exported
+	}
+	return out
 }
 
 // Restore loads previously exported history, replacing any existing

@@ -87,11 +87,10 @@ func ReadShardReport(r io.Reader) (*ShardReport, error) {
 
 // encodeShardReport renders the frame payload (envelope and body).
 func encodeShardReport(rep *ShardReport) ([]byte, error) {
-	tbl := frame.NewDictTable(frame.NewDict())
+	tbl := frame.NewDictTable(frame.NewDict(), 0)
 	body := encodeShardBody(rep, tbl)
-	full := tbl.AppendTo(make([]byte, 0, len(body)+64))
-	full = append(full, body...)
-	payload, err := wireFormat.Seal(full, len(full) >= frame.FlateMin)
+	strs := tbl.AppendTo(nil)
+	payload, err := wireFormat.Seal(len(strs)+len(body) >= frame.FlateMin, strs, body)
 	if err != nil {
 		return nil, fmt.Errorf("leakprof: shard report codec: %w", err)
 	}
