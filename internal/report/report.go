@@ -192,6 +192,24 @@ func (db *DB) TakeDirty() []Bug {
 	return out
 }
 
+// TakeDirtyKeys clears the dirty set as TakeDirty does, but returns
+// only its keys, in no order: the drain of a journal fold, whose
+// snapshot captures every bug anyway and which keeps the keys only to
+// hand back to MarkDirty if the fold fails.
+func (db *DB) TakeDirtyKeys() []string {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if len(db.dirty) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(db.dirty))
+	for key := range db.dirty {
+		keys = append(keys, key)
+	}
+	db.dirty = make(map[string]struct{})
+	return keys
+}
+
 // DropAged removes closed (fixed or rejected) bugs whose last sighting —
 // FiledAt when no sighting was ever recorded — predates cutoff, and
 // returns how many were dropped. Open bugs are never dropped, whatever

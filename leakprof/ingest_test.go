@@ -595,6 +595,71 @@ func TestIngestDrainOnClose(t *testing.T) {
 	}
 }
 
+// TestIngestCleanStopKeepsLastWindow pins the empty-sweep rule across a
+// clean stop: a window closes with one corrupt-gzip POST failed, then
+// Run is cancelled with nothing sent since. The shutdown drain sweeps
+// nothing, so the reopened journal's LastSweep and error-budget seed
+// must still be that window's.
+func TestIngestCleanStopKeepsLastWindow(t *testing.T) {
+	t0 := time.Unix(1_700_000_000, 0)
+	clock := &ingestClock{t: t0}
+	dir := t.TempDir()
+	sweeps := make(chan *Sweep, 4)
+	pipe := New(
+		WithClock(clock.Now),
+		WithWindow(time.Minute),
+		WithStateDir(dir),
+		WithOnSweep(func(s *Sweep) { sweeps <- s }),
+	)
+	ticks := make(chan time.Time)
+	srv := NewIngestServer(pipe, IngestTicks(ticks))
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+
+	if rec := postDump(srv, "svc", "i0", []byte("not gzip"), true); rec.Code != http.StatusBadRequest {
+		t.Fatalf("corrupt-gzip POST: got %d, want 400", rec.Code)
+	}
+	// The first tick finds the window open on the unmoved clock; the
+	// second, past its deadline, closes it.
+	ticks <- time.Time{}
+	clock.Advance(2 * time.Minute)
+	ticks <- time.Time{}
+	first := <-sweeps
+	if want := map[string]int{"svc": 1}; !reflect.DeepEqual(first.FailedByService, want) {
+		t.Fatalf("window 1 FailedByService = %v, want %v", first.FailedByService, want)
+	}
+	waitIngest(t, "window 2 open", func() bool { return srv.Stats().Windows == 1 })
+	store, err := pipe.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs, appended := store.journalSyncs(), store.journalBytesAppended()
+	cancel()
+	<-runDone
+	if drain := <-sweeps; drain.Profiles != 0 || drain.Errors != 0 {
+		t.Fatalf("shutdown drain = %d profiles, %d errors; want an empty sweep", drain.Profiles, drain.Errors)
+	}
+	if s, a := store.journalSyncs()-syncs, store.journalBytesAppended()-appended; s != 0 || a != 0 {
+		t.Errorf("the empty drain journaled %d bytes with %d fsyncs, want none", a, s)
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, want := re.LastFailureCounts(), map[string]int{"svc": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("LastFailureCounts after a clean stop = %v, want window 1's %v", got, want)
+	}
+	if last := re.LastSweep(); last == nil || !last.At.Equal(first.At) || last.Errors != 1 {
+		t.Errorf("LastSweep after a clean stop = %+v, want window 1's (at %v, 1 error)", last, first.At)
+	}
+}
+
 // TestIngestLoad hammers a real HTTP listener with concurrent posters —
 // the race-job shape of the fleetsim load generator. Every request must
 // be accounted (admitted, rejected, or scan-failed), and after the

@@ -556,12 +556,16 @@ func (s *StateStore) encodeActiveFrame(rec *journalRecord) ([]byte, func(), erro
 		s.segDict = frame.NewDict()
 	}
 	dt := frame.NewDictTable(s.segDict, 0)
-	payload, err := encodeBinaryRecordDict(rec, dt)
+	payload, err := encodeRecord(rec, dt)
 	if err != nil {
 		return nil, nil, err
 	}
 	return frame.New(payload), dt.Commit, nil
 }
+
+// encodeRecord renders a record for the active segment. A variable so
+// tests can count the store's encodes.
+var encodeRecord = encodeBinaryRecordDict
 
 // writePendingSeedLocked frames the dictionary seed owed at the head of
 // a freshly created segment, before its first data frame. The seed's
@@ -662,6 +666,15 @@ func (s *StateStore) syncActiveLocked() error {
 // it durable per the store's sync policy: before it returns
 // (SyncEverySweep), or not until Flush/Close (SyncOnClose).
 func (s *StateStore) appendRecord(rec *journalRecord) error {
+	if s.activeSize >= s.segmentBytes {
+		// Every frame holds at least a byte, so a segment at its bound
+		// rolls whatever the frame holds, as after each fold whose
+		// snapshot outgrew the bound: roll before encoding, and encode
+		// once, against the fresh dictionary.
+		if _, err := s.openActive(1); err != nil {
+			return err
+		}
+	}
 	buf, commit, err := s.encodeActiveFrame(rec)
 	if err != nil {
 		return err
@@ -671,7 +684,8 @@ func (s *StateStore) appendRecord(rec *journalRecord) error {
 		return err
 	}
 	if rolled {
-		// The roll reset the segment dictionary, so the frame's string
+		// The frame tipped the segment past its bound by itself. The
+		// roll reset the segment dictionary, so the frame's string
 		// references point into the outgoing segment's table; re-encode
 		// against the fresh (seeded) dictionary.
 		if buf, commit, err = s.encodeActiveFrame(rec); err != nil {
@@ -803,23 +817,36 @@ func (s *StateStore) LastFailureCounts() map[string]int {
 // as Save does, and waits for the fold. A failed fold is returned, but
 // the sweep's delta is already journaled by then and the next
 // RecordSweep retries the fold.
+//
+// An empty sweep, one that folded no profile and counted no failure
+// (an idle ingest window, or the drain of a clean stop), is no sweep
+// outcome: it leaves LastSweep and LastFailureCounts to the last sweep
+// that saw the fleet. Its frame carries only the bugs and trend
+// observations changed since, and with none it writes no frame and
+// issues no fsync.
 func (s *StateStore) RecordSweep(sweep *Sweep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.last = &SweepRecord{
-		At:              sweep.At,
-		Source:          sweep.Source,
-		Profiles:        sweep.Profiles,
-		Errors:          sweep.Errors,
-		Findings:        len(sweep.Findings),
-		FailedByService: copyCounts(sweep.FailedByService),
+	var outcome *SweepRecord
+	if sweep.Profiles > 0 || sweep.Errors > 0 {
+		s.last = &SweepRecord{
+			At:              sweep.At,
+			Source:          sweep.Source,
+			Profiles:        sweep.Profiles,
+			Errors:          sweep.Errors,
+			Findings:        len(sweep.Findings),
+			FailedByService: copyCounts(sweep.FailedByService),
+		}
+		outcome = s.last
+	} else if s.db.DirtyCount() == 0 && !s.tracker.hasPending() {
+		return nil
 	}
 	rec := &journalRecord{
 		Kind:    recordDelta,
 		SavedAt: s.now(),
 		Bugs:    s.db.TakeDirty(),
 		Trend:   s.tracker.TakeNew(),
-		Sweep:   s.last,
+		Sweep:   outcome,
 	}
 	if err := s.appendRecord(rec); err != nil {
 		// The frame never became durable; hand the drained delta back so
@@ -904,18 +931,24 @@ func (s *StateStore) compactLocked() error {
 	// stays dirty for the next delta (bugs replay by overwrite, so one
 	// changed between the drain and the capture may sit in both). The
 	// trend export and drain are one step, since observations replay by
-	// appending.
-	taken := &journalRecord{Bugs: s.db.TakeDirty()}
+	// appending. The drain keeps only the dirty keys and the new
+	// observations, to hand back if the fold fails.
+	dirty := s.db.TakeDirtyKeys()
 	rec := &journalRecord{
 		Kind:    recordSnapshot,
 		SavedAt: s.now(),
 		Bugs:    s.db.All(),
 		Sweep:   s.last,
 	}
-	rec.Trend, taken.Trend = s.tracker.exportTakeNew()
+	var newTrend map[string][]TrendObservation
+	rec.Trend, newTrend = s.tracker.exportTakeNew()
+	requeue := func() {
+		s.db.MarkDirty(dirty...)
+		s.tracker.requeueNew(newTrend)
+	}
 	buf, snapDict, err := encodeSnapshotFrame(rec)
 	if err != nil {
-		s.requeueDeltaLocked(taken)
+		requeue()
 		return err
 	}
 	oldBase, newSeq := s.base, s.activeSeq+1
@@ -924,7 +957,7 @@ func (s *StateStore) compactLocked() error {
 	}
 	snapPath := s.segmentPath(newSeq)
 	if err := writeFileAtomic(s.dir, ".segment-*", snapPath, buf); err != nil {
-		s.requeueDeltaLocked(taken)
+		requeue()
 		return fmt.Errorf("leakprof: writing snapshot segment: %w", err)
 	}
 	// Until the pointer swings, a failure removes the snapshot: left
@@ -938,7 +971,7 @@ func (s *StateStore) compactLocked() error {
 	}
 	if err != nil {
 		os.Remove(snapPath)
-		s.requeueDeltaLocked(taken)
+		requeue()
 		return err
 	}
 	// The pointer swung, so the fold stands. The old segments may go

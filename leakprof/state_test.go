@@ -1320,3 +1320,59 @@ func TestStateStoreDictionaryShrinksSteadyState(t *testing.T) {
 			dictBytes, selfContained)
 	}
 }
+
+// TestRecordSweepAfterOversizedFoldEncodesOnce pins the roll ahead of
+// the encode: a Save whose snapshot frame outgrows the segment bound
+// leaves a segment that rolls before any next frame, so the next
+// RecordSweep encodes its delta once, against the fresh dictionary, not
+// first against the snapshot's dictionary it is about to drop.
+func TestRecordSweepAfterOversizedFoldEncodesOnce(t *testing.T) {
+	const bound = 1 << 10
+	dir := t.TempDir()
+	store, err := OpenStateStore(dir, WithStateCompaction(bound, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]int{}
+	for i := 0; i < 200; i++ {
+		keys[fmt.Sprintf("/svc/handler%03d.go:%d", i, 10+i)] = 100 + i
+	}
+	journalSweep(t, store, 1, keys)
+	if err := store.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if store.activeSize < bound {
+		t.Fatalf("snapshot frame = %d bytes, want past the %d-byte bound", store.activeSize, bound)
+	}
+
+	encodes := 0
+	orig := encodeRecord
+	t.Cleanup(func() { encodeRecord = orig })
+	encodeRecord = func(rec *journalRecord, dt *frame.DictTable) ([]byte, error) {
+		encodes++
+		return orig(rec, dt)
+	}
+	journalSweep(t, store, 2, map[string]int{"/svc/handler000.go:10": 120, "/svc/new.go:1": 5})
+	if encodes != 1 {
+		t.Errorf("the sweep after an oversized fold encoded its frame %d times, want 1", encodes)
+	}
+	if got := store.SegmentCount(); got != 2 {
+		t.Errorf("segments = %d, want the snapshot's and a fresh one", got)
+	}
+	store.Close()
+
+	re, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if b, ok := re.BugDB().Get(svcKey("/svc/handler000.go:10")); !ok || b.Sightings != 2 {
+		t.Errorf("re-sighted bug after reopen = %+v, %v; want 2 sightings", b, ok)
+	}
+	if _, ok := re.BugDB().Get(svcKey("/svc/new.go:1")); !ok {
+		t.Error("the sweep after the fold was lost on reopen")
+	}
+	if last := re.LastSweep(); last == nil || !last.At.Equal(time.Unix(0, 0).Add(48*time.Hour)) {
+		t.Errorf("LastSweep after reopen = %+v, want day 2's", last)
+	}
+}
