@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -256,20 +255,12 @@ type parityMode struct {
 	sc   Scenario
 }
 
-// salvaged reports whether a failure is a salvage diagnostic. A shard
-// report carries failures as message text only, so a failure merged
-// from one is recognised by ErrSalvaged's message.
-func salvaged(err error) bool {
-	return errors.Is(err, gprofile.ErrSalvaged) ||
-		(err != nil && strings.Contains(err.Error(), gprofile.ErrSalvaged.Error()))
-}
-
 // failedPairs lists a sweep's failed (service, instance) pairs and
 // whether each was salvaged, sorted.
 func failedPairs(s *leakprof.Sweep) []string {
 	var out []string
 	for _, f := range s.Failures {
-		out = append(out, fmt.Sprintf("%s/%s salvaged=%v", f.Service, f.Instance, salvaged(f.Err)))
+		out = append(out, fmt.Sprintf("%s/%s salvaged=%v", f.Service, f.Instance, errors.Is(f.Err, gprofile.ErrSalvaged)))
 	}
 	sort.Strings(out)
 	return out
@@ -334,7 +325,8 @@ func parityInput(services, rounds, shards, workers int, flags byte, rest ...byte
 // must agree on its timestamp, Profiles, Errors, FailedByService,
 // Findings and Moments; below the Failures cap, on which instances failed and which
 // of those were salvaged; at the end, on every bug's status and
-// sightings. Each journal, reopened, must give back its live state.
+// sightings and on the journaled last sweep. Each journal, reopened,
+// must give back its live state.
 func FuzzModeParity(f *testing.F) {
 	const (
 		above = 4 | 2<<3 // one instance, leaking past the threshold
@@ -429,6 +421,13 @@ func FuzzModeParity(f *testing.F) {
 			}
 			if g, w := verdicts(outs[m].Store.BugDB()), verdicts(ref.Store.BugDB()); !reflect.DeepEqual(g, w) {
 				t.Fatalf("%s: bug DB = %v, batch %v", name, g, w)
+			}
+			// Ingest's shutdown drain sweeps nothing, so it must leave the
+			// last round as the journaled outcome and error-budget seed.
+			g, w := outs[m].Store.LastSweep(), ref.Store.LastSweep()
+			if g == nil || w == nil || !g.At.Equal(w.At) || g.Profiles != w.Profiles || g.Errors != w.Errors ||
+				!reflect.DeepEqual(nonZero(g.FailedByService), nonZero(w.FailedByService)) {
+				t.Fatalf("%s: journaled last sweep = %+v, batch %+v", name, g, w)
 			}
 		}
 	})

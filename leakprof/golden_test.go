@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -102,10 +103,20 @@ func goldenLargeSnapshot() *journalRecord {
 
 // TestGoldenBytes pins the bytes this build writes for every journal
 // payload kind and for shard reports on both sides of the flate floor,
-// against testdata/golden recorded from the encoders as they stood
-// before the payload envelope moved into internal/frame. An encoding
-// change, however harmless it looks, strands every state dir and every
-// worker of a mixed fleet, so it must show up here.
+// against testdata/golden. Written bytes change in one of two kinds of
+// epoch, each re-recording the files in a commit of its own:
+//
+//   - a byte epoch changes what the encoders write but not what the
+//     decoders read, so the version stays and payloads written before it
+//     still open. The flate level's move from 6 to 4 was one: its
+//     compressed payloads changed, and testdata/golden keeps a level-6
+//     snapshot that must still decode (TestGoldenLevel6SnapshotOpens).
+//   - a version epoch changes the layout. The version byte moves, and
+//     this build refuses payloads at any other version with an error
+//     naming both, as shard reports' version 3 (failure kinds) refuses 2.
+//
+// Either way a change here, however harmless it looks, is one a state
+// dir or a mixed fleet of workers will see, so it must show up here.
 func TestGoldenBytes(t *testing.T) {
 	writeReport := func(rep *ShardReport) ([]byte, error) {
 		var buf bytes.Buffer
@@ -136,8 +147,7 @@ func TestGoldenBytes(t *testing.T) {
 	}
 
 	// The fold's frame, as encodeSnapshotFrame writes it, is too large to
-	// keep as hex: its SHA-256 pins it, recorded from the encoder before
-	// the fold stopped copying its inputs.
+	// keep as hex: its SHA-256 pins it.
 	large, _, err := encodeSnapshotFrame(goldenLargeSnapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +161,34 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	if sum := sha256.Sum256(large); hex.EncodeToString(sum[:]) != strings.TrimSpace(string(want)) {
 		t.Errorf("journal-snapshot-large (%d bytes) drifted from testdata/golden: sha256 %x, want %s", len(large), sum, want)
+	}
+}
+
+// TestGoldenLevel6SnapshotOpens decodes the sample snapshot as builds
+// before the flate-level epoch wrote it, at level 6: a DEFLATE reader
+// inflates any level, so state dirs written then open with no version
+// bump.
+func TestGoldenLevel6SnapshotOpens(t *testing.T) {
+	h, err := os.ReadFile(filepath.Join("testdata", "golden", "journal-snapshot-level6.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := hex.DecodeString(strings.TrimSpace(string(h)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := encodeBinaryRecord(codecSampleRecord(recordSnapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(payload, now) {
+		t.Fatal("the level-6 fixture equals what this build writes; it no longer pins an older level")
+	}
+	got, err := decodePayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := codecSampleRecord(recordSnapshot); !reflect.DeepEqual(got, want) {
+		t.Fatalf("level-6 snapshot decoded to\n%+v\nwant %+v", got, want)
 	}
 }

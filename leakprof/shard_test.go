@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -125,8 +126,8 @@ func TestShardReportWireRoundTrip(t *testing.T) {
 }
 
 // TestShardReportWireRejectsCorruption flips a payload byte and expects
-// the CRC to catch it, and refuses a well-formed frame of the retired
-// version 1 with an error naming both versions.
+// the CRC to catch it, and refuses well-formed frames of the retired
+// versions 1 and 2 with an error naming both versions.
 func TestShardReportWireRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteShardReport(&buf, &ShardReport{Shard: "s", Profiles: 1}); err != nil {
@@ -138,10 +139,11 @@ func TestShardReportWireRejectsCorruption(t *testing.T) {
 		t.Fatal("corrupted frame decoded cleanly")
 	}
 
-	// A version-1 frame had no sequence number. Derive one from a v2
-	// encoding whose trailing fields are all empty: dropping the single
-	// zero Seq byte and stamping version 1 yields exactly what a v1
-	// writer produced.
+	// A version-1 frame had no sequence number, and a version-2 frame no
+	// failure kinds. Derive both from an encoding whose trailing fields
+	// are all empty: stamping version 2 yields exactly what a v2 writer
+	// produced, and dropping the single zero Seq byte too what a v1
+	// writer did.
 	buf.Reset()
 	if err := WriteShardReport(&buf, &ShardReport{Shard: "old", Profiles: 3}); err != nil {
 		t.Fatal(err)
@@ -154,8 +156,14 @@ func TestShardReportWireRejectsCorruption(t *testing.T) {
 	v1 = append(v1, payload[len(payload)-4:]...) // drop the Seq byte
 	v1[1] = 1                                    // stamp the old version
 	_, err := ReadShardReport(bytes.NewReader(frame.New(v1)))
-	if !errors.Is(err, frame.ErrVersion) || !strings.Contains(err.Error(), "version 1, older than supported 2") {
-		t.Fatalf("v1 frame: err = %v, want a refusal naming versions 1 and 2", err)
+	if !errors.Is(err, frame.ErrVersion) || !strings.Contains(err.Error(), "version 1, older than supported 3") {
+		t.Fatalf("v1 frame: err = %v, want a refusal naming versions 1 and 3", err)
+	}
+	v2 := append([]byte(nil), payload...)
+	v2[1] = 2
+	_, err = ReadShardReport(bytes.NewReader(frame.New(v2)))
+	if !errors.Is(err, frame.ErrVersion) || !strings.Contains(err.Error(), "version 2, older than supported 3") {
+		t.Fatalf("v2 frame: err = %v, want a refusal naming versions 2 and 3", err)
 	}
 
 	// A checksummed frame whose one table string claims a length that
@@ -260,6 +268,56 @@ func TestShardInboxHTTP(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sweep.Moments(), want.Moments()) {
 		t.Fatal("moments shipped over HTTP diverge from the direct fold")
+	}
+}
+
+// TestMergedFailuresKeepTheirKind sweeps a salvaged dump in a shard
+// worker, adds one failure of every other kind to its report, and ships
+// it through the coordinator inbox: each merged failure must keep its
+// message and still match its sentinel with errors.Is.
+func TestMergedFailuresKeepTheirKind(t *testing.T) {
+	torn := "goroutine 1 [chan send]:\npay.leak()\n\t/pay/l.go:5 +0x2b\n" +
+		"goroutine 99 [chan send:\ntorn.member()\n"
+	worker := New(WithThreshold(1))
+	rep, err := worker.ShardSweep(context.Background(), Dumps(Dump{Service: "pay", Instance: "i0", Body: strings.NewReader(torn)}), "shard-0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinels := []error{gprofile.ErrSalvaged, ErrIngestOverflow, ErrIngestQuota, ErrBudgetExhausted, nil}
+	for i, sentinel := range sentinels[1:] {
+		err := errors.New("connection refused")
+		if sentinel != nil {
+			err = fmt.Errorf("leakprof: i%d: %w", i+1, sentinel)
+		}
+		rep.Failures = append(rep.Failures, SweepFailure{Service: "pay", Instance: fmt.Sprintf("i%d", i+1), Err: err})
+	}
+	want := append([]SweepFailure(nil), rep.Failures...)
+	if len(want) != len(sentinels) {
+		t.Fatalf("worker failures = %+v, want the salvage report first", want)
+	}
+
+	inbox := NewShardInbox(1)
+	srv := httptest.NewServer(inbox)
+	defer srv.Close()
+	if err := PostShardReport(context.Background(), nil, srv.URL, rep); err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := New().Sweep(context.Background(), MergedReports(inbox.Fetch("shard-0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Failures) != len(want) {
+		t.Fatalf("merged failures = %+v, want %d", sweep.Failures, len(want))
+	}
+	for i, f := range sweep.Failures {
+		if f.Instance != want[i].Instance || f.Err.Error() != want[i].Err.Error() {
+			t.Errorf("failure %d = %s/%v, want %s/%v", i, f.Instance, f.Err, want[i].Instance, want[i].Err)
+		}
+		for _, s := range sentinels[:len(sentinels)-1] {
+			if got, w := errors.Is(f.Err, s), s == sentinels[i]; got != w {
+				t.Errorf("failure %d (%v): errors.Is(%v) = %v, want %v", i, f.Err, s, got, w)
+			}
+		}
 	}
 }
 

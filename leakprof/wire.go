@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/frame"
+	"repro/internal/gprofile"
 )
 
 // ShardReport is one shard worker's folded contribution to a distributed
@@ -58,8 +59,35 @@ type ShardReport struct {
 // table shared by every section and record in the report: service
 // names, locations, and functions repeat across the moments of a shard,
 // so the dictionary amortises them once per report rather than once per
-// record. Version 2 is the only version this build reads or writes.
-var wireFormat = frame.Format{Name: "shard report", Magic: 0xB2, Version: 2}
+// record. Each failure carries its message and a kind byte naming the
+// sentinel it wraps (failureKinds), so errors.Is classifies a merged
+// failure as it did the worker's. Version 3 is the only version this
+// build reads or writes.
+var wireFormat = frame.Format{Name: "shard report", Magic: 0xB2, Version: 3}
+
+// failureKinds are the sentinels a failure's kind byte names, kind i+1
+// for failureKinds[i]; kind 0 is any other error.
+var failureKinds = []error{gprofile.ErrSalvaged, ErrIngestOverflow, ErrIngestQuota, ErrBudgetExhausted}
+
+// failureKind is the kind byte for err: the first sentinel it wraps.
+func failureKind(err error) byte {
+	for i, sentinel := range failureKinds {
+		if errors.Is(err, sentinel) {
+			return byte(i + 1)
+		}
+	}
+	return 0
+}
+
+// kindError is a failure decoded from the wire: the worker's message,
+// wrapping the sentinel its kind names.
+type kindError struct {
+	msg  string
+	kind error
+}
+
+func (e *kindError) Error() string { return e.msg }
+func (e *kindError) Unwrap() error { return e.kind }
 
 // WriteShardReport frames and writes one report.
 func WriteShardReport(w io.Writer, rep *ShardReport) error {
@@ -125,6 +153,7 @@ func encodeShardBody(rep *ShardReport, tbl *frame.DictTable) []byte {
 			msg = f.Err.Error()
 		}
 		b = binary.AppendUvarint(b, tbl.Ref(msg))
+		b = append(b, failureKind(f.Err))
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.Moments)))
 	for i := range rep.Moments {
@@ -176,15 +205,22 @@ func decodeShardReport(payload []byte) (*ShardReport, error) {
 		}
 	}
 
-	if n := r.Count(3); n > 0 {
+	if n := r.Count(4); n > 0 {
 		rep.Failures = make([]SweepFailure, n)
 	}
 	for i := range rep.Failures {
 		f := &rep.Failures[i]
 		f.Service = r.Str(tbl)
 		f.Instance = r.Str(tbl)
-		if msg := r.Str(tbl); msg != "" {
+		msg, kind := r.Str(tbl), int(r.Byte())
+		switch {
+		case kind > len(failureKinds):
+			return nil, fmt.Errorf("leakprof: shard report failure kind %d unknown", kind)
+		case msg == "":
+		case kind == 0:
 			f.Err = errors.New(msg)
+		default:
+			f.Err = &kindError{msg: msg, kind: failureKinds[kind-1]}
 		}
 	}
 
