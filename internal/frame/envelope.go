@@ -27,12 +27,13 @@ const FlateMin = 4 << 10
 
 // flateLevel is the one compression level of every sealed payload. It is
 // the fastest level whose output for the journal's largest frame, the
-// snapshot a fold writes, stays within 3% of level 6's: on the state at
-// the end of an ingest-wide benchmark run (26,558 bugs, a 7.36 MB body
-// and string table) level 6 sealed 1,285,824 bytes in 350 ms, level 5
-// +0.6% in 179 ms, level 4 +2.1% in 112 ms, and level 3 +11.4% in
-// 103 ms. A DEFLATE reader inflates a stream from any level, so the
-// level changes the bytes written, never what reads them.
+// snapshot a fold writes, stays within 3% of level 6's. On the state at
+// the end of an ingest-wide benchmark run (26,643 bugs; a 7.47 MB body
+// and string table; best of 5 on a 2-vCPU box) level 6 sealed
+// 1,307,682 bytes in 310 ms, level 5 +0.4% in 128 ms, level 4 +1.6% in
+// 68 ms, level 3 +11.6% in 81 ms and level 1 +15.5% in 46 ms. A DEFLATE
+// reader inflates a stream from any level, so the level changes the
+// bytes written, never what reads them.
 const flateLevel = 4
 
 // ErrVersion marks a payload of a known format at a version this build
@@ -48,10 +49,10 @@ type Format struct {
 }
 
 // Seal wraps the concatenation of parts in the format's envelope,
-// flate-compressing it at flateLevel when compress is set. The parts go to the
-// compressor one by one, never joined into one buffer first, and flate
-// output does not depend on how its input is split across writes. The
-// result is a frame payload: it must fit the frame bound.
+// flate-compressing it at flateLevel when compress is set. The parts go
+// to the compressor one by one, never joined into one buffer first, and
+// flate output does not depend on how its input is split across writes.
+// The result is a frame payload: it must fit the frame bound.
 func (f Format) Seal(compress bool, parts ...[]byte) ([]byte, error) {
 	n := 0
 	for _, p := range parts {
@@ -64,7 +65,7 @@ func (f Format) Seal(compress bool, parts ...[]byte) ([]byte, error) {
 			payload = append(payload, p...)
 		}
 	} else {
-		// A journal snapshot deflates about 5.6-fold (7.36 MB to 1.31 MB
+		// A journal snapshot deflates about 5.6-fold (7.47 MB to 1.33 MB
 		// at the end of an ingest-wide benchmark run), so a quarter of
 		// the input holds the output in one allocation; output that needs
 		// more grows the buffer as before.

@@ -818,12 +818,8 @@ func (s *StateStore) LastFailureCounts() map[string]int {
 // the sweep's delta is already journaled by then and the next
 // RecordSweep retries the fold.
 //
-// An empty sweep, one that folded no profile and counted no failure
-// (an idle ingest window, or the drain of a clean stop), is no sweep
-// outcome: it leaves LastSweep and LastFailureCounts to the last sweep
-// that saw the fleet. Its frame carries only the bugs and trend
-// observations changed since, and with none it writes no frame and
-// issues no fsync.
+// A sweep that folded no profile and counted no failure keeps the
+// previous outcome; see the package doc's rule for empty sweeps.
 func (s *StateStore) RecordSweep(sweep *Sweep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
