@@ -169,7 +169,7 @@ func runMatrix(names string) {
 }
 
 // runSweep drives the unified pipeline over the given profile origin:
-// snapshots stream through the scanner into the sharded aggregator, and
+// snapshots stream through the scanner into the fleet aggregator, and
 // a metrics sink tallies the pass. With a state dir, the sweep journals
 // through a StateStore: findings file into the durable bug DB (a repeat
 // run deduplicates instead of re-alerting) and the sweep outcome seeds

@@ -27,9 +27,9 @@
 // pointing at a multi-sweep archive (one sweep-NNNN subdirectory per
 // sweep) replays every recorded sweep at its manifested timestamp. Both
 // input kinds drive the same streaming pipeline: each profile flows
-// through the stack scanner into a sharded fleet aggregator as it
-// arrives, so memory stays flat regardless of fleet and profile size. SIGINT cancels an
-// in-flight sweep cleanly. With -static-index pointing at a findings
+// through the stack scanner into the fleet aggregator as it arrives,
+// so memory stays flat regardless of fleet and profile size. SIGINT
+// cancels an in-flight sweep cleanly. With -static-index pointing at a findings
 // index written by leakrank, every filed bug is decorated with the
 // static alarm for its site ("static: gcatch-like,goat-like: ..." in
 // the alert) — the static↔dynamic loop's production half.
@@ -56,11 +56,11 @@
 // bounded (-ingest-queue): overflow POSTs get 429 + Retry-After and the
 // rejection is charged to the service's error accounting; -ingest-quota
 // additionally caps any one service's share of the queue so a noisy
-// fleet cannot crowd the others out. Scanned dumps fold into the window
-// concurrently (-fold-workers, default min(GOMAXPROCS, 8)) — the
-// aggregator is order-independent, so worker count never changes a
-// sweep's findings. SIGINT drains everything admitted into a final
-// partial window before exiting. -ingest-token arms shared-secret
+// fleet cannot crowd the others out. The window loop folds each scanned
+// dump into the open window. SIGINT drains everything admitted into a
+// final partial window before exiting, and a window whose sinks or
+// journal append failed is reported as a warn: line on the way out.
+// -ingest-token arms shared-secret
 // admission: a POST without the matching X-Leakprof-Token is a 401
 // (compared constant-time) before its ?service= claim can touch any
 // accounting; the same flag makes a -shard worker send the token with
@@ -114,7 +114,6 @@ func main() {
 	window := flag.Duration("window", 0, "with -ingest: tumbling-window duration between emitted sweeps (0 = 1m default)")
 	ingestQueue := flag.Int("ingest-queue", 0, "with -ingest: bound on dumps in flight before POSTs are rejected with 429 (0 = 1024 default)")
 	ingestQuota := flag.Int("ingest-quota", 0, "with -ingest: per-service bound on concurrently held admission slots; a service over its quota gets 429 without crowding others out (0 = no quota)")
-	foldWorkers := flag.Int("fold-workers", 0, "with -ingest: goroutines folding scanned dumps into each window (0 = min(GOMAXPROCS, 8); 1 = serial)")
 	ingestToken := flag.String("ingest-token", "", "shared-secret X-Leakprof-Token: -ingest POSTs without it get 401 (compared constant-time); worker -report-url POSTs send it")
 	staticIndex := flag.String("static-index", "", "findings index written by leakrank: filed bugs and alerts are decorated with the static alarm for their site")
 	flag.Parse()
@@ -224,7 +223,7 @@ func main() {
 		}
 		sweeps = []*leakprof.Sweep{sweep}
 	case *ingest != "":
-		err = runIngest(ctx, pipe, *ingest, *ingestQueue, *ingestQuota, *foldWorkers, *ingestToken)
+		err = runIngest(ctx, pipe, *ingest, *ingestQueue, *ingestQuota, *ingestToken)
 		live.mu.Lock()
 		sweeps = live.sweeps
 		live.mu.Unlock()
@@ -262,10 +261,13 @@ func main() {
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "leakprof: sweep interrupted")
-	} else if err != nil {
-		// Source-, sink-, or state-level failure (unreadable archive,
-		// failed write-through or journal save) — distinct from the
-		// per-endpoint warnings above.
+	}
+	// Source-, sink-, or state-level failure (unreadable archive, failed
+	// write-through or journal save) — distinct from the per-endpoint
+	// warnings above. An interrupted pull sweep's error is the
+	// interruption itself; ingest mode stops on SIGINT by design, and
+	// runIngest returns only what failed.
+	if err != nil && (ctx.Err() == nil || *ingest != "") {
 		fmt.Fprintf(os.Stderr, "warn: %v\n", err)
 	}
 	if len(sweeps) > 1 {
@@ -317,17 +319,15 @@ func (l *alertLog) observe(s *leakprof.Sweep) {
 // runIngest is -ingest mode: serve the push endpoint and run the window
 // loop until the context is cancelled (SIGINT), then drain — everything
 // admitted folds into a final partial-window sweep before the listener
-// and pipeline shut down.
-func runIngest(ctx context.Context, pipe *leakprof.Pipeline, addr string, queue, quota, workers int, token string) error {
+// and pipeline shut down. A clean SIGINT returns nil; a failed window
+// returns Run's error, which names the first failure and the count.
+func runIngest(ctx context.Context, pipe *leakprof.Pipeline, addr string, queue, quota int, token string) error {
 	var iopts []leakprof.IngestOption
 	if queue > 0 {
 		iopts = append(iopts, leakprof.IngestQueue(queue))
 	}
 	if quota > 0 {
 		iopts = append(iopts, leakprof.IngestServiceQuota(quota))
-	}
-	if workers > 0 {
-		iopts = append(iopts, leakprof.IngestFoldWorkers(workers))
 	}
 	if token != "" {
 		iopts = append(iopts, leakprof.IngestAuthToken(token))
@@ -363,8 +363,8 @@ func runIngest(ctx context.Context, pipe *leakprof.Pipeline, addr string, queue,
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if errors.Is(runErr, context.Canceled) && ctx.Err() != nil {
-		return nil // SIGINT is the intended shutdown path
+	if runErr == ctx.Err() {
+		return nil // SIGINT is the intended shutdown path, and no window failed
 	}
 	return runErr
 }

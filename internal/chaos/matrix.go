@@ -130,9 +130,6 @@ type Scenario struct {
 	PostBadGzip float64
 	PostSkew    float64
 	Gzip        bool
-	// FoldWorkers sizes the ingest server's fold pool; 0 keeps its
-	// default.
-	FoldWorkers int
 
 	// Floors and SLO. LatencySLO bounds the sweep wall-clock (batch,
 	// sharded) or the slowest window close (ingest).

@@ -285,16 +285,10 @@ func (r *runner) ingest(ctx context.Context) error {
 	if sc.Token != "" {
 		iopts = append(iopts, leakprof.IngestAuthToken(sc.Token))
 	}
-	if sc.FoldWorkers > 0 {
-		iopts = append(iopts, leakprof.IngestFoldWorkers(sc.FoldWorkers))
-	}
 	srv := leakprof.NewIngestServer(pipe, iopts...)
 	ictx, cancel := context.WithCancel(ctx)
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		srv.Run(ictx)
-	}()
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ictx) }()
 	tick := func() error {
 		select {
 		case ticks <- time.Time{}:
@@ -360,7 +354,11 @@ func (r *runner) ingest(ctx context.Context) error {
 		}
 	}
 	cancel()
-	<-runDone
+	// A failed window's sweep error, as batch mode returns Sweep's; the
+	// cancel that stops Run is not one.
+	if rerr := <-runDone; rerr != ictx.Err() {
+		err = errors.Join(err, rerr)
+	}
 	st := srv.Stats()
 	r.out.evidence.scanErrors = st.ScanErrors
 	r.out.evidence.authRejects = st.AuthRejected

@@ -156,10 +156,10 @@ const parityThreshold = 100
 
 // parityCase is one decoded FuzzModeParity input.
 type parityCase struct {
-	cfgs                    []fleet.ServiceConfig
-	rounds, shards, workers int
-	sync                    leakprof.SyncPolicy
-	faults                  map[string]bodyFault // keyed by round/instance
+	cfgs           []fleet.ServiceConfig
+	rounds, shards int
+	sync           leakprof.SyncPolicy
+	faults         map[string]bodyFault // keyed by round/instance
 }
 
 // faultKinds maps a decoded byte to a body fault.
@@ -173,7 +173,7 @@ const floodInstances = 1000
 // decodeParity turns fuzz bytes into a fleet and a fault plan. Missing
 // bytes read as zero. The layout, in order:
 //
-//	services-1, rounds-1, shards-1, fold workers-1 (each modulo its range)
+//	services-1, rounds-1, shards-1 (each modulo its range)
 //	flags: bit 0 SyncOnClose, bit 1 a flood service listed first
 //	with a flood: its fault (shared by all its instances)
 //	per service: bits 0-1 instances-1, bit 2 leaks above the threshold,
@@ -190,10 +190,9 @@ func decodeParity(data []byte) parityCase {
 	}
 	services := 1 + int(next()%8)
 	pc := parityCase{
-		rounds:  1 + int(next()%3),
-		shards:  1 + int(next()%4),
-		workers: 1 + int(next()%4),
-		faults:  make(map[string]bodyFault),
+		rounds: 1 + int(next()%3),
+		shards: 1 + int(next()%4),
+		faults: make(map[string]bodyFault),
 	}
 	flags := next()
 	if flags&1 != 0 {
@@ -314,8 +313,8 @@ func journalOf(store *leakprof.StateStore) journaled {
 
 // parityInput encodes one FuzzModeParity input in decodeParity's
 // layout; the seeds are written with it.
-func parityInput(services, rounds, shards, workers int, flags byte, rest ...byte) []byte {
-	return append([]byte{byte(services - 1), byte(rounds - 1), byte(shards - 1), byte(workers - 1), flags}, rest...)
+func parityInput(services, rounds, shards int, flags byte, rest ...byte) []byte {
+	return append([]byte{byte(services - 1), byte(rounds - 1), byte(shards - 1), flags}, rest...)
 }
 
 // FuzzModeParity is differential testing across the delivery modes: the
@@ -333,16 +332,16 @@ func FuzzModeParity(f *testing.F) {
 		below = 1        // two instances, leaking under it
 	)
 	// Fault-free: three services over two rounds.
-	f.Add(parityInput(3, 2, 2, 2, 0, above, below, above|1))
+	f.Add(parityInput(3, 2, 2, 0, above, below, above|1))
 	// One seed per body fault kind, mixed with clean instances: torn,
 	// malformed headers (salvaged), corrupt gzip.
-	f.Add(parityInput(2, 2, 3, 1, 0, above|1, below, 1, 0, 0, 0, 0, 1, 0, 1))
-	f.Add(parityInput(2, 1, 2, 4, 1, above|2, above, 2, 0, 2, 2))
-	f.Add(parityInput(3, 3, 4, 3, 0, above, below, above, 3, 0, 0, 0, 3, 0, 0, 0, 3))
+	f.Add(parityInput(2, 2, 3, 0, above|1, below, 1, 0, 0, 0, 0, 1, 0, 1))
+	f.Add(parityInput(2, 1, 2, 1, above|2, above, 2, 0, 2, 2))
+	f.Add(parityInput(3, 3, 4, 0, above, below, above, 3, 0, 0, 0, 3, 0, 0, 0, 3))
 	// 1,000 corrupt-gzip dumps from one service, then one salvaged dump
 	// from another, in the same round: the salvage lands past the
 	// Failures cap and must still stay out of FailedByService.
-	f.Add(parityInput(1, 1, 2, 2, 2, 3, above, 2))
+	f.Add(parityInput(1, 1, 2, 2, 3, above, 2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pc := decodeParity(data)
@@ -350,7 +349,7 @@ func FuzzModeParity(f *testing.F) {
 			{"batch", Scenario{Mode: ModeBatch}},
 			{"sharded-files", Scenario{Mode: ModeSharded, Shards: pc.shards}},
 			{"sharded-inbox", Scenario{Mode: ModeSharded, Shards: pc.shards, Inbox: true}},
-			{"ingest", Scenario{Mode: ModeIngest, FoldWorkers: pc.workers}},
+			{"ingest", Scenario{Mode: ModeIngest}},
 		}
 		faults := func(round int, instance string) bodyFault {
 			return pc.faults[fmt.Sprintf("%d/%s", round, instance)]

@@ -77,7 +77,7 @@ type Instance struct {
 	Name    string
 	hot     bool
 	// blocked is atomic because chaos scenarios deploy mid-sweep: a
-	// DeployAll clearing backlogs races benignly with concurrent
+	// DeployRolling clearing backlogs races benignly with concurrent
 	// Stacks/snapshot reads, exactly as a real deploy races a sweep.
 	blocked atomic.Int64
 	benign  []*stack.Goroutine
@@ -181,11 +181,6 @@ func (f *Fleet) AdvanceDay() {
 		}
 	}
 }
-
-// DeployAll rolls every instance immediately: backlogs clear exactly as
-// at an AdvanceDay deploy boundary, but without advancing the clock.
-// Safe to call while sweeps read the fleet concurrently.
-func (f *Fleet) DeployAll() { f.DeployRolling(1) }
 
 // DeployRolling rolls the first ceil(frac×n) instances of every service
 // immediately — the mid-sweep version skew a rolling deploy causes: a

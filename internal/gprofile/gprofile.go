@@ -1,51 +1,25 @@
-// Package gprofile implements the goroutine-profile formats served by the
-// Go pprof endpoint and a self-contained HTTP handler equivalent to
-// net/http/pprof's /debug/pprof/goroutine, built directly on the runtime
-// Stacks API.
+// Package gprofile implements the goroutine-profile format served by the
+// Go pprof endpoint at ?debug=2 and a self-contained HTTP handler serving
+// it, built directly on the runtime Stacks API.
 //
 // LEAKPROF (Section V of the paper) consumes these profiles: every service
 // instance exposes the endpoint, the collector fetches a snapshot per
 // instance per day, and the scan counts its channel-blocked goroutines
 // by operation and location; the analyzer reads only those counts.
 //
-// Two text encodings exist:
-//
-//   - debug=2: the full stack dump, identical to runtime.Stack output with
-//     per-goroutine state headers. This is the LEAKPROF input because it
-//     carries the blocking state ("chan send", "select", ...).
-//   - debug=1: the aggregated form, one record per unique stack with an
-//     occurrence count ("N @ pc1 pc2 ..." followed by symbolised frames).
-//     It is cheaper to transfer but drops the state string.
+// The debug=2 encoding is the full stack dump, identical to runtime.Stack
+// output with per-goroutine state headers. It is the LEAKPROF input
+// because it carries the blocking state ("chan send", "select", ...).
 package gprofile
 
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/stack"
 )
-
-// Record is one aggregated stack in a debug=1 profile: Count goroutines
-// share the identical call stack.
-type Record struct {
-	// Count is the number of goroutines with this stack.
-	Count int
-	// Frames is the shared call stack, leaf first.
-	Frames []stack.Frame
-}
-
-// Profile is a parsed debug=1 goroutine profile.
-type Profile struct {
-	// Total is the process-wide goroutine count from the header line.
-	Total int
-	// Records are the aggregated stacks, in file order.
-	Records []Record
-}
 
 // Snapshot is one instance's goroutine profile as LEAKPROF consumes it:
 // collection metadata plus the population as counts — how many
@@ -73,163 +47,6 @@ type Snapshot struct {
 	// per-dump diagnostic that a profile was salvaged rather than
 	// decoded cleanly. Zero for a clean scan.
 	Malformed int
-}
-
-// Aggregate folds full goroutine records into debug=1 form, grouping by
-// identical frame sequences. Record order is deterministic: descending
-// count, then lexicographic leaf function.
-func Aggregate(gs []*stack.Goroutine) *Profile {
-	type key string
-	counts := make(map[key]*Record)
-	for _, g := range gs {
-		var sb strings.Builder
-		for _, f := range g.Frames {
-			sb.WriteString(f.Function)
-			sb.WriteByte('|')
-			sb.WriteString(f.File)
-			sb.WriteByte('|')
-			sb.WriteString(strconv.Itoa(f.Line))
-			sb.WriteByte(';')
-		}
-		k := key(sb.String())
-		if r, ok := counts[k]; ok {
-			r.Count++
-			continue
-		}
-		frames := make([]stack.Frame, len(g.Frames))
-		copy(frames, g.Frames)
-		counts[k] = &Record{Count: 1, Frames: frames}
-	}
-	p := &Profile{Total: len(gs)}
-	for _, r := range counts {
-		p.Records = append(p.Records, *r)
-	}
-	sort.Slice(p.Records, func(i, j int) bool {
-		a, b := p.Records[i], p.Records[j]
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		return leafFn(a) < leafFn(b)
-	})
-	return p
-}
-
-func leafFn(r Record) string {
-	if len(r.Frames) == 0 {
-		return ""
-	}
-	return r.Frames[0].Function
-}
-
-// Format renders the profile in the debug=1 text encoding. Synthetic
-// program counters are assigned per unique (function, line) pair since the
-// structured form does not carry real addresses.
-func (p *Profile) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "goroutine profile: total %d\n", p.Total)
-	pcs := map[string]uint64{}
-	nextPC := uint64(0x400000)
-	pcOf := func(f stack.Frame) uint64 {
-		k := f.Function + "|" + f.File + "|" + strconv.Itoa(f.Line)
-		if pc, ok := pcs[k]; ok {
-			return pc
-		}
-		nextPC += 0x40
-		pcs[k] = nextPC
-		return nextPC
-	}
-	for _, r := range p.Records {
-		fmt.Fprintf(&b, "%d @", r.Count)
-		for _, f := range r.Frames {
-			fmt.Fprintf(&b, " %#x", pcOf(f))
-		}
-		b.WriteByte('\n')
-		for _, f := range r.Frames {
-			fmt.Fprintf(&b, "#\t%#x\t%s+%#x\t%s:%d\n",
-				pcOf(f), f.Function, f.Offset, f.File, f.Line)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// ParseProfile1 decodes the debug=1 text encoding produced by Format or by
-// the real pprof endpoint.
-func ParseProfile1(text string) (*Profile, error) {
-	p := &Profile{}
-	lines := strings.Split(text, "\n")
-	var cur *Record
-	for i, raw := range lines {
-		line := strings.TrimRight(raw, "\r")
-		switch {
-		case strings.HasPrefix(line, "goroutine profile: total "):
-			n, err := strconv.Atoi(strings.TrimPrefix(line, "goroutine profile: total "))
-			if err != nil {
-				return nil, fmt.Errorf("gprofile: bad total on line %d: %w", i+1, err)
-			}
-			p.Total = n
-		case line == "":
-			if cur != nil {
-				p.Records = append(p.Records, *cur)
-				cur = nil
-			}
-		case strings.HasPrefix(line, "#"):
-			if cur == nil {
-				return nil, fmt.Errorf("gprofile: frame line %d outside record", i+1)
-			}
-			f, err := parseFrameLine(line)
-			if err != nil {
-				return nil, fmt.Errorf("gprofile: line %d: %w", i+1, err)
-			}
-			cur.Frames = append(cur.Frames, f)
-		default:
-			// "N @ pc pc pc"
-			at := strings.Index(line, " @")
-			if at < 0 {
-				continue // tolerate unknown annotations
-			}
-			n, err := strconv.Atoi(line[:at])
-			if err != nil {
-				return nil, fmt.Errorf("gprofile: bad count on line %d: %w", i+1, err)
-			}
-			if cur != nil {
-				p.Records = append(p.Records, *cur)
-			}
-			cur = &Record{Count: n}
-		}
-	}
-	if cur != nil {
-		p.Records = append(p.Records, *cur)
-	}
-	return p, nil
-}
-
-// parseFrameLine parses "#\t0x4004c0\tmain.leak.func1+0x28\t/src/main.go:12".
-func parseFrameLine(line string) (stack.Frame, error) {
-	fields := strings.Fields(strings.TrimPrefix(line, "#"))
-	if len(fields) < 3 {
-		return stack.Frame{}, fmt.Errorf("malformed frame line %q", line)
-	}
-	var f stack.Frame
-	fn := fields[1]
-	if plus := strings.LastIndexByte(fn, '+'); plus > 0 {
-		if off, err := strconv.ParseUint(strings.TrimPrefix(fn[plus+1:], "0x"), 16, 64); err == nil {
-			f.Offset = off
-			fn = fn[:plus]
-		}
-	}
-	f.Function = fn
-	loc := fields[2]
-	colon := strings.LastIndexByte(loc, ':')
-	if colon <= 0 {
-		return stack.Frame{}, fmt.Errorf("malformed location in %q", line)
-	}
-	n, err := strconv.Atoi(loc[colon+1:])
-	if err != nil {
-		return stack.Frame{}, fmt.Errorf("malformed line number in %q", line)
-	}
-	f.File, f.Line = loc[:colon], n
-	return f, nil
 }
 
 // ScanSnapshot streams a debug=2 profile body and returns its counts:

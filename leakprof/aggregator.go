@@ -11,12 +11,6 @@ import (
 	"repro/internal/stack"
 )
 
-// defaultShards stripes the fleet-wide aggregation state. Locations hash
-// across shards, so concurrent fetch workers folding different locations
-// rarely contend; 32 comfortably exceeds the collector's default
-// parallelism while keeping idle-shard overhead negligible.
-const defaultShards = 32
-
 // Aggregator folds per-instance blocked-operation counts into fleet-wide
 // per-location statistics online, as profiles arrive. It is the streaming
 // replacement for buffering a whole sweep as []*gprofile.Snapshot: peak
@@ -33,16 +27,11 @@ const defaultShards = 32
 type Aggregator struct {
 	threshold int
 	filters   []OpFilter
-	shards    []aggShard
 
 	mu       sync.Mutex
+	groups   map[locKey]*locStats
 	services map[string]int // profiled instances per service (RMS/mean denominator)
 	profiles int
-}
-
-type aggShard struct {
-	mu     sync.Mutex
-	groups map[locKey]*locStats
 }
 
 // locKey identifies one fleet-wide aggregation group. The embedded op has
@@ -70,55 +59,50 @@ func NewAggregator(threshold int, filters ...OpFilter) *Aggregator {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
-	a := &Aggregator{
+	return &Aggregator{
 		threshold: threshold,
 		filters:   filters,
-		shards:    make([]aggShard, defaultShards),
+		groups:    make(map[locKey]*locStats),
 		services:  make(map[string]int),
 	}
-	for i := range a.shards {
-		a.shards[i].groups = make(map[locKey]*locStats)
-	}
-	return a
 }
 
 // Add folds one instance's profile into the fleet statistics. Each
 // profiled instance must be added exactly once per sweep (instances with
 // no blocked goroutines still count toward their service's denominator).
-// Add is safe for concurrent use: the collector's parallel fetchers and
-// IngestServer's parallel window-fold workers both fold snapshots in
-// concurrently, and the sharded counters make the result independent of
-// arrival order (reduction sorts deterministically at close).
+// Add is safe for concurrent use: the collector's parallel fetchers fold
+// snapshots in concurrently, each under one lock taken once per snapshot,
+// and the result is independent of arrival order (reduction sorts
+// deterministically at close).
 func (a *Aggregator) Add(snap *gprofile.Snapshot) {
 	counts := filteredCounts(a.filters, snap)
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.services[snap.Service]++
 	a.profiles++
-	a.mu.Unlock()
 	for op, n := range counts {
-		a.addCount(snap.Service, snap.Instance, op, n)
+		g := a.group(locKey{service: snap.Service, op: op})
+		g.total += n
+		g.instances++
+		if n >= a.threshold {
+			g.suspicious++
+		}
+		g.sumSquares += float64(n) * float64(n)
+		if n > g.maxCount || (n == g.maxCount && snap.Instance < g.maxInstance) {
+			g.maxCount, g.maxInstance = n, snap.Instance
+		}
 	}
 }
 
-func (a *Aggregator) addCount(service, instance string, op stack.BlockedOp, n int) {
-	k := locKey{service: service, op: op}
-	sh := &a.shards[shardOf(k, len(a.shards))]
-	sh.mu.Lock()
-	g := sh.groups[k]
+// group returns k's moments, creating them empty on first sight. The
+// caller holds a.mu.
+func (a *Aggregator) group(k locKey) *locStats {
+	g := a.groups[k]
 	if g == nil {
 		g = &locStats{}
-		sh.groups[k] = g
+		a.groups[k] = g
 	}
-	g.total += n
-	g.instances++
-	if n >= a.threshold {
-		g.suspicious++
-	}
-	g.sumSquares += float64(n) * float64(n)
-	if n > g.maxCount || (n == g.maxCount && instance < g.maxInstance) {
-		g.maxCount, g.maxInstance = n, instance
-	}
-	sh.mu.Unlock()
+	return g
 }
 
 // Profiles returns the number of instance profiles folded in so far.
@@ -134,37 +118,27 @@ func (a *Aggregator) Profiles() int {
 // adds are still in flight (a monitoring peek), but the canonical sweep
 // result is the call after collection completes.
 func (a *Aggregator) Findings(r Ranking) []*Finding {
+	var findings []*Finding
 	a.mu.Lock()
-	services := make(map[string]int, len(a.services))
-	for s, n := range a.services {
-		services[s] = n
+	for k, g := range a.groups {
+		if g.suspicious == 0 {
+			continue // criterion 1: below threshold everywhere
+		}
+		findings = append(findings, &Finding{
+			Service:             k.service,
+			Op:                  k.op.Op,
+			Location:            k.op.Location,
+			Function:            k.op.Function,
+			NilChannel:          k.op.NilChannel,
+			TotalBlocked:        g.total,
+			Instances:           g.instances,
+			SuspiciousInstances: g.suspicious,
+			MaxCount:            g.maxCount,
+			MaxInstance:         g.maxInstance,
+			Impact:              impactFromStats(r, g, a.services[k.service]),
+		})
 	}
 	a.mu.Unlock()
-
-	var findings []*Finding
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for k, g := range sh.groups {
-			if g.suspicious == 0 {
-				continue // criterion 1: below threshold everywhere
-			}
-			findings = append(findings, &Finding{
-				Service:             k.service,
-				Op:                  k.op.Op,
-				Location:            k.op.Location,
-				Function:            k.op.Function,
-				NilChannel:          k.op.NilChannel,
-				TotalBlocked:        g.total,
-				Instances:           g.instances,
-				SuspiciousInstances: g.suspicious,
-				MaxCount:            g.maxCount,
-				MaxInstance:         g.maxInstance,
-				Impact:              impactFromStats(r, g, services[k.service]),
-			})
-		}
-		sh.mu.Unlock()
-	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Impact != b.Impact {
@@ -264,32 +238,22 @@ func (m Moment) Variance() float64 {
 // mid-sweep, but the canonical result is the call after collection
 // completes.
 func (a *Aggregator) Moments() []Moment {
+	var out []Moment
 	a.mu.Lock()
-	services := make(map[string]int, len(a.services))
-	for s, n := range a.services {
-		services[s] = n
+	for k, g := range a.groups {
+		out = append(out, Moment{
+			Service:         k.service,
+			Op:              k.op,
+			Total:           g.total,
+			Instances:       g.instances,
+			ServiceProfiles: a.services[k.service],
+			Suspicious:      g.suspicious,
+			SumSquares:      g.sumSquares,
+			MaxCount:        g.maxCount,
+			MaxInstance:     g.maxInstance,
+		})
 	}
 	a.mu.Unlock()
-
-	var out []Moment
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for k, g := range sh.groups {
-			out = append(out, Moment{
-				Service:         k.service,
-				Op:              k.op,
-				Total:           g.total,
-				Instances:       g.instances,
-				ServiceProfiles: services[k.service],
-				Suspicious:      g.suspicious,
-				SumSquares:      g.sumSquares,
-				MaxCount:        g.maxCount,
-				MaxInstance:     g.maxInstance,
-			})
-		}
-		sh.mu.Unlock()
-	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]
 		return compareKeys(a.Service, a.Op.Op, a.Op.Location, b.Service, b.Op.Op, b.Op.Location) < 0
@@ -348,31 +312,23 @@ func (a *Aggregator) ServiceProfiles() map[string]int {
 // ran during the shard's fold). Safe for concurrent use.
 func (a *Aggregator) MergeMoments(services map[string]int, profiles int, moments []Moment) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	for svc, n := range services {
 		a.services[svc] += n
 	}
 	a.profiles += profiles
-	a.mu.Unlock()
 	for i := range moments {
 		m := &moments[i]
-		k := locKey{service: m.Service, op: m.Op}
-		sh := &a.shards[shardOf(k, len(a.shards))]
-		sh.mu.Lock()
-		g := sh.groups[k]
-		if g == nil {
-			g = &locStats{}
-			sh.groups[k] = g
-		}
+		g := a.group(locKey{service: m.Service, op: m.Op})
 		g.total += m.Total
 		g.instances += m.Instances
 		g.suspicious += m.Suspicious
 		g.sumSquares += m.SumSquares
-		// Same tie-break as addCount; a fresh group (maxCount 0) is taken
-		// over because every observed moment has MaxCount >= 1.
+		// Same tie-break as Add; a fresh group (maxCount 0) is taken over
+		// because every observed moment has MaxCount >= 1.
 		if m.MaxCount > g.maxCount || (m.MaxCount == g.maxCount && m.MaxInstance < g.maxInstance) {
 			g.maxCount, g.maxInstance = m.MaxCount, m.MaxInstance
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -419,26 +375,4 @@ func filteredCounts(filters []OpFilter, snap *gprofile.Snapshot) map[stack.Block
 		counts[op] += n
 	}
 	return counts
-}
-
-// shardOf hashes the group key (FNV-1a) onto a shard.
-func shardOf(k locKey, shards int) int {
-	h := uint32(2166136261)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint32(s[i])
-			h *= 16777619
-		}
-		h ^= 0xff // separator so ("ab","c") and ("a","bc") differ
-		h *= 16777619
-	}
-	mix(k.service)
-	mix(k.op.Op)
-	mix(k.op.Location)
-	mix(k.op.Function)
-	if k.op.NilChannel {
-		h ^= 1
-		h *= 16777619
-	}
-	return int(h % uint32(shards))
 }

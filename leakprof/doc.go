@@ -48,7 +48,7 @@
 //
 // The three stages mirror the paper, and they stream: no stage ever
 // holds a whole profile body, a parsed goroutine slice, or a full sweep
-// of snapshots in memory. Peak sweep state is O(shards x locations),
+// of snapshots in memory. Peak sweep state is O(services x locations),
 // not O(fleet x profile).
 //
 // # Durability & state
@@ -233,11 +233,11 @@
 //	go http.ListenAndServe(addr, srv)  // instances POST dump bodies
 //	err := srv.Run(ctx)                // one Sweep per closed window
 //
-// Every body streams through the same stack scanner on arrival and
-// folds straight into the sharded aggregator — no dump is ever
-// buffered whole, so ingest memory is bounded by the admission queue
-// times the per-dump folded state (O(locations)), not by fleet size or
-// dump length. Arrivals accumulate into clock-driven tumbling windows
+// Every body streams through the same stack scanner on arrival, and the
+// window loop folds each scanned dump into the window's aggregator — no
+// dump is ever buffered whole, so ingest memory is bounded by the
+// admission queue times the per-dump folded state (O(locations)), not by
+// fleet size or dump length. Arrivals accumulate into clock-driven tumbling windows
 // (WithWindow; a late arrival credits the next window), and each window
 // close emits one ordinary Sweep: alerting, trend tracking, archives,
 // and the state journal run unchanged, they simply see "windows"
@@ -252,7 +252,10 @@
 // the server (context cancellation) drains: every dump already scanned
 // and queued folds into a final partial window before Run returns, and
 // a scan still in flight gets a fixed two seconds to land; one slower
-// than that is not folded.
+// than that is not folded. A window whose sweep fails (a sink's
+// SweepDone, the journal append) does not stop the loop, and is not
+// lost either: Run's error after the cancel wraps the first failed
+// window's error and counts the windows that failed.
 //
 // Durability interacts with windows through the fsync policy
 // (WithStateSync), and the loss bound on a crash is per-policy exactly
@@ -265,17 +268,8 @@
 // # Hot-path tuning
 //
 // The ingest-to-journal path is built to hold its throughput and its
-// pause behaviour at fleet scale; six mechanisms carry that, each with
+// pause behaviour at fleet scale; five mechanisms carry that, each with
 // a knob or a metric:
-//
-// Parallel window folds. Admitted dumps are folded into the sharded
-// aggregator by a bounded worker pool (IngestFoldWorkers, default
-// min(GOMAXPROCS, 8)) instead of one goroutine, so scan-and-fold keeps
-// up with burst arrival. A window close quiesces the pool — every
-// in-flight fold completes before the Sweep is emitted — so the window
-// a sweep reports is exactly the set of dumps folded into it, and the
-// aggregator's order-independent shards make the parallel fold
-// byte-identical to the serial one.
 //
 // Per-service admission quotas. IngestServiceQuota bounds how many
 // dumps one service may hold in the admission queue at once; a POST

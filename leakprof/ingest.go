@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -107,21 +106,18 @@ func putGzipReader(zr *gzip.Reader) {
 // diagnostic rides the window's error accounting, mirroring the pull
 // path.
 //
-// Inside a window, queued snapshots are folded by a small pool of
-// worker goroutines (IngestFoldWorkers) appending concurrently to the
-// sweep's sharded aggregator; the window close quiesces the pool
-// before the Sweep is emitted, so every sweep still observes a
-// consistent fold frontier.
+// The window loop folds queued snapshots into the sweep's aggregator
+// itself, one at a time, between its deadline checks, so a closing
+// window has no fold in flight and every sweep observes a consistent
+// fold frontier.
 type IngestServer struct {
 	pipe  *Pipeline
 	queue chan *gprofile.Snapshot // admitted, scanned dumps awaiting a fold
 	slots chan struct{}           // admission bound: in-flight scans + queued snapshots
 	ticks <-chan time.Time
 
-	// foldWorkers is the per-window fold pool size; quota the per-service
-	// admission bound (0 = unlimited).
-	foldWorkers int
-	quota       int
+	// quota is the per-service admission bound (0 = unlimited).
+	quota int
 
 	// token, when non-empty, is the shared secret every POST must carry
 	// in X-Leakprof-Token; mismatches are 401s counted in AuthRejected.
@@ -131,11 +127,6 @@ type IngestServer struct {
 	// (service -> *atomic.Int64), charged before the slot is taken and
 	// released when the dump folds or its request fails.
 	inflight sync.Map
-
-	// foldNotify wakes the window loop after a worker folds, so the
-	// deadline is re-evaluated on fold progress exactly as it was when
-	// folding was inline.
-	foldNotify chan struct{}
 
 	// retryAfter is the 429 Retry-After hint in seconds: half a window,
 	// when the queue has likely drained.
@@ -173,19 +164,6 @@ func IngestQueue(n int) IngestOption {
 		if n > 0 {
 			s.queue = make(chan *gprofile.Snapshot, n)
 			s.slots = make(chan struct{}, n)
-		}
-	}
-}
-
-// IngestFoldWorkers sets how many goroutines fold queued snapshots into
-// each window's aggregator. The default is min(GOMAXPROCS, 8); 1
-// restores strictly serial folding (useful as a parity baseline — the
-// aggregator is order-independent, so worker count never changes a
-// sweep's findings or moments, only its fold throughput).
-func IngestFoldWorkers(n int) IngestOption {
-	return func(s *IngestServer) {
-		if n > 0 {
-			s.foldWorkers = n
 		}
 	}
 }
@@ -233,12 +211,10 @@ func IngestTicks(ticks <-chan time.Time) IngestOption {
 // WithThreshold/WithRanking/sinks/state shape every emitted Sweep.
 func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 	s := &IngestServer{
-		pipe:        pipe,
-		queue:       make(chan *gprofile.Snapshot, DefaultIngestQueue),
-		slots:       make(chan struct{}, DefaultIngestQueue),
-		foldWorkers: defaultFoldWorkers(),
-		foldNotify:  make(chan struct{}, 1),
-		pending:     &Sweep{},
+		pipe:    pipe,
+		queue:   make(chan *gprofile.Snapshot, DefaultIngestQueue),
+		slots:   make(chan struct{}, DefaultIngestQueue),
+		pending: &Sweep{},
 	}
 	retry := int(pipe.cfg.window().Seconds() / 2)
 	if retry < 1 {
@@ -249,17 +225,6 @@ func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 		opt(s)
 	}
 	return s
-}
-
-func defaultFoldWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // chargeService reserves one unit of the service's admission quota.
@@ -421,8 +386,12 @@ func (s *IngestServer) flushAccounting(env *SweepEnv) {
 // admission stops (further POSTs get 503), everything already queued is
 // folded into one final partial-window sweep — delivered to sinks and
 // journal like any other — after scans still in flight get drainGrace
-// to land, and Run returns ctx's error. Callers still own Pipeline.Close
-// for deferred fsync windows, exactly as after pull sweeps.
+// to land, and Run returns. A window whose Sweep fails (a sink's
+// SweepDone, the journal append) does not stop the loop; Run returns
+// ctx's error itself when every window succeeded, and otherwise an
+// error wrapping both ctx's error and the first failed window's, with
+// the count of failed windows. Callers still own Pipeline.Close for
+// deferred fsync windows, exactly as after pull sweeps.
 func (s *IngestServer) Run(ctx context.Context) error {
 	ticks := s.ticks
 	if ticks == nil {
@@ -434,58 +403,53 @@ func (s *IngestServer) Run(ctx context.Context) error {
 		defer ticker.Stop()
 		ticks = ticker.C
 	}
+	var windows, failed int
+	var first error
+	sweep := func() {
+		if _, err := s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks}); err != nil {
+			if failed == 0 {
+				first = err
+			}
+			failed++
+		}
+		windows++
+		s.windows.Add(1)
+	}
 	for {
 		if start := s.closeStart.Swap(0); start != 0 {
 			s.pauseNS.Add(int64(time.Since(time.Unix(0, start))))
 		}
-		s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks})
-		s.windows.Add(1)
+		sweep()
 		if ctx.Err() != nil {
-			s.closed.Store(true)
-			// A window that closed normally in the same instant the
-			// context was cancelled leaves its late arrivals queued; one
-			// final sweep — the source goes straight to its shutdown
-			// drain under the cancelled context — folds them so nothing
-			// admitted is lost.
-			if len(s.slots) > 0 {
-				s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks})
-				s.windows.Add(1)
-			}
-			return ctx.Err()
+			break
 		}
 	}
-}
-
-// foldLoop is one window-scoped fold worker: it drains queued snapshots
-// into the sweep's aggregator until stop closes. The two-phase select
-// gives stop priority, so quiescing never races a worker into folding
-// items meant for the next window once the barrier has begun.
-func (s *IngestServer) foldLoop(stop <-chan struct{}, env *SweepEnv) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		select {
-		case <-stop:
-			return
-		case snap := <-s.queue:
-			<-s.slots
-			env.Emit(snap)
-			s.releaseService(snap.Service)
-			s.folded.Add(1)
-			select {
-			case s.foldNotify <- struct{}{}:
-			default:
-			}
-		}
+	s.closed.Store(true)
+	// A window that closed normally in the same instant the context was
+	// cancelled leaves its late arrivals queued; one final sweep — the
+	// source goes straight to its shutdown drain under the cancelled
+	// context — folds them so nothing admitted is lost.
+	if len(s.slots) > 0 {
+		sweep()
 	}
+	if failed == 0 {
+		return ctx.Err()
+	}
+	return fmt.Errorf("%w (%d of %d ingest windows failed; the first: %w)", ctx.Err(), failed, windows, first)
 }
 
-// ingestWindow is the Source one window sweep drains: queued snapshots
-// are folded by the worker pool until the pipeline clock crosses the
-// window deadline, then the pool is quiesced and the source returns —
+// fold folds one queued snapshot into the window's sweep and frees its
+// admission slot and service quota.
+func (s *IngestServer) fold(env *SweepEnv, snap *gprofile.Snapshot) {
+	<-s.slots
+	env.Emit(snap)
+	s.releaseService(snap.Service)
+	s.folded.Add(1)
+}
+
+// ingestWindow is the Source one window sweep drains: the window loop
+// folds queued snapshots until the pipeline clock crosses the window
+// deadline, checked after every fold and every tick, then returns —
 // closing the window — leaving later arrivals queued for the next
 // window. Context cancellation drains whatever is already queued (the
 // shutdown barrier) and returns.
@@ -499,56 +463,35 @@ func (ingestWindow) Name() string { return "ingest" }
 func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 	s := w.s
 	deadline := env.Config.now().Add(env.Config.window())
-
-	// The fold pool: workers append concurrently to the sharded
-	// aggregator (Emit is safe for concurrent use, and findings/moments
-	// are deterministically ordered at close, so fold order never
-	// changes a sweep). quiesce is the window-close barrier: after it
-	// returns, no fold is in flight and none will start, so the sweep
-	// the engine emits observes a frozen aggregator.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < s.foldWorkers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.foldLoop(stop, env)
-		}()
-	}
-	quiesce := func() {
-		close(stop)
-		wg.Wait()
-	}
-
 	for {
 		select {
-		case <-s.foldNotify:
+		case snap := <-s.queue:
+			s.fold(env, snap)
 		case <-w.ticks:
 		case <-ctx.Done():
-			// Shutdown: stop admitting, then let the pool fold
-			// everything already admitted so no accepted dump is lost. A
-			// held slot without a queued item is a scan still in flight —
-			// wait for it to land (or fail, releasing the slot), for at
-			// most drainGrace. What is already queued folds however long
-			// it takes: that is local work, bounded by the queue.
+			// Shutdown: stop admitting, then fold everything already
+			// admitted so no accepted dump is lost. A held slot without a
+			// queued item is a scan still in flight — wait for it to land
+			// (or fail, releasing the slot), for at most drainGrace. What is
+			// already queued folds however long it takes: that is local
+			// work, bounded by the queue.
 			s.closed.Store(true)
 			giveUp := time.After(drainGrace)
 			poll := time.NewTicker(time.Millisecond)
 			defer poll.Stop()
 			for expired := false; len(s.slots) > 0 && !(expired && len(s.queue) == 0); {
 				select {
-				case <-s.foldNotify:
+				case snap := <-s.queue:
+					s.fold(env, snap)
 				case <-poll.C:
 				case <-giveUp:
 					expired = true
 				}
 			}
-			quiesce()
 			s.flushAccounting(env)
 			return nil
 		}
 		if !env.Config.now().Before(deadline) {
-			quiesce()
 			s.closeStart.Store(time.Now().UnixNano())
 			s.flushAccounting(env)
 			return nil

@@ -13,11 +13,13 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/goleak"
 	"repro/internal/gprofile"
 	"repro/internal/report"
 	"repro/internal/stack"
@@ -196,82 +198,6 @@ func TestIngestWindowParityWithBatchSweep(t *testing.T) {
 	}
 	if len(batchBugs) == 0 {
 		t.Fatal("parity vacuous: batch sweep filed no bugs")
-	}
-}
-
-// TestIngestParallelFoldParity is the parallel-fold acceptance check:
-// the same dump bodies pushed through a serial window (one fold worker)
-// and a parallel window (eight workers) must close with identical
-// findings, moments, profile counts, and bug-DB verdicts. The sharded
-// aggregator is order-independent and sorts deterministically at close,
-// so worker count may change only throughput, never results.
-func TestIngestParallelFoldParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	snaps := randomSweep(rng)
-	t0 := time.Unix(1_700_000_000, 0)
-	type rendered struct {
-		service, instance string
-		body              []byte
-	}
-	var dumps []rendered
-	for _, s := range snaps {
-		dumps = append(dumps, rendered{s.Service, s.Instance, renderDump(t, s)})
-	}
-
-	run := func(workers int) (*Sweep, []report.Bug) {
-		clock := &ingestClock{t: t0}
-		db := report.NewDB()
-		sink := &ReportSink{Reporter: &Reporter{DB: db, Now: func() time.Time { return t0 }}}
-		sweeps := make(chan *Sweep, 4)
-		pipe := New(
-			WithThreshold(40),
-			WithClock(clock.Now),
-			WithWindow(time.Minute),
-			WithOnSweep(func(s *Sweep) { sweeps <- s }),
-		)
-		pipe.AddSinks(sink)
-		ticks := make(chan time.Time)
-		srv := NewIngestServer(pipe, IngestTicks(ticks), IngestFoldWorkers(workers))
-		ctx, cancel := context.WithCancel(context.Background())
-		runDone := make(chan error, 1)
-		go func() { runDone <- srv.Run(ctx) }()
-		for _, d := range dumps {
-			if rec := postDump(srv, d.service, d.instance, d.body, false); rec.Code != http.StatusAccepted {
-				t.Fatalf("workers=%d POST %s/%s: got %d, want 202", workers, d.service, d.instance, rec.Code)
-			}
-		}
-		waitIngest(t, "all dumps folded", func() bool { return srv.Stats().Folded == uint64(len(dumps)) })
-		clock.Advance(2 * time.Minute)
-		ticks <- time.Time{}
-		var sweep *Sweep
-		select {
-		case sweep = <-sweeps:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: window never closed", workers)
-		}
-		cancel()
-		<-runDone
-		bugs := db.All()
-		sort.Slice(bugs, func(i, j int) bool { return bugs[i].Key < bugs[j].Key })
-		return sweep, bugs
-	}
-
-	serial, serialBugs := run(1)
-	parallel, parallelBugs := run(8)
-	if serial.Profiles != parallel.Profiles {
-		t.Fatalf("profiles: serial %d, parallel %d", serial.Profiles, parallel.Profiles)
-	}
-	if !reflect.DeepEqual(serial.Findings, parallel.Findings) {
-		t.Errorf("findings diverge:\nserial:   %+v\nparallel: %+v", serial.Findings, parallel.Findings)
-	}
-	if !reflect.DeepEqual(serial.Moments(), parallel.Moments()) {
-		t.Errorf("moments diverge:\nserial:   %+v\nparallel: %+v", serial.Moments(), parallel.Moments())
-	}
-	if !reflect.DeepEqual(serialBugs, parallelBugs) {
-		t.Errorf("bug DB verdicts diverge:\nserial:   %+v\nparallel: %+v", serialBugs, parallelBugs)
-	}
-	if len(serial.Findings) == 0 || len(serialBugs) == 0 {
-		t.Fatalf("parity vacuous: serial run produced %d findings, %d bugs", len(serial.Findings), len(serialBugs))
 	}
 }
 
@@ -658,6 +584,112 @@ func TestIngestCleanStopKeepsLastWindow(t *testing.T) {
 	if last := re.LastSweep(); last == nil || !last.At.Equal(first.At) || last.Errors != 1 {
 		t.Errorf("LastSweep after a clean stop = %+v, want window 1's (at %v, 1 error)", last, first.At)
 	}
+}
+
+// failingSink fails the SweepDone of the windows fails names, counted
+// from 1. Sweeps run one after another, so the count needs no lock.
+type failingSink struct {
+	n     int
+	fails map[int]error
+}
+
+func (f *failingSink) Snapshot(*gprofile.Snapshot) {}
+
+func (f *failingSink) SweepDone(*Sweep) error {
+	f.n++
+	return f.fails[f.n]
+}
+
+// TestIngestRunReportsFailedWindows checks that a window whose sweep
+// fails (here a sink's SweepDone; a journal append fails the same way)
+// is reported: Run keeps closing windows, and after the cancel its
+// error is still context.Canceled, wrapping the first failed window's
+// error and naming how many windows failed.
+func TestIngestRunReportsFailedWindows(t *testing.T) {
+	clock := &ingestClock{t: time.Unix(1_700_000_000, 0)}
+	errFirst, errSecond := errors.New("sink: first window"), errors.New("sink: second window")
+	sweeps := make(chan *Sweep, 4)
+	pipe := New(
+		WithClock(clock.Now),
+		WithWindow(time.Minute),
+		WithOnSweep(func(s *Sweep) { sweeps <- s }),
+	)
+	pipe.AddSinks(&failingSink{fails: map[int]error{1: errFirst, 2: errSecond}})
+	ticks := make(chan time.Time)
+	srv := NewIngestServer(pipe, IngestTicks(ticks))
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	for w := 1; w <= 2; w++ {
+		// The first tick finds window w open on the unmoved clock; the
+		// second, past its deadline, closes it.
+		ticks <- time.Time{}
+		clock.Advance(2 * time.Minute)
+		ticks <- time.Time{}
+		select {
+		case <-sweeps:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("window %d never closed", w)
+		}
+	}
+	cancel()
+	err := <-runDone
+	<-sweeps // the shutdown drain, whose sink succeeds
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("Run = %v, want it to wrap context.Canceled", err)
+	}
+	if !errors.Is(err, errFirst) || errors.Is(err, errSecond) {
+		t.Errorf("Run = %v, want it to wrap the first failed window's error only", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "2 of 3 ingest windows failed") {
+		t.Errorf("Run = %v, want it to count 2 of 3 windows failed", err)
+	}
+}
+
+// TestIngestRunLeavesNoGoroutine pins that the window loop owns every
+// goroutine a window starts: once Run returns, a durable server whose
+// sinks are wired to its journal has left none behind.
+func TestIngestRunLeavesNoGoroutine(t *testing.T) {
+	opts := goleak.IgnoreCurrent()
+	var swept atomic.Int64
+	pipe := New(
+		WithThreshold(10),
+		WithWindow(20*time.Millisecond),
+		WithStateDir(t.TempDir()),
+		WithOnSweep(func(s *Sweep) { swept.Add(int64(s.Profiles)) }),
+	)
+	store, err := pipe.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.AddSinks(
+		&ReportSink{Reporter: &Reporter{DB: store.BugDB()}},
+		&TrendSink{Tracker: store.Tracker()},
+	)
+	srv := NewIngestServer(pipe)
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	body := renderDump(t, onePager("pay", "i0", 50))
+	if rec := postDump(srv, "pay", "i0", body, false); rec.Code != http.StatusAccepted {
+		t.Fatalf("POST: got %d, want 202", rec.Code)
+	}
+	waitIngest(t, "a window closed over the dump", func() bool { return swept.Load() == 1 })
+	// The second dump is left for the shutdown drain.
+	if rec := postDump(srv, "pay", "i1", body, false); rec.Code != http.StatusAccepted {
+		t.Fatalf("POST: got %d, want 202", rec.Code)
+	}
+	cancel()
+	if err := <-runDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: %v, want context.Canceled", err)
+	}
+	if n := swept.Load(); n != 2 {
+		t.Fatalf("windows swept %d profiles by the drain's end, want 2", n)
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	goleak.VerifyNone(t, opts)
 }
 
 // TestIngestLoad hammers a real HTTP listener with concurrent posters —

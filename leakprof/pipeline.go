@@ -266,7 +266,7 @@ func WithBugRetention(age time.Duration) Option {
 
 // Pipeline is the single entry point to LEAKPROF's collect → detect →
 // report loop: one Engine pulling snapshots from a Source, folding them
-// through the streaming sharded Aggregator, and fanning per-snapshot
+// through the streaming Aggregator, and fanning per-snapshot
 // events plus end-of-sweep results out to Sinks.
 //
 //	pipe := leakprof.New(
