@@ -29,10 +29,10 @@
 // input kinds drive the same streaming pipeline: each profile flows
 // through the stack scanner into the fleet aggregator as it arrives,
 // so memory stays flat regardless of fleet and profile size. SIGINT
-// cancels an in-flight sweep cleanly. With -static-index pointing at a findings
-// index written by leakrank, every filed bug is decorated with the
-// static alarm for its site ("static: gcatch-like,goat-like: ..." in
-// the alert) — the static↔dynamic loop's production half.
+// cancels an in-flight sweep cleanly. With -static-index pointing at a
+// findings index written by leakrank, every filed bug is decorated with
+// the static alarm for its site ("static: gcatch-like,goat-like: ..."
+// in the alert) — the static↔dynamic loop's production half.
 //
 // Distributed sweeps split one fleet across processes. A worker runs
 // with -shard K/N: it sweeps only the endpoints whose services hash to
@@ -60,11 +60,10 @@
 // dump into the open window. SIGINT drains everything admitted into a
 // final partial window before exiting, and a window whose sinks or
 // journal append failed is reported as a warn: line on the way out.
-// -ingest-token arms shared-secret
-// admission: a POST without the matching X-Leakprof-Token is a 401
-// (compared constant-time) before its ?service= claim can touch any
-// accounting; the same flag makes a -shard worker send the token with
-// its -report-url handoff.
+// -ingest-token arms shared-secret admission: a POST without the
+// matching X-Leakprof-Token is a 401 (compared constant-time) before
+// its ?service= claim can touch any accounting; the same flag makes a
+// -shard worker send the token with its -report-url handoff.
 package main
 
 import (
