@@ -555,7 +555,9 @@ func TestIngestCleanStopKeepsLastWindow(t *testing.T) {
 	if want := map[string]int{"svc": 1}; !reflect.DeepEqual(first.FailedByService, want) {
 		t.Fatalf("window 1 FailedByService = %v, want %v", first.FailedByService, want)
 	}
-	waitIngest(t, "window 2 open", func() bool { return srv.Stats().Windows == 1 })
+	// A tick proves window 2 is open, so the cancel below drains it
+	// rather than landing between windows.
+	ticks <- time.Time{}
 	store, err := pipe.State()
 	if err != nil {
 		t.Fatal(err)
@@ -632,9 +634,12 @@ func TestIngestRunReportsFailedWindows(t *testing.T) {
 			t.Fatalf("window %d never closed", w)
 		}
 	}
+	// A tick proves window 3 is open, so the cancel drains it rather than
+	// landing between windows.
+	ticks <- time.Time{}
 	cancel()
 	err := <-runDone
-	<-sweeps // the shutdown drain, whose sink succeeds
+	<-sweeps // window 3, the shutdown drain, whose sink succeeds
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("Run = %v, want it to wrap context.Canceled", err)
 	}
@@ -675,7 +680,8 @@ func TestIngestRunLeavesNoGoroutine(t *testing.T) {
 		t.Fatalf("POST: got %d, want 202", rec.Code)
 	}
 	waitIngest(t, "a window closed over the dump", func() bool { return swept.Load() == 1 })
-	// The second dump is left for the shutdown drain.
+	// A second dump, posted just before the cancel, is folded by the
+	// shutdown drain or the window before it.
 	if rec := postDump(srv, "pay", "i1", body, false); rec.Code != http.StatusAccepted {
 		t.Fatalf("POST: got %d, want 202", rec.Code)
 	}
