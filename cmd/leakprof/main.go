@@ -64,6 +64,12 @@
 // matching X-Leakprof-Token is a 401 (compared constant-time) before
 // its ?service= claim can touch any accounting; the same flag makes a
 // -shard worker send the token with its -report-url handoff.
+//
+// The exit status is 1 after a source-, sink- or state-level failure
+// (an unreadable archive, a failed -archive write-through, journal
+// append or close, a failed ingest window), reported as a warn: line
+// before the summary. A failed instance and an interrupted pull sweep
+// leave it 0.
 package main
 
 import (
@@ -245,10 +251,12 @@ func main() {
 	// The exit barrier: pending journal deltas append, and under -fsync
 	// close the unsynced window lands on disk. Stateless runs close
 	// trivially.
+	failed := false // a source-, sink- or state-level warn: line was printed
 	if cerr := pipe.Close(); err == nil {
 		err = cerr
 	} else if cerr != nil {
 		fmt.Fprintf(os.Stderr, "warn: %v\n", cerr)
+		failed = true
 	}
 
 	profiles := 0
@@ -268,6 +276,7 @@ func main() {
 	// runIngest returns only what failed.
 	if err != nil && (ctx.Err() == nil || *ingest != "") {
 		fmt.Fprintf(os.Stderr, "warn: %v\n", err)
+		failed = true
 	}
 	if len(sweeps) > 1 {
 		fmt.Printf("collected %d profiles across %d sweeps\n", profiles, len(sweeps))
@@ -290,6 +299,11 @@ func main() {
 		for _, key := range tracker.Growing() {
 			fmt.Printf("trend: growing across sweeps: %q\n", key)
 		}
+	}
+	// A scheduler must tell a run whose archive or journal was not
+	// written from a clean one.
+	if failed {
+		os.Exit(1)
 	}
 }
 

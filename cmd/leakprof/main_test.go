@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +18,67 @@ import (
 	"repro/internal/stack"
 	"repro/leakprof"
 )
+
+// runMainEnv, set to 1, makes the test binary run the command itself.
+const runMainEnv = "LEAKPROF_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns its
+// exit status and standard error.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestExitStatusAfterSweepLevelFailure runs a -dir sweep whose -archive
+// write-through fails: the archive's next sweep directory is taken by a
+// plain file. The failure must print a warn: line and exit 1; the same
+// sweep, with a corrupt profile beside the good one, exits 0 into a
+// fresh archive, since a failed instance is not a sweep-level failure.
+func TestExitStatusAfterSweepLevelFailure(t *testing.T) {
+	in := t.TempDir()
+	gs := []*stack.Goroutine{{
+		ID: 1, State: "chan send",
+		Frames: []stack.Frame{{Function: "pay.leak", File: "/pay/leak.go", Line: 12}},
+	}}
+	if err := os.WriteFile(filepath.Join(in, "pay_i1.txt"), []byte(stack.Format(gs)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	archive := t.TempDir()
+	if err := os.WriteFile(filepath.Join(archive, "sweep-0001"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runMain(t, "-threshold", "1", "-dir", in, "-archive", archive)
+	if code != 1 || !strings.Contains(stderr, "warn: ") || !strings.Contains(stderr, "not a directory") {
+		t.Errorf("failed write-through: exit %d, stderr %q; want 1 and a warn: line naming the file", code, stderr)
+	}
+
+	// A member whose header lost its closing bracket: the profile is
+	// salvaged and reported as a failed instance.
+	torn := "goroutine 1 [chan send]:\nsvc.before()\n\t/s/b.go:2 +0x1\ngoroutine 99 [chan send:\nsvc.torn()\n"
+	if err := os.WriteFile(filepath.Join(in, "pay_i2.txt"), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr = runMain(t, "-threshold", "1", "-dir", in, "-archive", t.TempDir())
+	if code != 0 || !strings.Contains(stderr, "warn: archive/pay_i2.txt") {
+		t.Errorf("failed instance only: exit %d, stderr %q; want 0 and a warn: line for pay_i2.txt", code, stderr)
+	}
+}
 
 // TestIngestPrintsAlertsAsWindowsClose drives -ingest mode's sweep
 // observer through an IngestServer: the window holding a leak above the

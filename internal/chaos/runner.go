@@ -275,8 +275,8 @@ func (r *runner) ingest(ctx context.Context) error {
 	// Unbuffered: a completed send proves the window loop is running, so
 	// the window has read its start time before the clock moves.
 	ticks := make(chan time.Time)
-	// Room for every round's sweep and the shutdown's (at most two).
-	sweepCh := make(chan *leakprof.Sweep, r.rounds()+2)
+	// Room for every round's sweep and the shutdown's (one).
+	sweepCh := make(chan *leakprof.Sweep, r.rounds()+1)
 	pipe := leakprof.New(append(r.opts, leakprof.WithOnSweep(func(s *leakprof.Sweep) { sweepCh <- s }))...)
 	if err := r.durable(pipe); err != nil {
 		return errors.Join(err, pipe.Close())

@@ -28,14 +28,6 @@ type Dict struct {
 // NewDict returns an empty dictionary.
 func NewDict() *Dict { return &Dict{index: make(map[string]uint64)} }
 
-// NewDictFrom returns a dictionary seeded with strs, in order.
-// Duplicate seeds keep their first index, matching Extend.
-func NewDictFrom(strs []string) *Dict {
-	d := NewDict()
-	d.Extend(strs)
-	return d
-}
-
 // Len returns the number of strings in the dictionary.
 func (d *Dict) Len() int { return len(d.strs) }
 
@@ -72,10 +64,9 @@ func (d *Dict) Extend(strs []string) {
 // of the frame's appended strings with its future cumulative index.
 // The appends become durable in two steps: AppendTo serializes them
 // into the frame, and Commit publishes them into the dictionary once
-// the frame write succeeded. An abandoned table (failed write, frame
-// re-encoded after a segment roll) is simply dropped, so the in-memory
-// dictionary never references strings the on-disk segment does not
-// declare.
+// the frame write succeeded. An abandoned table (a failed write) is
+// simply dropped, so the in-memory dictionary never references strings
+// the on-disk segment does not declare.
 type DictTable struct {
 	dict  *Dict
 	index map[string]uint64 // strings this frame appends, by future index

@@ -17,13 +17,15 @@ import (
 // references into a string dictionary — the shared internal/frame
 // primitives.
 //
-// The dictionary is scoped to one segment: a frame's leading table lists
-// only the strings it appends to the segment's cumulative dictionary
-// (taking the next consecutive indices), and its references index that
-// dictionary — so steady-state delta frames that keep naming the same
-// hot stack locations stop re-encoding them. The dictionary record kind
-// (binaryKindDict) is a seed of carried-over strings written at a
-// segment's head, decoding to no journal record.
+// The dictionary is scoped to one segment and starts empty in every
+// segment: a frame's leading table lists only the strings it appends to
+// the segment's cumulative dictionary (taking the next consecutive
+// indices), and its references index that dictionary — so steady-state
+// delta frames that keep naming the same hot stack locations stop
+// re-encoding them. The dictionary record kind (binaryKindDict) is read
+// but never written: earlier builds wrote it at a rolled segment's head
+// to seed strings carried over from the previous segment, and it decodes
+// to no journal record.
 //
 // Version 3 is the only version this build reads or writes; a frame at
 // any other version fails the open with an error naming both.
@@ -33,7 +35,7 @@ var journalFormat = frame.Format{Name: "journal record", Magic: 0xB1, Version: 3
 const (
 	binaryKindDelta    = 1
 	binaryKindSnapshot = 2
-	binaryKindDict     = 3 // segment dictionary seed, no record
+	binaryKindDict     = 3 // segment dictionary seed, no record; read only
 )
 
 // segDecoder threads one segment's cumulative string dictionary through
@@ -57,18 +59,6 @@ func encodeBinaryRecordDict(rec *journalRecord, dt *frame.DictTable) ([]byte, er
 	// The appended-strings table precedes the sections that reference
 	// the dictionary so decoding is one pass.
 	return journalFormat.Seal(rec.Kind == recordSnapshot, dt.AppendTo(nil), body)
-}
-
-// encodeDictSeedPayload renders a dictionary-seed frame payload: the
-// seed strings as the frame's appends, then the dict record kind. It is
-// written at a rolled segment's head so hot strings carried over from
-// the previous segment keep resolving as references.
-func encodeDictSeedPayload(seed []string) ([]byte, error) {
-	dt := frame.NewDictTable(frame.NewDict(), len(seed))
-	for _, s := range seed {
-		dt.Ref(s)
-	}
-	return journalFormat.Seal(false, dt.AppendTo(nil), []byte{binaryKindDict})
 }
 
 func encodeBinaryBody(rec *journalRecord, tbl *frame.DictTable) []byte {

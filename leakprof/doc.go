@@ -250,9 +250,10 @@
 // service's failure accounting in the closing window, where it feeds
 // the same error budgets a pull sweep's fetch failures feed. Closing
 // the server (context cancellation) drains: every dump already scanned
-// and queued folds into a final partial window before Run returns, and
-// a scan still in flight gets a fixed two seconds to land; one slower
-// than that is not folded. A window whose sweep fails (a sink's
+// and queued, and every admission failure counted since the last window
+// closed, folds into one final partial window before Run returns, and a
+// scan still in flight gets a fixed two seconds to land; one slower than
+// that is not folded. A window whose sweep fails (a sink's
 // SweepDone, the journal append) does not stop the loop, and is not
 // lost either: Run's error after the cancel wraps the first failed
 // window's error and counts the windows that failed.
@@ -295,10 +296,21 @@
 // no whole-dump string copy on the goleak verification path.
 //
 // Dictionary-compressed segments. The journal codec writes a
-// per-segment string dictionary: the first frame after a segment roll
-// seeds the hot strings (keys, locations, service names), and
-// subsequent frames reference them by ordinal instead of repeating
-// them, which shrinks steady-state journal bytes by over a third.
+// per-segment string dictionary that starts empty in every segment: a
+// frame appends the strings (keys, locations, service names) its
+// segment has not declared yet, and later frames reference them by
+// ordinal instead of repeating them, which shrinks steady-state journal
+// bytes by over a third. A segment rolls only once it has reached its
+// size bound, before the next frame is encoded, so every frame is
+// encoded once, against the dictionary of the segment it lands in, and
+// a segment passes its bound by at most its last frame. The
+// dictionary-seed frame (kind 3) that earlier builds wrote at a rolled
+// segment's head, copying the old segment's strings forward, is read
+// but never written: declaring a string when a segment first needs it
+// never declares more strings than copying the whole dictionary
+// forward, and on the repository benchmark's ingest-wide workload every
+// rolled segment held over 7,000 strings, past the 4,096 the seed would
+// carry, so no roll wrote one.
 //
 // A fold that copies nothing twice. A fold rewrites the whole state as
 // one snapshot frame, and each input is captured once: the bug DB is
@@ -319,9 +331,7 @@
 // repository benchmark's ingest-wide cpu_ms_per_dump from 3.17 to 2.51
 // ms (medians of 10 alternating pairs). The fold drains the dirty set
 // as keys alone (report.DB.TakeDirtyKeys), which it keeps only to
-// re-mark them if it fails, and the delta after a fold whose snapshot
-// outgrew the segment bound rolls the segment before it is encoded, so
-// it is encoded once, against the fresh dictionary.
+// re-mark them if it fails.
 //
 // The compressor's level. Every sealed payload — the fold's snapshot,
 // shard reports from frame.FlateMin up, the static index — deflates at

@@ -82,11 +82,7 @@ func FuzzReadShardReport(f *testing.F) {
 // panic, and a payload it accepts must survive a re-encode and re-decode
 // unchanged.
 func FuzzDecodeJournalPayload(f *testing.F) {
-	seed, err := encodeDictSeedPayload([]string{"svc", "send", "/a.go:1"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	payloads := [][]byte{seed}
+	payloads := [][]byte{goldenPayload(f, "journal-dict-seed")}
 	for _, kind := range []string{recordDelta, recordSnapshot} {
 		payload, err := encodeBinaryRecord(codecSampleRecord(kind))
 		if err != nil {
@@ -124,17 +120,18 @@ func FuzzDecodeJournalPayload(f *testing.F) {
 	})
 }
 
-// replaySegmentSeeds returns two segments as a store writes them — a
-// delta segment headed by a dictionary-seed frame, and a compacted
-// snapshot segment — each with its frame end offsets.
+// replaySegmentSeeds returns three segments, each with its frame end
+// offsets: two as a store writes them — a rolled delta segment and a
+// compacted snapshot segment — and one headed by the dictionary-seed
+// frame earlier builds wrote at a roll, with a frame this build appended
+// after its seeded data frame.
 func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
 	store, err := OpenStateStore(f.TempDir(), WithStateCompaction(1, 100))
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer store.Close()
-	keep := func(seq int) {
-		path := store.segmentPath(seq)
+	keep := func(path string) {
 		seg, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -144,7 +141,7 @@ func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
 	}
 	for day := 1; day <= 4; day++ {
 		if day == 3 {
-			// Segment 2 opened with the seed frame carrying segment 1's
+			// Segment 2 opened with day 2's frame, against an empty
 			// dictionary; keep appending to it from here on.
 			store.segmentBytes = 1 << 20
 		}
@@ -153,16 +150,34 @@ func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
 			f.Fatal(err)
 		}
 	}
-	keep(2)
+	keep(store.segmentPath(2))
 	if err := store.Save(); err != nil {
 		f.Fatal(err)
 	}
-	keep(3)
+	keep(store.segmentPath(3))
+
+	seeded := filepath.Join(f.TempDir(), "segment-0001.log")
+	if err := os.WriteFile(seeded, dictSeedSegment(f), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	resumed, err := OpenStateStore(filepath.Dir(seeded))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := recordDay(resumed, 2, map[string]int{"/a.go:1": 5}); err != nil {
+		f.Fatal(err)
+	}
+	if err := resumed.Close(); err != nil {
+		f.Fatal(err)
+	}
+	keep(seeded)
 	return segs, ends
 }
 
 // replayedState is what a store recovers from its journal, with NaNs
-// mapped so arbitrary decoded floats compare equal to themselves.
+// mapped so arbitrary decoded floats compare equal to themselves, and
+// times in UTC, as decoding returns them, so a live store compares equal
+// to its replay.
 type replayedState struct {
 	Bugs  []report.Bug
 	Trend map[string][]TrendObservation
@@ -172,12 +187,18 @@ type replayedState struct {
 func replayed(store *StateStore) replayedState {
 	st := replayedState{Bugs: store.BugDB().All(), Trend: store.Tracker().Export(), Last: store.LastSweep()}
 	for i := range st.Bugs {
-		nanFree(&st.Bugs[i].Impact)
+		b := &st.Bugs[i]
+		nanFree(&b.Impact)
+		b.FiledAt, b.LastSeen = b.FiledAt.UTC(), b.LastSeen.UTC()
 	}
 	for _, obs := range st.Trend {
 		for i := range obs {
 			nanFree(&obs[i].SumSquares)
+			obs[i].At = obs[i].At.UTC()
 		}
+	}
+	if st.Last != nil {
+		st.Last.At = st.Last.At.UTC()
 	}
 	return st
 }

@@ -101,16 +101,21 @@ func goldenLargeSnapshot() *journalRecord {
 	}
 }
 
-// TestGoldenBytes pins the bytes this build writes for every journal
-// payload kind and for shard reports on both sides of the flate floor,
-// against testdata/golden. Written bytes change in one of two kinds of
-// epoch, each re-recording the files in a commit of its own:
+// TestGoldenBytes pins the bytes this build writes for each journal
+// payload kind it writes (delta and snapshot) and for shard reports on
+// both sides of the flate floor, against testdata/golden. Written bytes
+// change in one of two kinds of epoch, each re-recording the files in a
+// commit of its own:
 //
 //   - a byte epoch changes what the encoders write but not what the
 //     decoders read, so the version stays and payloads written before it
 //     still open. The flate level's move from 6 to 4 was one: its
 //     compressed payloads changed, and testdata/golden keeps a level-6
 //     snapshot that must still decode (TestGoldenLevel6SnapshotOpens).
+//     Starting every segment's dictionary empty was another: the store
+//     stopped writing the dictionary-seed frame, and journal-dict-seed
+//     is kept as a segment head that must still replay
+//     (TestGoldenDictSeedSegmentResumes).
 //   - a version epoch changes the layout. The version byte moves, and
 //     this build refuses payloads at any other version with an error
 //     naming both, as shard reports' version 3 (failure kinds) refuses 2.
@@ -126,7 +131,6 @@ func TestGoldenBytes(t *testing.T) {
 	for name, encode := range map[string]func() ([]byte, error){
 		"journal-delta":      func() ([]byte, error) { return encodeBinaryRecord(codecSampleRecord(recordDelta)) },
 		"journal-snapshot":   func() ([]byte, error) { return encodeBinaryRecord(codecSampleRecord(recordSnapshot)) },
-		"journal-dict-seed":  func() ([]byte, error) { return encodeDictSeedPayload([]string{"svc", "send", "/a.go:1", "svc.leak"}) },
 		"shard-report-small": func() ([]byte, error) { return writeReport(goldenShardReport(2)) },
 		"shard-report-large": func() ([]byte, error) { return writeReport(goldenShardReport(80)) },
 	} {
@@ -169,14 +173,7 @@ func TestGoldenBytes(t *testing.T) {
 // inflates any level, so state dirs written then open with no version
 // bump.
 func TestGoldenLevel6SnapshotOpens(t *testing.T) {
-	h, err := os.ReadFile(filepath.Join("testdata", "golden", "journal-snapshot-level6.hex"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := hex.DecodeString(strings.TrimSpace(string(h)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := goldenPayload(t, "journal-snapshot-level6")
 	now, err := encodeBinaryRecord(codecSampleRecord(recordSnapshot))
 	if err != nil {
 		t.Fatal(err)
@@ -190,5 +187,78 @@ func TestGoldenLevel6SnapshotOpens(t *testing.T) {
 	}
 	if want := codecSampleRecord(recordSnapshot); !reflect.DeepEqual(got, want) {
 		t.Fatalf("level-6 snapshot decoded to\n%+v\nwant %+v", got, want)
+	}
+}
+
+// goldenPayload reads the payload testdata/golden/name.hex holds.
+func goldenPayload(tb testing.TB, name string) []byte {
+	tb.Helper()
+	h, err := os.ReadFile(filepath.Join("testdata", "golden", name+".hex"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, err := hex.DecodeString(strings.TrimSpace(string(h)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
+}
+
+// dictSeedSegment returns a rolled segment as earlier builds wrote one:
+// the dictionary-seed frame of testdata/golden, carrying the strings
+// "svc", "send", "/a.go:1" and "svc.leak" over from the segment before,
+// then the sample delta encoded against the seeded dictionary.
+func dictSeedSegment(tb testing.TB) []byte {
+	tb.Helper()
+	seed := goldenPayload(tb, "journal-dict-seed")
+	var dec segDecoder
+	if rec, err := dec.decodePayload(seed); err != nil || rec != nil {
+		tb.Fatalf("dictionary-seed fixture decoded to %+v, %v; want no record", rec, err)
+	}
+	delta, err := encodeBinaryRecordDict(codecSampleRecord(recordDelta), frame.NewDictTable(dec.dict, 0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(frame.New(seed), frame.New(delta)...)
+}
+
+// TestGoldenDictSeedSegmentResumes opens a state dir whose only segment
+// is headed by the dictionary-seed frame, which this build reads but
+// never writes. The segment must replay, take appends whose references
+// index the seeded dictionary in lockstep with a reader's, and reopen to
+// the state the store held.
+func TestGoldenDictSeedSegmentResumes(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "segment-0001.log"), dictSeedSegment(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := codecSampleRecord(recordDelta).Bugs[0]
+	if got, ok := store.BugDB().Get(want.Key); !ok || got.Function != want.Function || got.Location != want.Location {
+		t.Fatalf("replayed bug = %+v, %v; want the sample's %+v", got, ok, want)
+	}
+	// Day 2 names the seeded "svc", "send" and "/a.go:1" again and adds
+	// strings of its own.
+	journalSweep(t, store, 2, map[string]int{"/a.go:1": 5, "/e.go:5": 7})
+	if got := store.SegmentCount(); got != 1 {
+		t.Fatalf("segments = %d, want the append in the seeded segment", got)
+	}
+	live := replayed(store)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if again := replayed(re); !reflect.DeepEqual(live, again) {
+		t.Fatalf("reopen diverged from the live store:\n%+v\n%+v", live, again)
+	}
+	if _, ok := re.BugDB().Get(svcKey("/e.go:5")); !ok {
+		t.Error("day 2's new bug was lost on reopen")
 	}
 }

@@ -415,21 +415,14 @@ func (s *IngestServer) Run(ctx context.Context) error {
 		windows++
 		s.windows.Add(1)
 	}
-	for {
+	// Every stop ends in exactly one drain window: a window that closed
+	// normally after the cancel still left its late arrivals queued and,
+	// if its sinks were running, admission failures counted meanwhile;
+	// the next window drains and accounts for both.
+	for !s.closed.Load() {
 		if start := s.closeStart.Swap(0); start != 0 {
 			s.pauseNS.Add(int64(time.Since(time.Unix(0, start))))
 		}
-		sweep()
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	s.closed.Store(true)
-	// A window that closed normally in the same instant the context was
-	// cancelled leaves its late arrivals queued; one final sweep — the
-	// source goes straight to its shutdown drain under the cancelled
-	// context — folds them so nothing admitted is lost.
-	if len(s.slots) > 0 {
 		sweep()
 	}
 	if failed == 0 {

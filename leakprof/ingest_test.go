@@ -588,6 +588,81 @@ func TestIngestCleanStopKeepsLastWindow(t *testing.T) {
 	}
 }
 
+// heldSink holds the first window's SweepDone until release is closed,
+// closing held once it holds it.
+type heldSink struct {
+	held, release chan struct{}
+	once          sync.Once
+}
+
+func (h *heldSink) Snapshot(*gprofile.Snapshot) {}
+
+func (h *heldSink) SweepDone(*Sweep) error {
+	h.once.Do(func() {
+		close(h.held)
+		<-h.release
+	})
+	return nil
+}
+
+// TestIngestCancelBetweenWindowsKeepsFailure cancels Run between two
+// windows: a POST fails while window 1's sinks still run, after that
+// window's accounting closed, and the cancel lands before window 2
+// opens. The shutdown drain must still run and carry the failure, or it
+// never reaches a sweep, the journal or the next error budget.
+func TestIngestCancelBetweenWindowsKeepsFailure(t *testing.T) {
+	clock := &ingestClock{t: time.Unix(1_700_000_000, 0)}
+	sweeps := make(chan *Sweep, 4)
+	pipe := New(
+		WithClock(clock.Now),
+		WithWindow(time.Minute),
+		WithOnSweep(func(s *Sweep) { sweeps <- s }),
+	)
+	sink := &heldSink{held: make(chan struct{}), release: make(chan struct{})}
+	pipe.AddSinks(sink)
+	ticks := make(chan time.Time)
+	srv := NewIngestServer(pipe, IngestTicks(ticks))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+
+	// The first tick finds window 1 open on the unmoved clock; the
+	// second, past its deadline, closes it.
+	ticks <- time.Time{}
+	clock.Advance(2 * time.Minute)
+	ticks <- time.Time{}
+	select {
+	case <-sink.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("window 1 never reached its sink")
+	}
+	if rec := postDump(srv, "svc", "i0", []byte("not gzip"), true); rec.Code != http.StatusBadRequest {
+		t.Fatalf("corrupt-gzip POST: got %d, want 400", rec.Code)
+	}
+	cancel()
+	close(sink.release)
+	select {
+	case err := <-runDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after the cancel")
+	}
+	if first := <-sweeps; first.Errors != 0 {
+		t.Fatalf("window 1 counted %d errors, want the failure left for the next sweep", first.Errors)
+	}
+	select {
+	case drain := <-sweeps:
+		if want := map[string]int{"svc": 1}; drain.Errors != 1 || !reflect.DeepEqual(drain.FailedByService, want) {
+			t.Errorf("drain sweep = %d errors, failed %v; want 1 error, %v", drain.Errors, drain.FailedByService, want)
+		}
+	default:
+		t.Fatal("no drain sweep after the cancel: the admission failure was lost")
+	}
+}
+
 // failingSink fails the SweepDone of the windows fails names, counted
 // from 1. Sweeps run one after another, so the count needs no lock.
 type failingSink struct {

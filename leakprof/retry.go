@@ -26,11 +26,11 @@ type RetryPolicy struct {
 	// MaxDelay is the backoff ceiling, applied after jitter — no sleep
 	// ever exceeds it. Zero means 5s.
 	MaxDelay time.Duration
-	// Jitter is the random fraction added to each delay: a delay d
-	// becomes d * (1 + Jitter*u) for uniform u in [0, 1). Negative means
-	// none; zero means the default 0.5.
-	Jitter float64
 }
+
+// retryJitter is the random fraction added to each backoff: a delay d
+// becomes d * (1 + retryJitter*u) for uniform u in [0, 1).
+const retryJitter = 0.5
 
 // DefaultRetryPolicy is the production collection default: three tries
 // with 100ms/200ms backoff, half-width jitter, capped at 5s.
@@ -58,14 +58,7 @@ func (p RetryPolicy) delay(attempt int, rnd func() float64) time.Duration {
 	if d <= 0 || d > max { // shift overflow or past the ceiling
 		d = max
 	}
-	jitter := p.Jitter
-	switch {
-	case jitter < 0:
-		jitter = 0
-	case jitter == 0:
-		jitter = 0.5
-	}
-	d += time.Duration(float64(d) * jitter * rnd())
+	d += time.Duration(float64(d) * retryJitter * rnd())
 	if d > max {
 		d = max
 	}

@@ -153,12 +153,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // wait for Flush or Close. Every fsync runs on the calling goroutine; the
 // store owns none. Recovery replays segments in order; a torn tail frame
 // (a crash mid-append) is truncated rather than failing the open, losing
-// at most the unsynced window. When the active segment outgrows its size
-// bound the store rolls to the next segment, and the RecordSweep that
-// pushes the live segment count past its bound folds them on the spot
-// into one snapshot segment, then swings the journal.json manifest
-// pointer to it atomically. That sweep waits for the fold, whose cost
-// grows with the number of tracked keys.
+// at most the unsynced window. Once the active segment has reached its
+// size bound, the next append rolls to a fresh segment, so a segment
+// passes its bound by at most its last frame; every segment's string
+// dictionary starts empty. The RecordSweep that pushes the live segment
+// count past its bound folds them on the spot into one snapshot segment,
+// then swings the journal.json manifest pointer to it atomically. That
+// sweep waits for the fold, whose cost grows with the number of tracked
+// keys.
 //
 // A pipeline opens its store under WithStateDir, with the pipeline's
 // clock, compaction thresholds, sync policy, and retention windows;
@@ -199,14 +201,12 @@ type StateStore struct {
 	unsynced   int   // frames appended to the active segment since its last sync
 
 	// Segment string dictionary: the cumulative table the active
-	// segment's frames reference and append to. A roll resets it,
-	// carrying a bounded seed over via a dictionary frame at the new
-	// segment's head; recovery rebuilds it by replaying the active
-	// segment. Appended strings commit only after their frame's write
-	// succeeds, so the dictionary never references strings the on-disk
-	// segment does not declare.
-	segDict     *frame.Dict
-	pendingSeed []string // dictionary seed owed to the head of a fresh segment
+	// segment's frames reference and append to. It starts empty in every
+	// segment, and recovery rebuilds it by replaying the active segment.
+	// Appended strings commit only after their frame's write succeeds,
+	// so the dictionary never references strings the on-disk segment
+	// does not declare.
+	segDict *frame.Dict
 }
 
 // StateClock is WithClock. The repository benchmark opens its seed store
@@ -384,7 +384,10 @@ func writeFileAtomic(dir, pattern, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	err = tmp.Chmod(0o644) // CreateTemp's 0600 would lock out other readers
+	if err == nil {
+		_, err = tmp.Write(data)
+	}
 	if serr := tmp.Sync(); err == nil {
 		err = serr
 	}
@@ -456,8 +459,8 @@ func (s *StateStore) replaySegment(seq int, isLast bool) error {
 	size := fi.Size()
 	br := bufio.NewReader(f)
 	// Each segment owns a fresh string dictionary that its frames extend
-	// as they decode (a seed frame at the segment head carries strings
-	// rolled over from the previous segment).
+	// as they decode (a dictionary frame, which earlier builds wrote at a
+	// rolled segment's head, only extends it).
 	var dec segDecoder
 	var off int64
 	for {
@@ -496,7 +499,6 @@ func (s *StateStore) replaySegment(seq int, isLast bool) error {
 		// frames replayed above (a torn tail was truncated before its
 		// appends were committed, keeping the two in lockstep).
 		s.segDict = dec.dict
-		s.pendingSeed = nil
 	}
 	return nil
 }
@@ -526,86 +528,25 @@ func (s *StateStore) applyRecord(rec *journalRecord) error {
 	return nil
 }
 
-// maxDictSeedStrings bounds the dictionary seed a roll carries into a
-// fresh segment. Small steady-state dictionaries (hot stack locations a
-// few deltas keep naming) are worth re-declaring once per segment; a
-// huge dictionary — a snapshot segment's full key space — is not, so
-// past the bound the new segment starts empty and frames re-append
-// strings on demand.
-const maxDictSeedStrings = 4096
-
-// rollDictLocked resets the segment dictionary for a freshly rolled
-// segment, carrying the outgoing dictionary's strings over as the seed
-// a dictionary frame will declare at the segment's head.
-func (s *StateStore) rollDictLocked() {
-	var seed []string
-	if s.segDict != nil && s.segDict.Len() > 0 && s.segDict.Len() <= maxDictSeedStrings {
-		seed = s.segDict.Strings()
-	}
-	s.segDict = frame.NewDictFrom(seed)
-	s.pendingSeed = seed
-}
-
-// encodeActiveFrame renders one record as a framed byte slice destined
-// for the active segment. The frame references the segment dictionary;
-// the returned commit publishes the frame's appended strings into it,
-// and must run only after the frame's write succeeded so the dictionary
-// never references strings the on-disk segment does not declare.
-func (s *StateStore) encodeActiveFrame(rec *journalRecord) ([]byte, func(), error) {
-	if s.segDict == nil {
-		s.segDict = frame.NewDict()
-	}
-	dt := frame.NewDictTable(s.segDict, 0)
-	payload, err := encodeRecord(rec, dt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return frame.New(payload), dt.Commit, nil
-}
-
 // encodeRecord renders a record for the active segment. A variable so
 // tests can count the store's encodes.
 var encodeRecord = encodeBinaryRecordDict
 
-// writePendingSeedLocked frames the dictionary seed owed at the head of
-// a freshly created segment, before its first data frame. The seed's
-// strings are already in the in-memory dictionary (the roll put them
-// there); this writes the declaration a replaying reader rebuilds it
-// from. The seed rides the same sync as the data frame that triggered
-// it, so it does not count as an unsynced frame of its own.
-func (s *StateStore) writePendingSeedLocked() error {
-	if len(s.pendingSeed) == 0 {
-		return nil
-	}
-	payload, err := encodeDictSeedPayload(s.pendingSeed)
-	if err != nil {
-		return err
-	}
-	buf := frame.New(payload)
-	if _, err := s.active.Write(buf); err != nil {
-		return fmt.Errorf("leakprof: appending dictionary seed frame: %w", err)
-	}
-	s.pendingSeed = nil
-	s.activeSize += int64(len(buf))
-	s.appended += int64(len(buf))
-	return nil
-}
-
-// openActive ensures the active segment is open for appending, rolling to
-// a fresh segment when the current one has outgrown its size bound. A
-// roll syncs the outgoing segment first when frames in it are still
-// unsynced: the sync-policy loss window must never silently extend to a
-// segment the store can no longer reach through its active handle. It
-// reports whether a roll happened, because a roll resets the segment
-// dictionary and invalidates any frame encoded against the outgoing one.
-func (s *StateStore) openActive(incoming int64) (bool, error) {
-	rolled := false
-	// Roll on size whether or not the handle is open: after a restart the
-	// recovered active segment may already be at its bound.
-	if s.activeSeq > 0 && s.activeSize > 0 && s.activeSize+incoming > s.segmentBytes {
+// openActive ensures the active segment is open for appending. A segment
+// that has reached its size bound rolls first, to a fresh segment whose
+// dictionary starts empty, so the frame about to be encoded lands whole
+// in the segment it is encoded for. A roll syncs the outgoing segment
+// first when frames in it are still unsynced: the sync-policy loss
+// window must never silently extend to a segment the store can no longer
+// reach through its active handle.
+func (s *StateStore) openActive() error {
+	// Roll on size whether or not the handle is open: after a restart, or
+	// a fold whose snapshot outgrew the bound, the segment may already be
+	// at its bound.
+	if s.activeSeq > 0 && s.activeSize >= s.segmentBytes {
 		if s.unsynced > 0 && s.active != nil {
 			if err := s.syncActiveLocked(); err != nil {
-				return false, err
+				return err
 			}
 		}
 		if s.active != nil {
@@ -615,11 +556,9 @@ func (s *StateStore) openActive(incoming int64) (bool, error) {
 		s.activeSeq++
 		s.activeSize = 0
 		s.segCount++
-		s.rollDictLocked()
-		rolled = true
 	}
 	if s.active != nil {
-		return rolled, nil
+		return nil
 	}
 	if s.activeSeq == 0 {
 		s.activeSeq = 1
@@ -630,21 +569,23 @@ func (s *StateStore) openActive(incoming int64) (bool, error) {
 	}
 	f, err := os.OpenFile(s.segmentPath(s.activeSeq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return rolled, fmt.Errorf("leakprof: opening journal segment: %w", err)
+		return fmt.Errorf("leakprof: opening journal segment: %w", err)
 	}
 	if fi, err := f.Stat(); err == nil {
 		s.activeSize = fi.Size()
 	}
 	if s.activeSize == 0 {
-		// A segment this call created: its directory entry must be
-		// durable before any frame synced into it is.
+		// An empty segment declares no strings yet. One this call created
+		// needs its directory entry durable before any frame synced into
+		// it is.
+		s.segDict = frame.NewDict()
 		if err := syncDir(s.dir); err != nil {
 			f.Close()
-			return rolled, fmt.Errorf("leakprof: syncing state dir for a new journal segment: %w", err)
+			return fmt.Errorf("leakprof: syncing state dir for a new journal segment: %w", err)
 		}
 	}
 	s.active = f
-	return rolled, nil
+	return nil
 }
 
 // syncActiveLocked fsyncs the active segment, closing its unsynced
@@ -664,41 +605,23 @@ func (s *StateStore) syncActiveLocked() error {
 
 // appendRecord appends one framed record to the active segment and makes
 // it durable per the store's sync policy: before it returns
-// (SyncEverySweep), or not until Flush/Close (SyncOnClose).
+// (SyncEverySweep), or not until Flush/Close (SyncOnClose). The frame is
+// encoded once, against the dictionary of the segment it lands in, and
+// the strings it appends commit only after its write succeeded.
 func (s *StateStore) appendRecord(rec *journalRecord) error {
-	if s.activeSize >= s.segmentBytes {
-		// Every frame holds at least a byte, so a segment at its bound
-		// rolls whatever the frame holds, as after each fold whose
-		// snapshot outgrew the bound: roll before encoding, and encode
-		// once, against the fresh dictionary.
-		if _, err := s.openActive(1); err != nil {
-			return err
-		}
+	if err := s.openActive(); err != nil {
+		return err
 	}
-	buf, commit, err := s.encodeActiveFrame(rec)
+	dt := frame.NewDictTable(s.segDict, 0)
+	payload, err := encodeRecord(rec, dt)
 	if err != nil {
 		return err
 	}
-	rolled, err := s.openActive(int64(len(buf)))
-	if err != nil {
-		return err
-	}
-	if rolled {
-		// The frame tipped the segment past its bound by itself. The
-		// roll reset the segment dictionary, so the frame's string
-		// references point into the outgoing segment's table; re-encode
-		// against the fresh (seeded) dictionary.
-		if buf, commit, err = s.encodeActiveFrame(rec); err != nil {
-			return err
-		}
-	}
-	if err := s.writePendingSeedLocked(); err != nil {
-		return err
-	}
+	buf := frame.New(payload)
 	if _, err := s.active.Write(buf); err != nil {
 		return fmt.Errorf("leakprof: appending journal frame: %w", err)
 	}
-	commit()
+	dt.Commit()
 	s.activeSize += int64(len(buf))
 	s.appended += int64(len(buf))
 	s.unsynced++
@@ -718,8 +641,8 @@ func (s *StateStore) BugDB() *report.DB { return s.db }
 
 // Tracker returns the journal-backed trend tracker. Wire it into a
 // TrendSink so cross-sweep verdicts resume with the prior sweeps'
-// moments after a restart. Tune MinObservations/StableBand on the
-// returned tracker before the first sweep.
+// moments after a restart. Tune MinObservations on the returned tracker
+// before the first sweep.
 func (s *StateStore) Tracker() *TrendTracker { return s.tracker }
 
 // Flush makes the journal current and durable: it appends a delta frame
@@ -995,7 +918,6 @@ func (s *StateStore) compactLocked() error {
 	// Appends resume onto the snapshot segment, whose frame already
 	// declares its whole dictionary.
 	s.segDict = snapDict
-	s.pendingSeed = nil
 	return dirErr
 }
 

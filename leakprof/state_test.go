@@ -436,7 +436,7 @@ func readJournalFrames(t *testing.T, path string) []journalRecord {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec == nil { // dictionary seed frame: no record
+		if rec == nil { // a dictionary-seed frame, as earlier builds wrote: no record
 			continue
 		}
 		out = append(out, *rec)
@@ -1216,14 +1216,15 @@ func assertSegmentRefused(t *testing.T, want string, payloads ...[]byte) {
 }
 
 // TestStateStoreTornDictionaryFrame tears the active segment inside its
-// head dictionary-seed frame: recovery must truncate the tail (the seed
-// and everything after it in that segment), keep every prior segment's
+// head frame, whose leading table declares the segment's first
+// dictionary strings: recovery must truncate the tail (that frame and
+// everything after it in that segment), keep every prior segment's
 // state, and keep appending — the rebuilt in-memory dictionary must
 // stay in lockstep with what survived on disk.
 func TestStateStoreTornDictionaryFrame(t *testing.T) {
 	dir := t.TempDir()
-	// segmentBytes=1 rolls every sweep into a fresh segment, each opening
-	// with a dictionary seed carried from the previous segment.
+	// segmentBytes=1 rolls every sweep after the first into a fresh
+	// segment, each starting with an empty dictionary.
 	store, err := OpenStateStore(dir, WithStateCompaction(1, 100))
 	if err != nil {
 		t.Fatal(err)
@@ -1236,9 +1237,9 @@ func TestStateStoreTornDictionaryFrame(t *testing.T) {
 	}
 	store.Close()
 
-	// Tear the last segment mid-way through its first frame — the
-	// dictionary seed. 11 bytes is past the 8-byte frame header but far
-	// short of the seed payload.
+	// Tear the last segment mid-way through its first frame — sweep 3's
+	// delta. 11 bytes is past the 8-byte frame header but far short of
+	// the payload.
 	last := store.segmentPath(3)
 	body, err := os.ReadFile(last)
 	if err != nil {
@@ -1261,8 +1262,8 @@ func TestStateStoreTornDictionaryFrame(t *testing.T) {
 	if _, ok := re.BugDB().Get(svcKey("/c.go:3")); ok {
 		t.Error("sweep 3 survived a tear that destroyed its segment head")
 	}
-	// The dictionary the torn seed would have carried is gone from disk;
-	// appends must re-seed in lockstep and replay cleanly.
+	// The strings the torn frame declared are gone from disk; appends
+	// must declare them again in lockstep and replay cleanly.
 	journalSweep(t, re, 4, map[string]int{"/a.go:1": 120, "/d.go:4": 12})
 	re.Close()
 	re2, err := OpenStateStore(dir)
@@ -1374,5 +1375,98 @@ func TestRecordSweepAfterOversizedFoldEncodesOnce(t *testing.T) {
 	}
 	if last := re.LastSweep(); last == nil || !last.At.Equal(time.Unix(0, 0).Add(48*time.Hour)) {
 		t.Errorf("LastSweep after reopen = %+v, want day 2's", last)
+	}
+}
+
+// TestStateStoreTippingFrameStaysInSegment pins the roll rule: a segment
+// rolls only once it has reached its bound, before the next frame is
+// encoded. The frame that carries a segment past its bound is encoded
+// once, against that segment's dictionary, and written into it; the
+// append after it rolls.
+func TestStateStoreTippingFrameStaysInSegment(t *testing.T) {
+	const bound = 1 << 10
+	dir := t.TempDir()
+	store, err := OpenStateStore(dir, WithStateCompaction(bound, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalSweep(t, store, 1, map[string]int{"/svc/handler000.go:10": 100})
+	if store.activeSize >= bound {
+		t.Fatalf("first frame = %d bytes, want the segment below its %d-byte bound", store.activeSize, bound)
+	}
+
+	encodes := 0
+	orig := encodeRecord
+	t.Cleanup(func() { encodeRecord = orig })
+	encodeRecord = func(rec *journalRecord, dt *frame.DictTable) ([]byte, error) {
+		encodes++
+		return orig(rec, dt)
+	}
+	keys := map[string]int{}
+	for i := 0; i < 200; i++ {
+		keys[fmt.Sprintf("/svc/handler%03d.go:%d", i, 10+i)] = 100 + i
+	}
+	journalSweep(t, store, 2, keys)
+	if encodes != 1 {
+		t.Errorf("the frame that tipped the segment was encoded %d times, want 1", encodes)
+	}
+	if got := store.SegmentCount(); got != 1 || store.activeSize <= bound {
+		t.Errorf("segments = %d with the active one at %d bytes, want 1 past the %d-byte bound", got, store.activeSize, bound)
+	}
+	journalSweep(t, store, 3, map[string]int{"/svc/handler000.go:10": 120})
+	if got := store.SegmentCount(); got != 2 {
+		t.Errorf("segments after the next append = %d, want 2 (it rolls)", got)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if b, ok := re.BugDB().Get(svcKey("/svc/handler000.go:10")); !ok || b.Sightings != 3 {
+		t.Errorf("bug sighted on every day = %+v, %v; want 3 sightings after reopen", b, ok)
+	}
+	if got := len(re.BugDB().All()); got != 200 {
+		t.Errorf("bugs after reopen = %d, want 200", got)
+	}
+}
+
+// TestStateStoreFoldLeavesFilesReadable checks the modes a fold leaves:
+// journal.json and the snapshot segment are staged through temp files,
+// and must end up 0644, as appended segments are created, so a tool
+// reading the journal as another user can open them.
+func TestStateStoreFoldLeavesFilesReadable(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalSweep(t, store, 1, map[string]int{"/a.go:1": 100})
+	if err := store.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode() != 0o644 {
+			t.Errorf("%s has mode %v, want -rw-r--r--", e.Name(), fi.Mode())
+		}
+		names = append(names, e.Name())
+	}
+	if want := []string{StateManifestName, "segment-0002.log"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("state dir after a fold holds %v, want %v", names, want)
 	}
 }

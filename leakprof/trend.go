@@ -73,16 +73,17 @@ func (o observation) noise() float64 {
 	return math.Sqrt(variance*n) / float64(o.total)
 }
 
+// stableBand is the relative fluctuation a trend verdict treats as flat
+// (±15%).
+const stableBand = 0.15
+
 // TrendTracker accumulates per-location counts across sweeps. Its
 // observation, export, and verdict methods are safe for concurrent use,
-// but the exported tuning fields (MinObservations, StableBand,
-// Retention) must be set before the first observation.
+// but the exported tuning fields (MinObservations, Retention) must be
+// set before the first observation.
 type TrendTracker struct {
 	// MinObservations before a verdict is issued; default 3.
 	MinObservations int
-	// StableBand is the relative fluctuation treated as flat; default
-	// 0.15 (±15%).
-	StableBand float64
 	// Retention bounds the history kept per key: only the most recent
 	// Retention observations survive an append, a restore, or a journal
 	// compaction, so daily sweeps stop growing tracker state (and the
@@ -359,10 +360,6 @@ func (t *TrendTracker) verdictLocked(key string) TrendVerdict {
 	}
 	sort.Slice(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
 
-	band := t.StableBand
-	if band == 0 {
-		band = 0.15
-	}
 	grows, shrinks := 0, 0
 	for i := 1; i < len(obs); i++ {
 		prev, cur := obs[i-1].total, obs[i].total
@@ -370,11 +367,11 @@ func (t *TrendTracker) verdictLocked(key string) TrendVerdict {
 		if base == 0 {
 			base = 1
 		}
-		// Variance-aware band: a step must clear both the configured
-		// stable band and twice the sampling noise implied by the
-		// previous sweep's per-instance dispersion. Legacy observations
-		// carry no variance, so their band is exactly StableBand.
-		eff := band
+		// Variance-aware band: a step must clear both the stable band
+		// and twice the sampling noise implied by the previous sweep's
+		// per-instance dispersion. Legacy observations carry no
+		// variance, so their band is exactly stableBand.
+		eff := stableBand
 		if noise := 2 * obs[i-1].noise(); noise > eff {
 			eff = noise
 		}
