@@ -346,9 +346,9 @@ func BenchmarkStackParse(b *testing.B) {
 // >=10K goroutines. The headline is allocs/op: streaming must stay
 // strictly below the Parse baseline (the PR-1 acceptance bound). The
 // snapshot sub-benchmark times the collection path itself —
-// gprofile.ScanSnapshot's counting scan through a shared intern pool
-// — over leak members in the shape a live service's dump carries (two
-// runtime frames above the leaf, two handler frames below), and reports
+// gprofile.ScanSnapshot's counting scan on its pooled scanner — over
+// leak members in the shape a live service's dump carries (two runtime
+// frames above the leaf, two handler frames below), and reports
 // ns/goroutine.
 func BenchmarkScanDump(b *testing.B) {
 	cfg := synth.DumpConfig{Benign: 250, LeakClusters: 4, ClusterSize: 2500, Seed: 1}
@@ -397,12 +397,11 @@ func BenchmarkScanDump(b *testing.B) {
 	})
 	b.Run("snapshot", func(b *testing.B) {
 		deep := synth.PullDump(cfg)
-		pool := stack.NewInternPool(0)
 		b.SetBytes(int64(len(deep)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			snap, err := gprofile.ScanSnapshot("svc", "i1", time.Time{}, strings.NewReader(deep), pool)
+			snap, err := gprofile.ScanSnapshot("svc", "i1", time.Time{}, strings.NewReader(deep))
 			if err != nil {
 				b.Fatal(err)
 			}

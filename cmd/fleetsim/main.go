@@ -181,7 +181,6 @@ func runSweep(src leakprof.Source, threshold int, stateDir string) {
 		leakprof.WithThreshold(threshold),
 		leakprof.WithParallelism(8),
 		leakprof.WithRetry(leakprof.DefaultRetryPolicy),
-		leakprof.WithSharedIntern(0),
 	}
 	if stateDir != "" {
 		opts = append(opts, leakprof.WithStateDir(stateDir))

@@ -137,7 +137,6 @@ func main() {
 		leakprof.WithParallelism(*parallelism),
 		leakprof.WithRetry(leakprof.RetryPolicy{MaxAttempts: *retries}),
 		leakprof.WithErrorBudget(*errorBudget),
-		leakprof.WithSharedIntern(0),
 	}
 	if *window > 0 {
 		opts = append(opts, leakprof.WithWindow(*window))
@@ -221,11 +220,7 @@ func main() {
 			fetches = append(fetches, leakprof.ShardReportFromFile("", strings.TrimSpace(path)))
 		}
 		var sweep *leakprof.Sweep
-		if *mergeDeadline > 0 {
-			sweep, err = pipe.Sweep(ctx, leakprof.MergedReportsWithin(*mergeDeadline, fetches...))
-		} else {
-			sweep, err = pipe.Sweep(ctx, leakprof.MergedReports(fetches...))
-		}
+		sweep, err = pipe.Sweep(ctx, leakprof.MergedReportsWithin(*mergeDeadline, fetches...))
 		sweeps = []*leakprof.Sweep{sweep}
 	case *ingest != "":
 		err = runIngest(ctx, pipe, *ingest, *ingestQueue, *ingestQuota, *ingestToken)

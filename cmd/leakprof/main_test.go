@@ -31,18 +31,18 @@ func TestMain(m *testing.M) {
 }
 
 // runMain runs the command with args in a child process and returns its
-// exit status and standard error.
-func runMain(t *testing.T, args ...string) (int, string) {
+// exit status, standard output and standard error.
+func runMain(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	var exit *exec.ExitError
 	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
 	}
-	return cmd.ProcessState.ExitCode(), stderr.String()
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 }
 
 // TestExitStatusAfterSweepLevelFailure runs a -dir sweep whose -archive
@@ -50,6 +50,8 @@ func runMain(t *testing.T, args ...string) (int, string) {
 // plain file. The failure must print a warn: line and exit 1; the same
 // sweep, with a corrupt profile beside the good one, exits 0 into a
 // fresh archive, since a failed instance is not a sweep-level failure.
+// So do sweeps whose one profile yields no finding: a channel-blocked
+// member with no frame to locate it, and a file holding no dump.
 func TestExitStatusAfterSweepLevelFailure(t *testing.T) {
 	in := t.TempDir()
 	gs := []*stack.Goroutine{{
@@ -63,7 +65,7 @@ func TestExitStatusAfterSweepLevelFailure(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(archive, "sweep-0001"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stderr := runMain(t, "-threshold", "1", "-dir", in, "-archive", archive)
+	code, _, stderr := runMain(t, "-threshold", "1", "-dir", in, "-archive", archive)
 	if code != 1 || !strings.Contains(stderr, "warn: ") || !strings.Contains(stderr, "not a directory") {
 		t.Errorf("failed write-through: exit %d, stderr %q; want 1 and a warn: line naming the file", code, stderr)
 	}
@@ -74,9 +76,25 @@ func TestExitStatusAfterSweepLevelFailure(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(in, "pay_i2.txt"), []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stderr = runMain(t, "-threshold", "1", "-dir", in, "-archive", t.TempDir())
+	code, _, stderr = runMain(t, "-threshold", "1", "-dir", in, "-archive", t.TempDir())
 	if code != 0 || !strings.Contains(stderr, "warn: archive/pay_i2.txt") {
 		t.Errorf("failed instance only: exit %d, stderr %q; want 0 and a warn: line for pay_i2.txt", code, stderr)
+	}
+
+	for _, tc := range []struct{ body, stdout, stderr string }{
+		{"goroutine 1 [chan send]:\n", "collected 1 profiles", "warn: archive/pay_i1.txt: gprofile: profile salvaged"},
+		{"goroutine 1 [chan send]:\n!!!garbage\n", "collected 1 profiles", "warn: archive/pay_i1.txt: gprofile: profile salvaged"},
+		{"\x00\x01\x02binary", "collected 0 profiles", "warn: archive/pay_i1.txt: gprofile: pay_i1.txt holds no goroutine dump"},
+	} {
+		in := t.TempDir()
+		if err := os.WriteFile(filepath.Join(in, "pay_i1.txt"), []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runMain(t, "-threshold", "1", "-dir", in)
+		if code != 0 || !strings.Contains(stdout, tc.stdout) || !strings.Contains(stdout, "no new suspicious blocking operations") || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("profile %q: exit %d, stdout %q, stderr %q; want 0, %q and no alert, and %q",
+				tc.body, code, stdout, stderr, tc.stdout, tc.stderr)
+		}
 	}
 }
 

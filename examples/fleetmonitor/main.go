@@ -132,7 +132,6 @@ func buildPipeline(stateDir string) (*leakprof.Pipeline, *leakprof.ReportSink, e
 		leakprof.WithThreshold(2000),
 		leakprof.WithParallelism(8),
 		leakprof.WithRetry(leakprof.DefaultRetryPolicy),
-		leakprof.WithSharedIntern(0),
 		leakprof.WithStateDir(stateDir),
 	)
 	store, err := pipe.State()

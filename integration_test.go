@@ -309,7 +309,6 @@ func TestPipelineDrivesAllSourceKinds(t *testing.T) {
 			leakprof.WithThreshold(1000),
 			leakprof.WithParallelism(4),
 			leakprof.WithRetry(leakprof.DefaultRetryPolicy),
-			leakprof.WithSharedIntern(0),
 		).AddSinks(reportSink, &leakprof.TrendSink{Tracker: trend})
 		if src.Name() == "endpoints" {
 			pipe.AddSinks(archiveSink)

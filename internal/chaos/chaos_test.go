@@ -82,7 +82,7 @@ func TestMalformHeadersScannerSalvage(t *testing.T) {
 		t.Fatalf("mutated body lacks the malformed-header shape:\n%s", mutated)
 	}
 
-	scanned, err := gprofile.ScanSnapshot("svc", "i-0", time.Time{}, bytes.NewReader(mutated), nil)
+	scanned, err := gprofile.ScanSnapshot("svc", "i-0", time.Time{}, bytes.NewReader(mutated))
 	if err != nil {
 		t.Fatalf("scan of malformed body hard-failed: %v", err)
 	}

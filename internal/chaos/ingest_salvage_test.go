@@ -67,7 +67,7 @@ func TestIngestSalvageAccounting(t *testing.T) {
 			p.wantCode = http.StatusBadRequest
 			wantScanErr++
 		default:
-			snap, err := gprofile.ScanSnapshot("svc-a", p.instance, time.Time{}, bytes.NewReader(p.body), nil)
+			snap, err := gprofile.ScanSnapshot("svc-a", p.instance, time.Time{}, bytes.NewReader(p.body))
 			switch {
 			case err != nil:
 				p.wantCode = http.StatusBadRequest

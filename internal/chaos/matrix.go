@@ -304,7 +304,6 @@ func pipelineOptions(sc *Scenario) []leakprof.Option {
 	opts := []leakprof.Option{
 		leakprof.WithThreshold(sc.Threshold),
 		leakprof.WithParallelism(par),
-		leakprof.WithSharedIntern(0),
 	}
 	if sc.Timeout > 0 {
 		opts = append(opts, leakprof.WithTimeout(sc.Timeout))

@@ -114,7 +114,7 @@ func TestInstanceViewsAgree(t *testing.T) {
 			"endpoint": []byte(stack.Format(in.Stacks())),
 		}
 		for view, body := range views {
-			scanned, err := gprofile.ScanSnapshot(in.Service, in.Name, time.Time{}, bytes.NewReader(body), nil)
+			scanned, err := gprofile.ScanSnapshot(in.Service, in.Name, time.Time{}, bytes.NewReader(body))
 			if err != nil {
 				t.Fatalf("%s %s: %v", in.Name, view, err)
 			}

@@ -141,10 +141,13 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 // not erase an instance from the sweep. Members with corrupt goroutine
 // headers mid-dump are salvaged even further: the scanner resyncs at the
 // next well-formed header, the whole remainder is kept, and the
-// malformed-member count is reported through fail. It never builds
-// goroutine records or holds more than one open file, so archives
-// recorded at production scale replay in O(locations) memory. Cancelling
-// ctx stops the replay between files.
+// malformed-member count is reported through fail. A non-empty file in
+// which the scan finds no goroutine member at all is reported through
+// fail and not emitted; an empty file replays as a profile of zero
+// goroutines, which is what DirWriter leaves for an instance with
+// nothing blocked. It never builds goroutine records or holds more than
+// one open file, so archives recorded at production scale replay in
+// O(locations) memory. Cancelling ctx stops the replay between files.
 func ScanDir(ctx context.Context, dir string, takenAt time.Time, emit func(*Snapshot), fail func(name string, err error)) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -191,16 +194,24 @@ func ScanDir(ctx context.Context, dir string, takenAt time.Time, emit func(*Snap
 // salvaging the prefix of a corrupt or truncated file: on a mid-file
 // scan error the records decoded so far are returned as a partial
 // snapshot alongside the error (nil when nothing was salvaged — an
-// unopenable or immediately-corrupt member).
+// unopenable or immediately-corrupt member, or a non-empty file that
+// holds no goroutine member).
 func scanFile(path, service, instance string, takenAt time.Time) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	snap, err := scanSnapshotPartial(service, instance, takenAt, f, nil)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	snap, err := scanSnapshotPartial(service, instance, takenAt, f)
 	if err != nil && snap != nil {
 		err = fmt.Errorf("%w (salvaged %d records)", err, snap.TotalGoroutines)
+	}
+	if err == nil && snap.TotalGoroutines == 0 && snap.Malformed == 0 && fi.Size() > 0 {
+		return nil, fmt.Errorf("gprofile: %s holds no goroutine dump", filepath.Base(path))
 	}
 	return snap, err
 }

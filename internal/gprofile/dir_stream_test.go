@@ -138,6 +138,37 @@ func TestScanDirSalvagesResyncedMembers(t *testing.T) {
 	}
 }
 
+// TestScanDirFailsFileWithoutDump: a non-empty member file in which the
+// scan finds no goroutine member is not a profile, so it fails and is
+// not emitted; an empty file is what DirWriter leaves for an instance
+// with nothing blocked, and replays as zero goroutines.
+func TestScanDirFailsFileWithoutDump(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{"svc_bin.txt": "\x00\x01\x02binary", "svc_empty.txt": ""} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var emitted, failures []string
+	err := ScanDir(context.Background(), dir, time.Now(),
+		func(s *Snapshot) {
+			emitted = append(emitted, s.Instance)
+			if s.TotalGoroutines != 0 || len(s.PreAggregated) != 0 {
+				t.Errorf("emitted %+v, want an empty profile", s)
+			}
+		},
+		func(name string, err error) { failures = append(failures, name+": "+err.Error()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(emitted) != 1 || emitted[0] != "empty" {
+		t.Errorf("emitted %v, want only the empty member", emitted)
+	}
+	if len(failures) != 1 || !strings.HasPrefix(failures[0], "svc_bin.txt: ") || !strings.Contains(failures[0], "svc_bin.txt holds no goroutine dump") {
+		t.Errorf("failures = %v, want one naming svc_bin.txt", failures)
+	}
+}
+
 func TestScanDirMissing(t *testing.T) {
 	if err := ScanDir(context.Background(), "/does/not/exist", time.Now(), func(*Snapshot) {}, nil); err == nil {
 		t.Error("missing directory should error")

@@ -42,10 +42,12 @@ type Snapshot struct {
 	// TotalGoroutines is the instance's whole goroutine population,
 	// blocked or not.
 	TotalGoroutines int
-	// Malformed counts goroutine members the scan dropped while
-	// resyncing past corrupt headers (stack.Scanner.Malformed): the
-	// per-dump diagnostic that a profile was salvaged rather than
-	// decoded cleanly. Zero for a clean scan.
+	// Malformed counts goroutine members the scan dropped: those lost
+	// while resyncing past corrupt headers (stack.Scanner.Malformed),
+	// and channel-blocked members with no frame outside the runtime to
+	// locate them, which count in TotalGoroutines but not in
+	// PreAggregated. It is the per-dump diagnostic that a profile was
+	// salvaged rather than decoded cleanly. Zero for a clean scan.
 	Malformed int
 }
 
@@ -56,14 +58,13 @@ type Snapshot struct {
 // allocates per distinct string in the dump, not per goroutine. Wait
 // durations stay in the aggregation key (they are coarse, so
 // cardinality is low) so criterion-2 filters that inspect blocking
-// durations see them. Strings the scan interns (function names, file
-// paths, state annotations) are drawn from pool, so a sweep's many
-// fetches stop re-interning the fleet's identical strings once per
-// Scanner; a nil pool interns privately. This is the LEAKPROF
+// durations see them. The scan draws a pooled scanner, whose intern
+// table keeps the fleet's function names, file paths and state
+// annotations from one dump to the next. This is the LEAKPROF
 // collection path: peak memory per profile is O(distinct blocked
 // locations), not O(goroutines).
-func ScanSnapshot(service, instance string, takenAt time.Time, r io.Reader, pool *stack.InternPool) (*Snapshot, error) {
-	snap, err := scanSnapshotPartial(service, instance, takenAt, r, pool)
+func ScanSnapshot(service, instance string, takenAt time.Time, r io.Reader) (*Snapshot, error) {
+	snap, err := scanSnapshotPartial(service, instance, takenAt, r)
 	if err != nil {
 		return nil, err
 	}
@@ -85,16 +86,13 @@ var scannerPool sync.Pool
 // keep a torn member's valid prefix. Callers that keep the partial are
 // responsible for saying so in any surfaced error; the error here makes
 // no salvage claim, since ScanSnapshot discards the partial.
-func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reader, pool *stack.InternPool) (*Snapshot, error) {
+func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reader) (*Snapshot, error) {
 	sc, ok := scannerPool.Get().(*stack.Scanner)
 	if ok {
 		sc.Reset(r)
 	} else {
 		sc = stack.NewScanner(r)
 	}
-	// Always (re)attach: a pooled scanner may carry a previous caller's
-	// pool, and nil must restore private interning.
-	sc.SetInternPool(pool)
 	defer scannerPool.Put(sc)
 	snap := &Snapshot{Service: service, Instance: instance, TakenAt: takenAt}
 	sc.Tally(func(op stack.BlockedOp, n int, blocked bool) {
@@ -104,12 +102,20 @@ func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reade
 		if !blocked {
 			return
 		}
+		if op.Function == "" {
+			// No frame outside the runtime survived (a member cut after
+			// its header, or frames that did not parse): there is no
+			// location to file the operation at, so the member is lost
+			// like one with a corrupt header.
+			snap.Malformed++
+			return
+		}
 		if snap.PreAggregated == nil {
 			snap.PreAggregated = make(map[stack.BlockedOp]int)
 		}
 		snap.PreAggregated[op] += n
 	})
-	snap.Malformed = sc.Malformed()
+	snap.Malformed += sc.Malformed()
 	if err := sc.Err(); err != nil {
 		err = fmt.Errorf("gprofile: scanning %s/%s: %w", service, instance, err)
 		if snap.TotalGoroutines == 0 {

@@ -39,7 +39,7 @@ goroutine 4 [running]:
 svc.handler()
 	/svc/h.go:1 +0x1
 `
-	snap, err := ScanSnapshot("svc", "inst-1", time.Unix(100, 0), strings.NewReader(body), nil)
+	snap, err := ScanSnapshot("svc", "inst-1", time.Unix(100, 0), strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

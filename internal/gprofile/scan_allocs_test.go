@@ -11,21 +11,20 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/stack"
 	"repro/internal/synth"
 )
 
 // TestScanSnapshotAllocs pins the counting scan's allocation profile:
-// once a scan has warmed the pooled scanner and the shared intern pool,
-// ScanSnapshot allocates per distinct string and per dump, never per
-// member, so a 10K-goroutine clustered dump costs what a 1K one does.
+// once a scan has warmed the pooled scanner, whose intern table keeps the
+// dump's strings across scans, ScanSnapshot allocates per distinct
+// string and per dump, never per member, so a 10K-goroutine clustered
+// dump costs what a 1K one does.
 func TestScanSnapshotAllocs(t *testing.T) {
-	pool := stack.NewInternPool(0)
 	allocs := func(clusterSize int) float64 {
 		cfg := synth.DumpConfig{Benign: 200, LeakClusters: 4, ClusterSize: clusterSize, Seed: 1}
 		dump := synth.PullDump(cfg)
 		return testing.AllocsPerRun(5, func() {
-			snap, err := ScanSnapshot("svc", "i1", time.Time{}, strings.NewReader(dump), pool)
+			snap, err := ScanSnapshot("svc", "i1", time.Time{}, strings.NewReader(dump))
 			if err != nil {
 				t.Fatal(err)
 			}

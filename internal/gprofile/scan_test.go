@@ -51,7 +51,7 @@ func TestScanSnapshotMatchesParsePath(t *testing.T) {
 			want[op] += g.Multiplicity()
 		}
 	}
-	scanned, err := ScanSnapshot("svc", "i1", at, strings.NewReader(dump), nil)
+	scanned, err := ScanSnapshot("svc", "i1", at, strings.NewReader(dump))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestScanSnapshotMatchesParsePath(t *testing.T) {
 }
 
 func TestScanSnapshotEmptyBody(t *testing.T) {
-	snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(""), nil)
+	snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestScanSnapshotResyncsPastMalformedMembers(t *testing.T) {
 	// reports the loss on the snapshot instead of erroring.
 	dump := "goroutine 8 [chan send:\nmain.torn()\n\t/t/t.go:1 +0x1\n" +
 		"goroutine 9 [chan send]:\nmain.ok()\n\t/ok/ok.go:2 +0x2\n"
-	snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(dump), nil)
+	snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(dump))
 	if err != nil {
 		t.Fatalf("resynced dump errored: %v", err)
 	}
@@ -117,10 +117,37 @@ func TestScanSnapshotResyncsPastMalformedMembers(t *testing.T) {
 	}
 }
 
+// TestScanSnapshotCountsUnlocatedBlockedMember covers a channel-blocked
+// member with no frame outside the runtime: it has no location to be
+// filed at, so it counts in the population and as malformed, once per
+// member, and never as a blocked operation.
+func TestScanSnapshotCountsUnlocatedBlockedMember(t *testing.T) {
+	for _, tc := range []struct {
+		name, dump string
+		total      int
+	}{
+		{"no frames", "goroutine 1 [chan send]:\n", 1},
+		{"unparsed frame", "goroutine 1 [chan send]:\n!!!garbage\n", 1},
+		{"runtime frames only", "goroutine 1 [chan receive]:\nruntime.gopark(0x1)\n\t/go/src/runtime/proc.go:382 +0xc6\n", 1},
+		{"count-annotated", "goroutine 1 [select, 5 times]:\n", 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(tc.dump))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Malformed != 1 || snap.TotalGoroutines != tc.total || len(snap.PreAggregated) != 0 {
+				t.Errorf("Malformed %d, TotalGoroutines %d, PreAggregated %v; want 1, %d and none",
+					snap.Malformed, snap.TotalGoroutines, snap.PreAggregated, tc.total)
+			}
+		})
+	}
+}
+
 func TestScanSnapshotPropagatesReadError(t *testing.T) {
 	// Reader failures (a truncated transfer) still error, with the
 	// instance named for the sweep's failure report.
-	_, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), failingReader{}, nil)
+	_, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), failingReader{})
 	if err == nil {
 		t.Fatal("reader failure did not error")
 	}

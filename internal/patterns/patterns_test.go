@@ -58,6 +58,8 @@ func TestByCategory(t *testing.T) {
 // TestLiveTriggerAndRelease runs every releasable pattern end to end:
 // trigger a few leaks, confirm goroutines park in the declared blocking
 // kind with the declared stack signature, release, and confirm they exit.
+// It follows the triggered goroutines by ID, so goroutines of the same
+// kind elsewhere in the process (other tests, the runtime) do not count.
 func TestLiveTriggerAndRelease(t *testing.T) {
 	for _, p := range All() {
 		if !p.Releasable {
@@ -65,39 +67,46 @@ func TestLiveTriggerAndRelease(t *testing.T) {
 		}
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			before := countKind(t, p.Kind)
+			before := kindIDs(t, p.Kind)
 			inst := p.Trigger(3)
 			if inst.N != 3 {
 				t.Fatalf("instance N = %d", inst.N)
 			}
-			if err := AwaitKind(p.Kind, before+3, 5*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			// The blocked goroutines carry this pattern's signature.
-			gs, err := stack.Current()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var matched int
-			for _, g := range gs {
-				if g.Kind() != p.Kind {
-					continue
-				}
-				leaf := g.Leaf().Function
-				if strings.Contains(leaf, "repro/internal/patterns.") {
-					matched++
-				}
-			}
-			if matched < 3 {
-				t.Errorf("only %d/3 leaked goroutines carry a patterns signature", matched)
-			}
-			inst.Release()
+			// The triggered goroutines are the new ones of this kind that
+			// carry this pattern's signature.
+			var triggered map[int64]bool
 			deadline := time.Now().Add(5 * time.Second)
-			for countKind(t, p.Kind) > before && time.Now().Before(deadline) {
+			for {
+				triggered = make(map[int64]bool)
+				for id, leaf := range kindIDs(t, p.Kind) {
+					if _, old := before[id]; !old && strings.Contains(leaf, "repro/internal/patterns.") {
+						triggered[id] = true
+					}
+				}
+				if len(triggered) >= 3 || time.Now().After(deadline) {
+					break
+				}
 				time.Sleep(time.Millisecond)
 			}
-			if got := countKind(t, p.Kind); got > before {
-				t.Errorf("after release: %d goroutines of kind %v remain (baseline %d)", got, p.Kind, before)
+			if len(triggered) < 3 {
+				t.Errorf("only %d/3 leaked goroutines carry a patterns signature", len(triggered))
+			}
+			inst.Release()
+			remaining := func() int {
+				n := 0
+				for id := range kindIDs(t, p.Kind) {
+					if triggered[id] {
+						n++
+					}
+				}
+				return n
+			}
+			deadline = time.Now().Add(5 * time.Second)
+			for remaining() > 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := remaining(); n > 0 {
+				t.Errorf("after release: %d of %d triggered goroutines of kind %v remain", n, len(triggered), p.Kind)
 			}
 		})
 	}
@@ -124,19 +133,21 @@ func TestFixedVariantsLeakNothing(t *testing.T) {
 	}
 }
 
-func countKind(t *testing.T, k stack.Kind) int {
+// kindIDs maps the ID of every live goroutine of kind k to its leaf
+// function.
+func kindIDs(t *testing.T, k stack.Kind) map[int64]string {
 	t.Helper()
 	gs, err := stack.Current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	ids := make(map[int64]string)
 	for _, g := range gs {
 		if g.Kind() == k {
-			n++
+			ids[g.ID] = g.Leaf().Function
 		}
 	}
-	return n
+	return ids
 }
 
 func TestSyntheticStacksMatchDeclaredKind(t *testing.T) {

@@ -24,9 +24,12 @@ import (
 // lines, and strings that repeat across goroutines — function names, file
 // paths, state annotations — are interned so a profile with thousands of
 // identical leaked stacks costs a handful of allocations per goroutine
-// instead of a copy of the body. LEAKPROF pays a scan per instance per
-// sweep, where a single profile can run to hundreds of megabytes; its
-// collection path runs the counting variant, Tally.
+// instead of a copy of the body. The intern table survives Reset, so a
+// scanner reused across dumps (gprofile pools them) allocates a string
+// the first time any of its dumps carries it; it is the only interning
+// layer. LEAKPROF pays a scan per instance per sweep, where a single
+// profile can run to hundreds of megabytes; its collection path runs the
+// counting variant, Tally.
 //
 // Each call to Scan invalidates nothing: yielded Goroutines are freshly
 // allocated and owned by the caller (their strings are shared via the
@@ -76,9 +79,6 @@ type Scanner struct {
 
 	// intern maps string content to its single shared copy.
 	intern map[string]string
-	// pool, when set, is a bounded intern table shared across Scanners;
-	// the private table above becomes a lock-free cache in front of it.
-	pool *InternPool
 	// headers caches parsed bracket regions ("chan send, 5 minutes") —
 	// the per-goroutine text that repeats across a leaked cluster.
 	headers map[string]headerInfo
@@ -138,9 +138,9 @@ func NewScanner(r io.Reader) *Scanner {
 // buffer and — bounded by maxCacheEntries — the intern, header, and
 // location caches. This is the pooling seam for high-rate ingestion:
 // a pooled Scanner costs one bufio.Scanner shell per dump instead of a
-// 64KiB line buffer plus three warm caches. All per-dump state (yield
-// position, resync and probe state, malformed count, error) is cleared;
-// the shared intern pool attachment is kept.
+// 64KiB line buffer plus three warm caches, and strings interned from
+// earlier dumps are shared with the next one. All per-dump state (yield
+// position, resync and probe state, malformed count, error) is cleared.
 func (s *Scanner) Reset(r io.Reader) {
 	lines := bufio.NewScanner(r)
 	lines.Buffer(s.buf, maxLineBytes)
@@ -169,13 +169,6 @@ func (s *Scanner) Reset(r io.Reader) {
 		s.srcs = make(map[srcKey]string)
 	}
 }
-
-// SetInternPool attaches a shared intern pool: strings the scanner would
-// intern privately are interned through p instead, so repeated scans (a
-// fleet sweep fetching thousands of instances of the same services) stop
-// re-allocating identical function and file strings per Scanner. Call it
-// before the first Scan. A nil pool restores private interning.
-func (s *Scanner) SetInternPool(p *InternPool) { s.pool = p }
 
 // Scan advances to the next goroutine block. It returns false at the end
 // of the dump or on a reader failure; Err distinguishes the two. A
@@ -548,18 +541,14 @@ func parseLocationBytes(s []byte) (file []byte, line int, off uint64, ok bool) {
 }
 
 // internBytes returns the shared string for the byte content, allocating
-// only on first sight. The private table is consulted first — a hit costs
-// no lock — and misses fall through to the shared pool when one is set.
+// only the first time this scanner sees it since its table last reset
+// (see Reset). The compiler elides the []byte->string conversion in the
+// lookup, so a hit costs no allocation.
 func (s *Scanner) internBytes(b []byte) string {
 	if v, ok := s.intern[string(b)]; ok {
 		return v
 	}
-	var v string
-	if s.pool != nil {
-		v = s.pool.internBytes(b)
-	} else {
-		v = string(b)
-	}
+	v := string(b)
 	s.intern[v] = v
 	return v
 }
@@ -567,9 +556,6 @@ func (s *Scanner) internBytes(b []byte) string {
 func (s *Scanner) internString(v string) string {
 	if got, ok := s.intern[v]; ok {
 		return got
-	}
-	if s.pool != nil {
-		v = s.pool.internString(v)
 	}
 	s.intern[v] = v
 	return v

@@ -164,13 +164,22 @@ func TestScannerAllocsBelowParse(t *testing.T) {
 }
 
 // TestScannerInternsAcrossCluster verifies the leaked-cluster economy:
-// the same function name yields the same string header across records.
+// the same function name yields the same string header across records,
+// and across dumps read through one Scanner after Reset, as the pooled
+// scanner of the collection path reads one instance after another.
 func TestScannerInternsAcrossCluster(t *testing.T) {
-	dump := syntheticDump(1, 3)
-	gs, err := scanAll(dump)
-	if err != nil {
-		t.Fatal(err)
+	sc := NewScanner(strings.NewReader(syntheticDump(1, 3)))
+	drain := func() []*Goroutine {
+		var gs []*Goroutine
+		for sc.Scan() {
+			gs = append(gs, sc.Goroutine())
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return gs
 	}
+	gs := drain()
 	if len(gs) < 2 {
 		t.Fatalf("got %d goroutines", len(gs))
 	}
@@ -181,6 +190,21 @@ func TestScannerInternsAcrossCluster(t *testing.T) {
 	// Interned strings share storage: identical string headers.
 	if unsafeStringData(a) != unsafeStringData(b) {
 		t.Error("identical function names were not interned to one allocation")
+	}
+
+	// A second dump, read from its own bytes, repeats the first one's
+	// cluster function.
+	sc.Reset(strings.NewReader(syntheticDump(2, 2)))
+	next := drain()
+	if len(next) == 0 {
+		t.Fatal("second dump yielded no goroutines")
+	}
+	c := next[0].Frames[1].Function
+	if c != a {
+		t.Fatalf("second dump's first function = %q, want %q", c, a)
+	}
+	if unsafeStringData(c) != unsafeStringData(a) {
+		t.Error("a function name interned before Reset was allocated again")
 	}
 }
 

@@ -59,7 +59,7 @@ func scanBounded(cfg *Config, service, instance string, body io.Reader) (*gprofi
 		limit = DefaultMaxProfileBytes
 	}
 	lr := &io.LimitedReader{R: body, N: limit + 1}
-	snap, err := gprofile.ScanSnapshot(service, instance, cfg.now(), lr, cfg.Intern)
+	snap, err := gprofile.ScanSnapshot(service, instance, cfg.now(), lr)
 	if err != nil {
 		return nil, err
 	}

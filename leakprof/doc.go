@@ -292,8 +292,17 @@
 // that took the scan from 2,057 to 1,181 ns per goroutine and from
 // 60,510 allocations (8.8 MB) to 9 (1.8 KB) per dump; the repository
 // benchmark's pull-daily cpu_ms_per_dump fell from 2.16 to 0.95 ms.
-// stack.Current scans its capture buffer in place for the same reason:
-// no whole-dump string copy on the goleak verification path.
+// There is one interning layer: each pooled scanner's own table, kept
+// across scans and reset once it passes 8,192 strings. A pool shared by
+// every scanner once sat behind those tables and never evicted. Over one
+// 10 s run per benchmark workload (seed 7) it served 446 hits in 10,240
+// pull-daily scans (0.04 per scan), 418 in 8,307 pull-sharded scans
+// (0.05), 350 in 1,200 ingest-steady scans (0.29) and 10,648 in 803
+// ingest-wide scans (13), each hit saving one small string in a scan of
+// 1–2 ms of CPU, while ingest-wide alone left 8,866 strings in it.
+// stack.Current scans its capture buffer in place for the same reason
+// Tally counts: no whole-dump string copy on the goleak verification
+// path.
 //
 // Dictionary-compressed segments. The journal codec writes a
 // per-segment string dictionary that starts empty in every segment: a

@@ -101,8 +101,8 @@ func putGzipReader(zr *gzip.Reader) {
 // ones are counted against their service in the closing window. An
 // optional per-service quota (IngestServiceQuota) bounds any one
 // service's share of those slots the same way. A body that fails to
-// scan is a 400 and a recorded failure; a salvaged body (scanner
-// resynced past malformed members) is admitted and the salvage
+// scan is a 400 and a recorded failure; a salvaged body (malformed
+// members skipped, Snapshot.Malformed) is admitted and the salvage
 // diagnostic rides the window's error accounting, mirroring the pull
 // path.
 //
@@ -207,8 +207,8 @@ func IngestTicks(ticks <-chan time.Time) IngestOption {
 // NewIngestServer builds the push endpoint over pipe. The pipeline's
 // options govern ingestion the way they govern pull sweeps: WithWindow
 // paces window closes on the pipeline clock, WithMaxProfileBytes bounds
-// one POSTed body, WithSharedIntern dedups strings across bodies, and
-// WithThreshold/WithRanking/sinks/state shape every emitted Sweep.
+// one POSTed body, and WithThreshold/WithRanking/sinks/state shape every
+// emitted Sweep.
 func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 	s := &IngestServer{
 		pipe:    pipe,

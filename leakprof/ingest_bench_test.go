@@ -41,7 +41,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 		bodies = append(bodies, renderDump(b, snap))
 	}
 
-	pipe := New(WithThreshold(500), WithWindow(20*time.Millisecond), WithSharedIntern(1<<16))
+	pipe := New(WithThreshold(500), WithWindow(20*time.Millisecond))
 	srv := NewIngestServer(pipe, IngestQueue(4096))
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)

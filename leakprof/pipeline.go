@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/gprofile"
-	"repro/internal/stack"
 )
 
 // Config is the resolved option set a Pipeline runs with. Callers build
@@ -44,9 +43,6 @@ type Config struct {
 	ErrorBudget int
 	// Now supplies timestamps; nil means time.Now.
 	Now func() time.Time
-	// Intern, when non-nil, is a bounded string pool shared across all
-	// of the pipeline's profile scans (see WithSharedIntern).
-	Intern *stack.InternPool
 	// OnSweep observes each completed sweep (after sinks ran).
 	OnSweep func(*Sweep)
 	// StateDir, when non-empty, roots the pipeline's durable state: a
@@ -191,12 +187,12 @@ func WithClock(now func() time.Time) Option {
 	return func(c *Config) { c.Now = now }
 }
 
-// WithSharedIntern attaches a bounded intern pool (maxEntries distinct
-// strings; <= 0 means the stack package default) shared across every
-// profile scan the pipeline runs, across sweeps: daily sweeps of the same
-// fleet stop re-interning identical function and file strings per fetch.
+// WithSharedIntern does nothing. Profile scans intern their strings in
+// the pooled scanner's own table, which keeps them across scans; the
+// option remains only because the benchmark harness (bench/sut.go)
+// still passes it, and goes once that caller drops it.
 func WithSharedIntern(maxEntries int) Option {
-	return func(c *Config) { c.Intern = stack.NewInternPool(maxEntries) }
+	return func(*Config) {}
 }
 
 // WithOnSweep registers an observer called after each sweep's sinks ran.

@@ -57,7 +57,6 @@ func TestPipelineUnifiesSources(t *testing.T) {
 	pipe := New(
 		WithThreshold(100),
 		WithParallelism(4),
-		WithSharedIntern(0),
 		WithClock(func() time.Time { return time.Unix(1000, 0) }),
 	).AddSinks(reportSink, &TrendSink{Tracker: trend}, archiveSink)
 

@@ -12,8 +12,8 @@ import (
 // SweepEnv is what the engine hands a Source for one sweep.
 type SweepEnv struct {
 	// Config exposes the pipeline's resolved collection knobs —
-	// parallelism, retry policy, error budgets, clock, intern pool —
-	// so every profile origin honours them uniformly.
+	// parallelism, retry policy, error budgets, clock, profile byte
+	// limit — so every profile origin honours them uniformly.
 	Config *Config
 	// Emit folds one successfully collected instance snapshot into the
 	// sweep; safe for concurrent use.
@@ -90,19 +90,20 @@ func (eps endpointSource) Sweep(ctx context.Context, env *SweepEnv) error {
 	return ctx.Err()
 }
 
-// reportSalvage routes a scanned-but-resynced snapshot's malformed-member
-// count through Fail, mirroring the archive replay path: the instance is
-// still emitted (it counts in Profiles), but an instance chronically
-// serving partially corrupt dumps must show up in the sweep's error
-// accounting, where the failure ledger keeps it out of FailedByService.
+// reportSalvage routes a salvaged snapshot's malformed-member count
+// (Snapshot.Malformed) through Fail, mirroring the archive replay path:
+// the instance is still emitted (it counts in Profiles), but an instance
+// chronically serving partially corrupt dumps must show up in the
+// sweep's error accounting, where the failure ledger keeps it out of
+// FailedByService.
 func reportSalvage(env *SweepEnv, service, instance string, snap *gprofile.Snapshot) {
 	if snap.Malformed > 0 {
 		env.Fail(service, instance, salvageError(snap.Malformed))
 	}
 }
 
-// salvageError is the failure recorded for a profile the scanner decoded
-// by resyncing past malformed goroutine members.
+// salvageError is the failure recorded for a profile decoded by skipping
+// malformed goroutine members.
 func salvageError(malformed int) error {
 	return fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, malformed)
 }
@@ -185,7 +186,7 @@ func (s dumpSource) Sweep(ctx context.Context, env *SweepEnv) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		snap, err := gprofile.ScanSnapshot(d.Service, d.Instance, env.Config.now(), d.Body, env.Config.Intern)
+		snap, err := gprofile.ScanSnapshot(d.Service, d.Instance, env.Config.now(), d.Body)
 		if err != nil {
 			env.Fail(d.Service, d.Instance, err)
 			continue
