@@ -84,7 +84,7 @@ func TestExitStatusAfterSweepLevelFailure(t *testing.T) {
 	for _, tc := range []struct{ body, stdout, stderr string }{
 		{"goroutine 1 [chan send]:\n", "collected 1 profiles", "warn: archive/pay_i1.txt: gprofile: profile salvaged"},
 		{"goroutine 1 [chan send]:\n!!!garbage\n", "collected 1 profiles", "warn: archive/pay_i1.txt: gprofile: profile salvaged"},
-		{"\x00\x01\x02binary", "collected 0 profiles", "warn: archive/pay_i1.txt: gprofile: pay_i1.txt holds no goroutine dump"},
+		{"\x00\x01\x02binary", "collected 0 profiles", "warn: archive/pay_i1.txt: gprofile: pay/i1 holds no goroutine dump"},
 	} {
 		in := t.TempDir()
 		if err := os.WriteFile(filepath.Join(in, "pay_i1.txt"), []byte(tc.body), 0o644); err != nil {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -83,8 +84,8 @@ func TestMalformHeadersScannerSalvage(t *testing.T) {
 	}
 
 	scanned, err := gprofile.ScanSnapshot("svc", "i-0", time.Time{}, bytes.NewReader(mutated))
-	if err != nil {
-		t.Fatalf("scan of malformed body hard-failed: %v", err)
+	if scanned == nil || !errors.Is(err, gprofile.ErrSalvaged) {
+		t.Fatalf("scan of malformed body: err = %v, want a salvage", err)
 	}
 	if scanned.Malformed != count {
 		t.Fatalf("scanner salvaged %d malformed members, want %d", scanned.Malformed, count)

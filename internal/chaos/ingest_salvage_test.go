@@ -69,10 +69,13 @@ func TestIngestSalvageAccounting(t *testing.T) {
 		default:
 			snap, err := gprofile.ScanSnapshot("svc-a", p.instance, time.Time{}, bytes.NewReader(p.body))
 			switch {
-			case err != nil:
+			case snap == nil:
 				p.wantCode = http.StatusBadRequest
 				wantScanErr++
 			case snap.Malformed > 0:
+				if !errors.Is(err, gprofile.ErrSalvaged) {
+					t.Fatalf("%s: salvaged scan err = %v, want ErrSalvaged", p.instance, err)
+				}
 				p.wantCode = http.StatusAccepted
 				p.wantSalvage = true
 				wantSalvage++

@@ -3,7 +3,6 @@ package gprofile
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,14 +11,6 @@ import (
 	"sync"
 	"time"
 )
-
-// ErrSalvaged marks failure reports about profiles that were decoded by
-// skipping corrupt goroutine members rather than lost outright: the
-// snapshot was still emitted and its instance was reachable. Consumers
-// that treat failures as service-health signals (error budgets) should
-// test for it with errors.Is and exempt these — a service serving noisy
-// dumps is not a service that is down.
-var ErrSalvaged = errors.New("profile salvaged")
 
 // DirWriter streams snapshots into a directory archive one at a time, the
 // write-through path production sweeps use to record themselves: each
@@ -130,24 +121,20 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // ScanDir streams every <service>_<instance>.txt profile in dir through
-// the incremental scanner, one file at a time: emit receives each decoded
-// compact snapshot, and fail (optional) each corrupt or unreadable
-// member. When the directory carries a manifest (WriteManifest), the
-// recorded sweep time overrides takenAt, so replays of archived sweeps
-// keep their original cadence. Corrupt or truncated members are skipped
-// and reported rather than aborting the replay — and the records scanned
-// before the corruption are salvaged: the partial snapshot is still
-// emitted (with its error reported through fail) so one torn tail does
-// not erase an instance from the sweep. Members with corrupt goroutine
-// headers mid-dump are salvaged even further: the scanner resyncs at the
-// next well-formed header, the whole remainder is kept, and the
-// malformed-member count is reported through fail. A non-empty file in
-// which the scan finds no goroutine member at all is reported through
-// fail and not emitted; an empty file replays as a profile of zero
-// goroutines, which is what DirWriter leaves for an instance with
-// nothing blocked. It never builds goroutine records or holds more than
-// one open file, so archives recorded at production scale replay in
-// O(locations) memory. Cancelling ctx stops the replay between files.
+// the incremental scanner, one file at a time, and acts on each file's
+// ScanSnapshot verdict: fail (optional) receives its error when it has
+// one, and emit its snapshot when it has one. So a clean file is
+// emitted; a file whose scan resynced past corrupt or torn members is
+// emitted with the rest of its members and reported as salvaged; and a
+// file that cannot be read, or that is non-empty but holds no goroutine
+// member, is reported and not emitted. An empty file replays as a
+// profile of zero goroutines, which is what DirWriter leaves for an
+// instance with nothing blocked. When the directory carries a manifest
+// (WriteManifest), the recorded sweep time overrides takenAt, so replays
+// of archived sweeps keep their original cadence. It never builds
+// goroutine records or holds more than one open file, so archives
+// recorded at production scale replay in O(locations) memory.
+// Cancelling ctx stops the replay between files.
 func ScanDir(ctx context.Context, dir string, takenAt time.Time, emit func(*Snapshot), fail func(name string, err error)) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -171,49 +158,25 @@ func ScanDir(ctx context.Context, dir string, takenAt time.Time, emit func(*Snap
 			continue
 		}
 		service, instance := splitArchiveName(e.Name())
-		snap, serr := scanFile(filepath.Join(dir, e.Name()), service, instance, takenAt)
-		if serr != nil {
-			if fail != nil {
-				fail(e.Name(), serr)
-			}
-			if snap == nil {
-				continue
-			}
-			// Fall through: emit what was scanned before the corruption.
-		} else if snap.Malformed > 0 && fail != nil {
-			// The scan completed by resyncing past corrupt members;
-			// the snapshot is emitted, but the loss must not be silent.
-			fail(e.Name(), fmt.Errorf("gprofile: %w: %s skipped %d malformed goroutine members", ErrSalvaged, e.Name(), snap.Malformed))
+		snap, err := scanFile(filepath.Join(dir, e.Name()), service, instance, takenAt)
+		if err != nil && fail != nil {
+			fail(e.Name(), err)
 		}
-		emit(snap)
+		if snap != nil {
+			emit(snap)
+		}
 	}
 	return nil
 }
 
-// scanFile streams one archive member through the shared scan loop,
-// salvaging the prefix of a corrupt or truncated file: on a mid-file
-// scan error the records decoded so far are returned as a partial
-// snapshot alongside the error (nil when nothing was salvaged — an
-// unopenable or immediately-corrupt member, or a non-empty file that
-// holds no goroutine member).
+// scanFile returns ScanSnapshot's verdict on one archive member.
 func scanFile(path, service, instance string, takenAt time.Time) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	snap, err := scanSnapshotPartial(service, instance, takenAt, f)
-	if err != nil && snap != nil {
-		err = fmt.Errorf("%w (salvaged %d records)", err, snap.TotalGoroutines)
-	}
-	if err == nil && snap.TotalGoroutines == 0 && snap.Malformed == 0 && fi.Size() > 0 {
-		return nil, fmt.Errorf("gprofile: %s holds no goroutine dump", filepath.Base(path))
-	}
-	return snap, err
+	return ScanSnapshot(service, instance, takenAt, f)
 }
 
 // splitArchiveName recovers (service, instance) from an archive file

@@ -164,7 +164,7 @@ func TestScanDirFailsFileWithoutDump(t *testing.T) {
 	if len(emitted) != 1 || emitted[0] != "empty" {
 		t.Errorf("emitted %v, want only the empty member", emitted)
 	}
-	if len(failures) != 1 || !strings.HasPrefix(failures[0], "svc_bin.txt: ") || !strings.Contains(failures[0], "svc_bin.txt holds no goroutine dump") {
+	if len(failures) != 1 || !strings.HasPrefix(failures[0], "svc_bin.txt: ") || !strings.Contains(failures[0], "svc/bin holds no goroutine dump") {
 		t.Errorf("failures = %v, want one naming svc_bin.txt", failures)
 	}
 }

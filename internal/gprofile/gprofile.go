@@ -13,6 +13,7 @@
 package gprofile
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -51,6 +52,14 @@ type Snapshot struct {
 	Malformed int
 }
 
+// ErrSalvaged marks failure reports about profiles that were decoded by
+// skipping corrupt goroutine members rather than lost outright: the
+// snapshot was still emitted and its instance was reachable. Consumers
+// that treat failures as service-health signals (error budgets) should
+// test for it with errors.Is and exempt these — a service serving noisy
+// dumps is not a service that is down.
+var ErrSalvaged = errors.New("profile salvaged")
+
 // ScanSnapshot streams a debug=2 profile body and returns its counts:
 // per-(operation, location) blocked counts plus the total goroutine
 // count, counted one member at a time by the scanner's Tally path. It
@@ -63,30 +72,19 @@ type Snapshot struct {
 // annotations from one dump to the next. This is the LEAKPROF
 // collection path: peak memory per profile is O(distinct blocked
 // locations), not O(goroutines).
+//
+// Its result is the one verdict on a body that every collection door
+// acts on, by reporting the error when it is set and folding the
+// snapshot when it is set:
+//
+//   - (snap, nil): a clean profile. An empty body is a profile of zero
+//     goroutines, which is what DirWriter leaves for an instance with
+//     nothing blocked.
+//   - (snap, err): the scan dropped members (snap.Malformed > 0) and
+//     kept the rest; err wraps ErrSalvaged.
+//   - (nil, err): the read failed, or a non-empty body held no
+//     goroutine member. Nothing is counted.
 func ScanSnapshot(service, instance string, takenAt time.Time, r io.Reader) (*Snapshot, error) {
-	snap, err := scanSnapshotPartial(service, instance, takenAt, r)
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// scannerPool recycles stack.Scanners (a 64KiB line buffer plus warm
-// intern/header/location caches each) across profile scans. The ingest
-// hot path runs one scan per POSTed dump; without pooling every dump
-// pays the buffer allocation and re-interns the fleet's identical
-// strings from scratch.
-var scannerPool sync.Pool
-
-// scanSnapshotPartial is the shared counting scan behind
-// ScanSnapshot and the archive replay path. Unlike the exported
-// entry point it keeps what it scanned: on a mid-body error the partial
-// snapshot (members counted before the corruption) is returned alongside
-// the error — nil only when nothing was salvaged — so archive replay can
-// keep a torn member's valid prefix. Callers that keep the partial are
-// responsible for saying so in any surfaced error; the error here makes
-// no salvage claim, since ScanSnapshot discards the partial.
-func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reader) (*Snapshot, error) {
 	sc, ok := scannerPool.Get().(*stack.Scanner)
 	if ok {
 		sc.Reset(r)
@@ -116,15 +114,23 @@ func scanSnapshotPartial(service, instance string, takenAt time.Time, r io.Reade
 		snap.PreAggregated[op] += n
 	})
 	snap.Malformed += sc.Malformed()
-	if err := sc.Err(); err != nil {
-		err = fmt.Errorf("gprofile: scanning %s/%s: %w", service, instance, err)
-		if snap.TotalGoroutines == 0 {
-			return nil, err
-		}
-		return snap, err
+	switch {
+	case sc.Err() != nil:
+		return nil, fmt.Errorf("gprofile: scanning %s/%s: %w", service, instance, sc.Err())
+	case snap.Malformed > 0:
+		return snap, fmt.Errorf("gprofile: %w: %s/%s skipped %d malformed goroutine members", ErrSalvaged, service, instance, snap.Malformed)
+	case snap.TotalGoroutines == 0 && sc.Lines() > 0:
+		return nil, fmt.Errorf("gprofile: %s/%s holds no goroutine dump", service, instance)
 	}
 	return snap, nil
 }
+
+// scannerPool recycles stack.Scanners (a 64KiB line buffer plus warm
+// intern/header/location caches each) across profile scans. The ingest
+// hot path runs one scan per POSTed dump; without pooling every dump
+// pays the buffer allocation and re-interns the fleet's identical
+// strings from scratch.
+var scannerPool sync.Pool
 
 // CountByLocation groups the snapshot's channel-blocked goroutines by
 // (operation, source location) — the LEAKPROF per-profile aggregation of

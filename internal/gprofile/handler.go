@@ -2,7 +2,6 @@ package gprofile
 
 import (
 	"net/http"
-	"runtime"
 
 	"repro/internal/stack"
 )
@@ -42,12 +41,6 @@ func (h Handler) snapshot() ([]*stack.Goroutine, error) {
 	if h.Stacks != nil {
 		return h.Stacks(), nil
 	}
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return stack.Parse(string(buf[:n]))
-		}
-		buf = make([]byte, 2*len(buf))
-	}
+	gs, _, err := stack.CurrentWithSelf()
+	return gs, err
 }

@@ -1,7 +1,12 @@
 package gprofile
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,13 +97,13 @@ func TestScanSnapshotEmptyBody(t *testing.T) {
 
 func TestScanSnapshotResyncsPastMalformedMembers(t *testing.T) {
 	// A header with brackets missing the closing ']' is the one malformed
-	// member shape; the scan resyncs at the next well-formed header and
-	// reports the loss on the snapshot instead of erroring.
+	// member shape; the scan resyncs at the next well-formed header,
+	// keeps the rest and reports the loss as a salvage.
 	dump := "goroutine 8 [chan send:\nmain.torn()\n\t/t/t.go:1 +0x1\n" +
 		"goroutine 9 [chan send]:\nmain.ok()\n\t/ok/ok.go:2 +0x2\n"
 	snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(dump))
-	if err != nil {
-		t.Fatalf("resynced dump errored: %v", err)
+	if !errors.Is(err, ErrSalvaged) {
+		t.Fatalf("resynced dump: err = %v, want a salvage", err)
 	}
 	if snap.Malformed != 1 {
 		t.Errorf("Malformed = %d, want 1", snap.Malformed)
@@ -133,8 +138,8 @@ func TestScanSnapshotCountsUnlocatedBlockedMember(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, err := ScanSnapshot("svc", "i1", time.Unix(0, 0), strings.NewReader(tc.dump))
-			if err != nil {
-				t.Fatal(err)
+			if !errors.Is(err, ErrSalvaged) {
+				t.Fatalf("err = %v, want a salvage", err)
 			}
 			if snap.Malformed != 1 || snap.TotalGoroutines != tc.total || len(snap.PreAggregated) != 0 {
 				t.Errorf("Malformed %d, TotalGoroutines %d, PreAggregated %v; want 1, %d and none",
@@ -160,4 +165,71 @@ type failingReader struct{}
 
 func (failingReader) Read([]byte) (int, error) {
 	return 0, errors.New("synthetic read failure")
+}
+
+// FuzzScanSnapshot checks that ScanSnapshot gives exactly one verdict on
+// any bytes — a clean snapshot, a salvaged snapshot with its
+// ErrSalvaged error, or an error alone — that an empty body is a profile
+// of zero goroutines, and that ScanDir emits and fails a file holding
+// the same bytes exactly as the verdict says.
+func FuzzScanSnapshot(f *testing.F) {
+	member := func(id int, header string) string {
+		return fmt.Sprintf("goroutine %d %s\nsvc.f%d()\n\t/s/f.go:%d +0x1\n\n", id, header, id, id)
+	}
+	everySecondMalformed := ""
+	for id := 1; id <= 6; id++ {
+		header := "[chan send]:"
+		if id%2 == 0 {
+			header = "[chan send:"
+		}
+		everySecondMalformed += member(id, header)
+	}
+	for _, seed := range []string{
+		"",
+		"\x00\x01\x02binary",
+		"goroutine 1 [chan send]:",
+		"goroutine 99 [chan send:\nsvc.torn()\n",
+		member(1, "[chan send]:") + member(2, "[select]:"),
+		everySecondMalformed,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		snap, err := ScanSnapshot("svc", "i1", time.Time{}, bytes.NewReader(body))
+		switch {
+		case snap != nil && err == nil:
+			if snap.Malformed != 0 {
+				t.Fatalf("clean verdict with Malformed %d", snap.Malformed)
+			}
+		case snap != nil:
+			if !errors.Is(err, ErrSalvaged) || snap.Malformed == 0 {
+				t.Fatalf("snapshot with error %v and Malformed %d, want a salvage", err, snap.Malformed)
+			}
+		case err == nil:
+			t.Fatal("neither a snapshot nor an error")
+		case errors.Is(err, ErrSalvaged):
+			t.Fatalf("salvage %v without a snapshot", err)
+		}
+		if len(body) == 0 && (snap == nil || snap.TotalGoroutines != 0 || len(snap.PreAggregated) != 0) {
+			t.Fatalf("empty body: %+v, %v; want a profile of zero goroutines", snap, err)
+		}
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "svc_i1.txt"), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var emitted []*Snapshot
+		var failed []error
+		if err := ScanDir(context.Background(), dir, time.Time{},
+			func(s *Snapshot) { emitted = append(emitted, s) },
+			func(_ string, err error) { failed = append(failed, err) }); err != nil {
+			t.Fatal(err)
+		}
+		if (snap == nil && len(emitted) != 0) || (snap != nil && (len(emitted) != 1 || !reflect.DeepEqual(emitted[0], snap))) {
+			t.Errorf("ScanDir emitted %+v, want the verdict's %+v", emitted, snap)
+		}
+		if (err == nil && len(failed) != 0) || (err != nil && (len(failed) != 1 || failed[0].Error() != err.Error())) {
+			t.Errorf("ScanDir failed %v, want the verdict's %v", failed, err)
+		}
+	})
 }

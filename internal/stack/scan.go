@@ -267,6 +267,12 @@ func (s *Scanner) Err() error { return s.err }
 // the per-dump diagnostic that the salvage happened.
 func (s *Scanner) Malformed() int { return s.malformed }
 
+// Lines returns the number of lines read so far. After the whole dump
+// it is zero only for an empty body (or a reader that failed before its
+// first line), which is how a caller tells an empty dump from a
+// non-empty body that held no goroutine member.
+func (s *Scanner) Lines() int { return s.line }
+
 var createdByPrefix = []byte("created by ")
 
 // process consumes one line and reports whether a goroutine was yielded

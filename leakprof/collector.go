@@ -28,8 +28,8 @@ type Endpoint struct {
 // LEAKPROF most needs to see.
 const DefaultMaxProfileBytes = 256 << 20
 
-// fetchOne streams one instance's profile body straight into the scanner;
-// the body is never materialised.
+// fetchOne streams one instance's profile body straight into the scanner
+// and returns scanBounded's verdict; the body is never materialised.
 func fetchOne(ctx context.Context, cfg *Config, client *http.Client, ep Endpoint) (*gprofile.Snapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.URL, nil)
 	if err != nil {
@@ -49,10 +49,11 @@ func fetchOne(ctx context.Context, cfg *Config, client *http.Client, ep Endpoint
 // errOverLimit marks a profile body longer than MaxProfileBytes.
 var errOverLimit = errors.New("profile exceeds the byte limit")
 
-// scanBounded streams one profile body through the scanner, reading one
-// byte past the pipeline's MaxProfileBytes: if that byte arrives, the
-// profile is over budget and fails with errOverLimit rather than passing
-// truncated counts downstream.
+// scanBounded returns gprofile.ScanSnapshot's verdict on one profile
+// body, reading one byte past the pipeline's MaxProfileBytes: if that
+// byte arrives, the profile is over budget and fails with errOverLimit
+// alone, whatever the scan made of the truncated body, rather than
+// passing truncated counts downstream.
 func scanBounded(cfg *Config, service, instance string, body io.Reader) (*gprofile.Snapshot, error) {
 	limit := cfg.MaxProfileBytes
 	if limit <= 0 {
@@ -60,11 +61,8 @@ func scanBounded(cfg *Config, service, instance string, body io.Reader) (*gprofi
 	}
 	lr := &io.LimitedReader{R: body, N: limit + 1}
 	snap, err := gprofile.ScanSnapshot(service, instance, cfg.now(), lr)
-	if err != nil {
-		return nil, err
-	}
 	if lr.N <= 0 {
 		return nil, fmt.Errorf("leakprof: %s/%s: %w (%d bytes)", service, instance, errOverLimit, limit)
 	}
-	return snap, nil
+	return snap, err
 }

@@ -2,6 +2,7 @@ package leakprof
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -201,5 +202,58 @@ func TestCollectHonoursContext(t *testing.T) {
 	sweep, _ := collect(t, ctx, []Endpoint{{Service: "s", Instance: "i", URL: srv.URL}})
 	if sweep.Errors != 1 {
 		t.Error("cancelled fetch should error")
+	}
+}
+
+// TestEveryDoorRefusesBodyWithoutGoroutines sends one body through each
+// live door: a pull sweep, a Dumps sweep and an ingest POST. A non-empty
+// body in which the scan finds no goroutine member is not a profile, so
+// each door counts it as a failed instance of its service, as archive
+// replay does; an empty body is a profile of zero goroutines in each.
+func TestEveryDoorRefusesBodyWithoutGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		body             string
+		profiles, failed int
+		code             int
+	}{
+		{"\x00\x01\x02binary", 0, 1, http.StatusBadRequest},
+		{"", 1, 0, http.StatusAccepted},
+	} {
+		check := func(door string, sweep *Sweep) {
+			t.Helper()
+			if sweep.Profiles != tc.profiles || sweep.Errors != tc.failed || sweep.FailedByService["svc"] != tc.failed {
+				t.Errorf("%s of %q: Profiles %d, Errors %d, FailedByService %v; want %d, %d and svc:%d",
+					door, tc.body, sweep.Profiles, sweep.Errors, sweep.FailedByService, tc.profiles, tc.failed, tc.failed)
+			}
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.WriteString(w, tc.body)
+		}))
+		pull, err := New().Sweep(context.Background(), StaticEndpoints(Endpoint{Service: "svc", Instance: "i1", URL: srv.URL}))
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("pull", pull)
+
+		dumps, err := New().Sweep(context.Background(), Dumps(Dump{Service: "svc", Instance: "i1", Body: strings.NewReader(tc.body)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Dumps", dumps)
+
+		sweeps := make(chan *Sweep, 1)
+		ingest := NewIngestServer(New(WithOnSweep(func(s *Sweep) { sweeps <- s })), IngestTicks(make(chan time.Time)))
+		if rec := postDump(ingest, "svc", "i1", []byte(tc.body), false); rec.Code != tc.code {
+			t.Errorf("ingest POST of %q: got %d, want %d", tc.body, rec.Code, tc.code)
+		}
+		if st := ingest.Stats(); st.ScanErrors != uint64(tc.failed) {
+			t.Errorf("ingest of %q: ScanErrors = %d, want %d", tc.body, st.ScanErrors, tc.failed)
+		}
+		// A cancelled Run drains everything into one window, synchronously.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		ingest.Run(ctx)
+		check("ingest", <-sweeps)
 	}
 }

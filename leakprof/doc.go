@@ -33,6 +33,18 @@
 //   - FromSnapshots / Dumps — snapshots already counted, or raw debug=2
 //     bodies (synthetic dumps, out-of-band captures).
 //
+// Every origin that scans a body — StaticEndpoints, Archive, Dumps and
+// IngestServer — acts on one verdict, gprofile.ScanSnapshot's. A clean
+// profile folds. A profile whose scan resynced past malformed members
+// folds what remains and is reported as a failure wrapping
+// gprofile.ErrSalvaged: it counts in Profiles and in Errors, but spends
+// no error budget and seeds none (a reachable instance serving noisy
+// dumps is not a down one), and a salvaged pull is one successful
+// fetch, never retried. A body that could not be read, or a non-empty
+// body holding no goroutine member, folds nothing and is a failed
+// instance of its service. An empty body is a profile of zero
+// goroutines.
+//
 // Sinks receive each snapshot as it is collected plus the completed
 // Sweep (ranked findings and the aggregator's raw per-group moments):
 // ReportSink files alerts, TrendSink feeds variance-aware cross-sweep
@@ -233,7 +245,8 @@
 //	go http.ListenAndServe(addr, srv)  // instances POST dump bodies
 //	err := srv.Run(ctx)                // one Sweep per closed window
 //
-// Every body streams through the same stack scanner on arrival, and the
+// Every body streams through the same stack scanner on arrival and gets
+// the same verdict a pulled body gets (a refused body is a 400), and the
 // window loop folds each scanned dump into the window's aggregator — no
 // dump is ever buffered whole, so ingest memory is bounded by the
 // admission queue times the per-dump folded state (O(locations)), not by

@@ -100,11 +100,13 @@ func putGzipReader(zr *gzip.Reader) {
 // hint instead of buffering — admitted dumps keep folding, rejected
 // ones are counted against their service in the closing window. An
 // optional per-service quota (IngestServiceQuota) bounds any one
-// service's share of those slots the same way. A body that fails to
-// scan is a 400 and a recorded failure; a salvaged body (malformed
-// members skipped, Snapshot.Malformed) is admitted and the salvage
-// diagnostic rides the window's error accounting, mirroring the pull
-// path.
+// service's share of those slots the same way. Each admitted body gets
+// gprofile.ScanSnapshot's verdict, as a pulled body does: its error, if
+// any, is recorded in the closing window's failure accounting, and its
+// snapshot, if any, is queued (202). A body with no snapshot — a failed
+// read, or a non-empty body holding no goroutine member — is a 400 and
+// counts in ScanErrors; a salvaged body (malformed members skipped) is
+// admitted with its salvage failure.
 //
 // The window loop folds queued snapshots into the sweep's aggregator
 // itself, one at a time, between its deadline checks, so a closing
@@ -123,19 +125,19 @@ type IngestServer struct {
 	// in X-Leakprof-Token; mismatches are 401s counted in AuthRejected.
 	token string
 
-	// inflight tracks per-service admissions currently holding a slot
-	// (service -> *atomic.Int64), charged before the slot is taken and
-	// released when the dump folds or its request fails.
-	inflight sync.Map
-
 	// retryAfter is the 429 Retry-After hint in seconds: half a window,
 	// when the queue has likely drained.
 	retryAfter string
 
 	// pending counts admission failures (429s, scan failures, salvage)
 	// for the next window close, through the sweep failure ledger.
-	mu      sync.Mutex
-	pending *Sweep
+	// inflight counts each service's admissions holding a slot under
+	// the quota, from before the slot is taken until the dump folds or
+	// its request fails; a service leaves it when its count returns to
+	// zero, so client-chosen names cannot grow it. mu guards both.
+	mu       sync.Mutex
+	pending  *Sweep
+	inflight map[string]int
 
 	// closeStart marks when the current window began closing, for the
 	// window-close pause statistic (real time, not the pipeline clock:
@@ -211,10 +213,11 @@ func IngestTicks(ticks <-chan time.Time) IngestOption {
 // emitted Sweep.
 func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 	s := &IngestServer{
-		pipe:    pipe,
-		queue:   make(chan *gprofile.Snapshot, DefaultIngestQueue),
-		slots:   make(chan struct{}, DefaultIngestQueue),
-		pending: &Sweep{},
+		pipe:     pipe,
+		queue:    make(chan *gprofile.Snapshot, DefaultIngestQueue),
+		slots:    make(chan struct{}, DefaultIngestQueue),
+		pending:  &Sweep{},
+		inflight: make(map[string]int),
 	}
 	retry := int(pipe.cfg.window().Seconds() / 2)
 	if retry < 1 {
@@ -228,31 +231,31 @@ func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 }
 
 // chargeService reserves one unit of the service's admission quota.
-// Lock-free on the hot path: one sync.Map lookup plus an atomic add per
-// admission.
 func (s *IngestServer) chargeService(service string) bool {
 	if s.quota <= 0 {
 		return true
 	}
-	v, ok := s.inflight.Load(service)
-	if !ok {
-		v, _ = s.inflight.LoadOrStore(service, new(atomic.Int64))
-	}
-	c := v.(*atomic.Int64)
-	if c.Add(1) > int64(s.quota) {
-		c.Add(-1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.inflight[service] >= s.quota {
 		return false
 	}
+	s.inflight[service]++
 	return true
 }
 
-// releaseService returns one unit of the service's admission quota.
+// releaseService returns one unit of the service's admission quota,
+// forgetting the service once it holds none.
 func (s *IngestServer) releaseService(service string) {
 	if s.quota <= 0 {
 		return
 	}
-	if v, ok := s.inflight.Load(service); ok {
-		v.(*atomic.Int64).Add(-1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := s.inflight[service] - 1; n > 0 {
+		s.inflight[service] = n
+	} else {
+		delete(s.inflight, service)
 	}
 }
 
@@ -330,21 +333,17 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// materialised.
 	snap, err := scanBounded(&s.pipe.cfg, service, instance, body)
 	if err != nil {
+		s.fail(service, instance, err)
+	}
+	if snap == nil {
 		s.releaseAdmission(service)
 		s.scanFails.Add(1)
-		s.fail(service, instance, err)
 		code := http.StatusBadRequest
 		if errors.Is(err, errOverLimit) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, err.Error(), code)
 		return
-	}
-	if snap.Malformed > 0 {
-		// Salvage is a diagnostic, not a rejection: the snapshot folds,
-		// and the window's failure ledger records the resync exactly as
-		// the pull path does.
-		s.fail(service, instance, salvageError(snap.Malformed))
 	}
 	s.queue <- snap // cannot block: a slot is held
 	s.admitted.Add(1)
@@ -498,8 +497,9 @@ type IngestStats struct {
 	// those already folded into a window's aggregator.
 	Admitted, Folded uint64
 	// Rejected counts queue-full 429s; QuotaRejected counts per-service
-	// quota 429s; ScanErrors counts bodies that failed to scan or
-	// exceeded the byte limit.
+	// quota 429s; ScanErrors counts bodies refused with no snapshot: a
+	// bad gzip stream, a failed read, a non-empty body holding no
+	// goroutine member, or one over the byte limit.
 	Rejected, QuotaRejected, ScanErrors uint64
 	// AuthRejected counts POSTs refused with 401 for a missing or wrong
 	// X-Leakprof-Token (IngestAuthToken). Not charged to any service:

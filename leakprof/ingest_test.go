@@ -278,6 +278,22 @@ func TestIngestServiceQuota(t *testing.T) {
 	}
 }
 
+// TestIngestQuotaTableForgetsIdleServices: the quota table is charged
+// with whatever ?service= name a client sends, so a name must leave the
+// table when its last admission is released, or distinct names grow it
+// without bound.
+func TestIngestQuotaTableForgetsIdleServices(t *testing.T) {
+	srv := NewIngestServer(New(), IngestServiceQuota(2), IngestTicks(make(chan time.Time)))
+	for i := 0; i < 1000; i++ {
+		if rec := postDump(srv, "svc-"+strconv.Itoa(i), "i0", []byte("not gzip"), true); rec.Code != http.StatusBadRequest {
+			t.Fatalf("bad-gzip POST %d: got %d, want 400", i, rec.Code)
+		}
+	}
+	if n := len(srv.inflight); n != 0 {
+		t.Errorf("quota table holds %d services after every admission failed, want 0", n)
+	}
+}
+
 // TestIngestSalvagePastCapSparesBudget pins the salvage exemption past
 // the failure-detail cap: after a window's first maxSweepFailures
 // failures fill Failures, a salvaged dump still counts in Errors only,
@@ -627,11 +643,17 @@ func TestIngestCancelBetweenWindowsKeepsFailure(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- srv.Run(ctx) }()
 
-	// The first tick finds window 1 open on the unmoved clock; the
-	// second, past its deadline, closes it.
+	// The first tick finds window 1 open on the unmoved clock, unless
+	// the loop reads the clock after the advance below; the second,
+	// past the deadline, closes it. Should the first tick's check have
+	// closed window 1 already, the loop is held in its sink and cannot
+	// take the second.
 	ticks <- time.Time{}
 	clock.Advance(2 * time.Minute)
-	ticks <- time.Time{}
+	select {
+	case ticks <- time.Time{}:
+	case <-sink.held:
+	}
 	select {
 	case <-sink.held:
 	case <-time.After(10 * time.Second):

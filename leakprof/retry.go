@@ -131,7 +131,9 @@ func (b *errorBudget) spend(service string) {
 // budgets (optionally pre-seeded with prevFailures, the previous sweep's
 // journaled per-service failure counts), and each response body streaming
 // straight through the stack scanner. deliver is called exactly once per
-// endpoint, concurrently.
+// endpoint, concurrently, with its fetch's verdict. A salvaged profile
+// (a snapshot with an ErrSalvaged error) is one successful fetch: it
+// spends none of its service's budget.
 func fetchFleet(ctx context.Context, cfg *Config, prevFailures map[string]int, endpoints []Endpoint, deliver func(i int, snap *gprofile.Snapshot, err error)) {
 	client := cfg.httpClient()
 	budget := newErrorBudget(cfg.ErrorBudget, prevFailures)
@@ -148,7 +150,7 @@ func fetchFleet(ctx context.Context, cfg *Config, prevFailures map[string]int, e
 				return
 			}
 			snap, err := fetchWithRetry(ctx, cfg, client, ep)
-			if err != nil {
+			if snap == nil {
 				budget.spend(ep.Service)
 			}
 			deliver(i, snap, err)
@@ -158,13 +160,14 @@ func fetchFleet(ctx context.Context, cfg *Config, prevFailures map[string]int, e
 }
 
 // fetchWithRetry runs one endpoint's fetch under the retry policy,
-// giving up when attempts are exhausted or the context dies.
+// giving up when attempts are exhausted or the context dies. A fetch
+// that yields a snapshot, salvaged or not, is not retried.
 func fetchWithRetry(ctx context.Context, cfg *Config, client *http.Client, ep Endpoint) (*gprofile.Snapshot, error) {
 	policy := cfg.Retry
 	for attempts := 1; ; attempts++ {
 		snap, err := fetchOne(ctx, cfg, client, ep)
-		if err == nil {
-			return snap, nil
+		if snap != nil {
+			return snap, err
 		}
 		stop := attempts >= policy.attempts() || ctx.Err() != nil
 		if !stop {

@@ -3,14 +3,17 @@ package leakprof
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/gprofile"
 	"repro/internal/stack"
 )
 
@@ -197,5 +200,44 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 	}
 	if got := hits.Load(); got != 1 {
 		t.Errorf("server saw %d requests after cancel, want 1", got)
+	}
+}
+
+// TestSalvagedFetchIsOneSuccess pins that a salvaged profile (malformed
+// members skipped) is a successful fetch: it is not retried and spends
+// none of its service's error budget, so under a budget of one every
+// instance of the service is still fetched, once, and each counts as a
+// profile with a salvage failure.
+func TestSalvagedFetchIsOneSuccess(t *testing.T) {
+	malformed := "goroutine 1 [chan send]:\npay.leak()\n\t/pay/l.go:5 +0x2b\n" +
+		"goroutine 99 [chan send:\ntorn.member()\n"
+	var mu sync.Mutex
+	hits := map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hits[r.URL.Path]++
+		mu.Unlock()
+		_, _ = io.WriteString(w, malformed)
+	}))
+	defer srv.Close()
+	var eps []Endpoint
+	for _, inst := range []string{"i1", "i2", "i3"} {
+		eps = append(eps, Endpoint{Service: "pay", Instance: inst, URL: srv.URL + "/" + inst})
+	}
+	p := New(WithRetry(RetryPolicy{MaxAttempts: 3}), WithErrorBudget(1), WithParallelism(1))
+	sweep, err := p.Sweep(context.Background(), StaticEndpoints(eps...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"/i1": 1, "/i2": 1, "/i3": 1}; !reflect.DeepEqual(hits, want) {
+		t.Errorf("requests per instance = %v, want %v", hits, want)
+	}
+	if sweep.Profiles != 3 || len(sweep.Failures) != 3 {
+		t.Fatalf("Profiles %d, Failures %+v; want 3 and three salvages", sweep.Profiles, sweep.Failures)
+	}
+	for _, f := range sweep.Failures {
+		if !errors.Is(f.Err, gprofile.ErrSalvaged) || errors.Is(f.Err, ErrBudgetExhausted) {
+			t.Errorf("%s/%s: %v, want a salvage, not a budget skip", f.Service, f.Instance, f.Err)
+		}
 	}
 }

@@ -38,8 +38,8 @@ type Sweep struct {
 	Profiles int
 	// Errors is the number of instances whose collection failed
 	// (including instances short-circuited by an exhausted error
-	// budget, and archive members that were salvaged only partially —
-	// those also count toward Profiles; see SweepEnv.Fail).
+	// budget, and salvaged profiles — those also count toward
+	// Profiles; see SweepEnv.Fail).
 	Errors int
 	// Failures details the failed instances, capped at maxSweepFailures
 	// entries; Errors carries the uncapped count.

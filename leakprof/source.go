@@ -2,7 +2,6 @@ package leakprof
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -19,12 +18,13 @@ type SweepEnv struct {
 	// sweep; safe for concurrent use.
 	Emit func(*gprofile.Snapshot)
 	// Fail records one instance's collection failure; safe for
-	// concurrent use. Every instance a sweep attempts must reach
-	// exactly one of Emit or Fail — with one carve-out: a source that
-	// salvages partial data from a corrupt record (archive replay of a
-	// torn member) reports the member through Fail and still Emits the
-	// salvaged snapshot, so such an instance counts in both Profiles
-	// and Errors.
+	// concurrent use. A source hands each instance's
+	// gprofile.ScanSnapshot verdict on, reporting its error through
+	// Fail and emitting its snapshot through Emit, whichever are set.
+	// Every instance a sweep attempts thus reaches exactly one of them,
+	// except a salvaged profile (an error wrapping
+	// gprofile.ErrSalvaged, with the snapshot of its remaining members),
+	// which reaches both and counts in Profiles and Errors.
 	Fail func(service, instance string, err error)
 	// SetTime overrides the sweep's timestamp. Sources replaying
 	// recorded data (an archive with a manifest) call it — before
@@ -82,43 +82,25 @@ func (eps endpointSource) Sweep(ctx context.Context, env *SweepEnv) error {
 	fetchFleet(ctx, env.Config, env.prevFailures, eps, func(i int, snap *gprofile.Snapshot, err error) {
 		if err != nil {
 			env.Fail(eps[i].Service, eps[i].Instance, err)
-			return
 		}
-		reportSalvage(env, eps[i].Service, eps[i].Instance, snap)
-		env.Emit(snap)
+		if snap != nil {
+			env.Emit(snap)
+		}
 	})
 	return ctx.Err()
-}
-
-// reportSalvage routes a salvaged snapshot's malformed-member count
-// (Snapshot.Malformed) through Fail, mirroring the archive replay path:
-// the instance is still emitted (it counts in Profiles), but an instance
-// chronically serving partially corrupt dumps must show up in the
-// sweep's error accounting, where the failure ledger keeps it out of
-// FailedByService.
-func reportSalvage(env *SweepEnv, service, instance string, snap *gprofile.Snapshot) {
-	if snap.Malformed > 0 {
-		env.Fail(service, instance, salvageError(snap.Malformed))
-	}
-}
-
-// salvageError is the failure recorded for a profile decoded by skipping
-// malformed goroutine members.
-func salvageError(malformed int) error {
-	return fmt.Errorf("leakprof: %w: skipped %d malformed goroutine members", gprofile.ErrSalvaged, malformed)
 }
 
 // Archive returns a Source replaying one recorded sweep: a directory in
 // the <service>_<instance>.txt layout gprofile.DirWriter writes, such as
 // one sweep-NNNN subdirectory of an ArchiveSink. Files stream through
-// the scanner one at a time; corrupt members fail individually — with
-// any salvageable prefix records still emitted — without aborting the
-// replay. When the directory carries a manifest (every ArchiveSink
-// finalisation writes one), the sweep replays at its recorded
-// timestamp, so trend verdicts over replayed history match the verdicts
-// the original sweeps produced. To replay a whole ArchiveSink base
-// directory, use Pipeline.Replay, which runs one timestamped sweep per
-// recorded sweep.
+// the scanner one at a time, and each file's verdict is handed on as
+// the live sources hand theirs (gprofile.ScanDir): a corrupt member
+// fails on its own without aborting the replay. When the directory
+// carries a manifest (every ArchiveSink finalisation writes one), the
+// sweep replays at its recorded timestamp, so trend verdicts over
+// replayed history match the verdicts the original sweeps produced. To
+// replay a whole ArchiveSink base directory, use Pipeline.Replay, which
+// runs one timestamped sweep per recorded sweep.
 func Archive(dir string) Source {
 	return archiveSource{dir: dir}
 }
@@ -189,10 +171,10 @@ func (s dumpSource) Sweep(ctx context.Context, env *SweepEnv) error {
 		snap, err := gprofile.ScanSnapshot(d.Service, d.Instance, env.Config.now(), d.Body)
 		if err != nil {
 			env.Fail(d.Service, d.Instance, err)
-			continue
 		}
-		reportSalvage(env, d.Service, d.Instance, snap)
-		env.Emit(snap)
+		if snap != nil {
+			env.Emit(snap)
+		}
 	}
 	return nil
 }
