@@ -70,6 +70,46 @@ func refAnalyze(threshold int, ranking Ranking, filters []OpFilter, snaps []*gpr
 	return findings
 }
 
+// impact computes the ranking statistic over per-instance counts. The
+// denominator for RMS and mean is the number of *profiled* instances of
+// the service (instances with zero blocked goroutines at this location
+// contribute zeros), which is what makes RMS highlight concentrated
+// clusters: a single instance with 16K blocked goroutines outranks 800
+// instances with 20 each.
+func impact(r Ranking, perInst map[string]int, serviceInstances int) float64 {
+	if serviceInstances <= 0 {
+		serviceInstances = len(perInst)
+	}
+	switch r {
+	case RankMean:
+		var sum float64
+		for _, n := range perInst {
+			sum += float64(n)
+		}
+		return sum / float64(serviceInstances)
+	case RankMax:
+		var max float64
+		for _, n := range perInst {
+			if float64(n) > max {
+				max = float64(n)
+			}
+		}
+		return max
+	case RankTotal:
+		var sum float64
+		for _, n := range perInst {
+			sum += float64(n)
+		}
+		return sum
+	default: // RankRMS
+		var sumsq float64
+		for _, n := range perInst {
+			sumsq += float64(n) * float64(n)
+		}
+		return math.Sqrt(sumsq / float64(serviceInstances))
+	}
+}
+
 func sortFindings(findings []*Finding) {
 	for i := 1; i < len(findings); i++ {
 		for j := i; j > 0; j-- {

@@ -1,10 +1,6 @@
 package leakprof
 
-import (
-	"math"
-
-	"repro/internal/stack"
-)
+import "repro/internal/stack"
 
 // DefaultThreshold is the per-instance blocked-goroutine concentration
 // above which a location is marked suspicious. The paper arrived at 10K
@@ -82,44 +78,4 @@ type Finding struct {
 // service+operation+location.
 func (f *Finding) Key() string {
 	return f.Service + "\x00" + f.Op + "\x00" + f.Location
-}
-
-// impact computes the ranking statistic over per-instance counts. The
-// denominator for RMS and mean is the number of *profiled* instances of
-// the service (instances with zero blocked goroutines at this location
-// contribute zeros), which is what makes RMS highlight concentrated
-// clusters: a single instance with 16K blocked goroutines outranks 800
-// instances with 20 each.
-func impact(r Ranking, perInst map[string]int, serviceInstances int) float64 {
-	if serviceInstances <= 0 {
-		serviceInstances = len(perInst)
-	}
-	switch r {
-	case RankMean:
-		var sum float64
-		for _, n := range perInst {
-			sum += float64(n)
-		}
-		return sum / float64(serviceInstances)
-	case RankMax:
-		var max float64
-		for _, n := range perInst {
-			if float64(n) > max {
-				max = float64(n)
-			}
-		}
-		return max
-	case RankTotal:
-		var sum float64
-		for _, n := range perInst {
-			sum += float64(n)
-		}
-		return sum
-	default: // RankRMS
-		var sumsq float64
-		for _, n := range perInst {
-			sumsq += float64(n) * float64(n)
-		}
-		return math.Sqrt(sumsq / float64(serviceInstances))
-	}
 }

@@ -250,11 +250,14 @@
 // window loop folds each scanned dump into the window's aggregator — no
 // dump is ever buffered whole, so ingest memory is bounded by the
 // admission queue times the per-dump folded state (O(locations)), not by
-// fleet size or dump length. Arrivals accumulate into clock-driven tumbling windows
-// (WithWindow; a late arrival credits the next window), and each window
-// close emits one ordinary Sweep: alerting, trend tracking, archives,
-// and the state journal run unchanged, they simply see "windows"
-// instead of "collection rounds".
+// fleet size or dump length. Arrivals accumulate into tumbling windows on
+// the pipeline clock (WithWindow; a late arrival credits the next
+// window). Each window arms a timer for its deadline, so it closes when
+// the deadline passes, whether or not a dump arrives; a pipeline clock
+// (WithClock) slower than the wall clock re-arms the timer for what is
+// left. Each window close emits one ordinary Sweep: alerting, trend
+// tracking, archives, and the state journal run unchanged, they simply
+// see "windows" instead of "collection rounds".
 //
 // Backpressure is first-class rather than emergent. Admission is
 // bounded by IngestQueue: a POST past the bound is rejected immediately
@@ -264,12 +267,15 @@
 // the same error budgets a pull sweep's fetch failures feed. Closing
 // the server (context cancellation) drains: every dump already scanned
 // and queued, and every admission failure counted since the last window
-// closed, folds into one final partial window before Run returns, and a
-// scan still in flight gets a fixed two seconds to land; one slower than
-// that is not folded. A window whose sweep fails (a sink's
-// SweepDone, the journal append) does not stop the loop, and is not
-// lost either: Run's error after the cancel wraps the first failed
-// window's error and counts the windows that failed.
+// closed, folds into one final partial window before Run returns. The
+// rule is that an acknowledged dump is folded: a POST that takes its
+// admission slot after the drain began is answered 503, as a later one
+// is, never 202. A scan still in flight gets a fixed two seconds to
+// land; one slower than that is not folded, and is the rule's one
+// exception, since its POST is still answered 202. A window whose sweep
+// fails (a sink's SweepDone, the journal append) does not stop the
+// loop, and is not lost either: Run's error after the cancel wraps the
+// first failed window's error and counts the windows that failed.
 //
 // Durability interacts with windows through the fsync policy
 // (WithStateSync), and the loss bound on a crash is per-policy exactly

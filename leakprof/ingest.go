@@ -109,9 +109,9 @@ func putGzipReader(zr *gzip.Reader) {
 // admitted with its salvage failure.
 //
 // The window loop folds queued snapshots into the sweep's aggregator
-// itself, one at a time, between its deadline checks, so a closing
-// window has no fold in flight and every sweep observes a consistent
-// fold frontier.
+// itself, one at a time, checking the deadline after each fold and when
+// the window's deadline timer fires, so a closing window has no fold in
+// flight and every sweep observes a consistent fold frontier.
 type IngestServer struct {
 	pipe  *Pipeline
 	queue chan *gprofile.Snapshot // admitted, scanned dumps awaiting a fold
@@ -200,8 +200,8 @@ func IngestAuthToken(tok string) IngestOption {
 // IngestTicks overrides the window wake-up channel — the test seam that
 // makes window closing deterministic under a fake pipeline clock. Each
 // receive re-evaluates the window deadline against the pipeline clock;
-// without arrivals or ticks a window never closes. Unset, Run wakes
-// itself on a real-time ticker.
+// without arrivals or ticks a window never closes. Unset, each window
+// wakes on a timer armed for its deadline.
 func IngestTicks(ticks <-chan time.Time) IngestOption {
 	return func(s *IngestServer) { s.ticks = ticks }
 }
@@ -315,6 +315,13 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, ErrIngestOverflow.Error(), http.StatusTooManyRequests)
 		return
 	}
+	// The shutdown drain may have begun since the check above and found
+	// no slot held; it would never fold a dump this slot queues.
+	if s.closed.Load() {
+		s.releaseAdmission(service)
+		http.Error(w, "ingest server draining", http.StatusServiceUnavailable)
+		return
+	}
 
 	body := io.Reader(r.Body)
 	if r.Header.Get("Content-Encoding") == "gzip" {
@@ -392,20 +399,10 @@ func (s *IngestServer) flushAccounting(env *SweepEnv) {
 // the count of failed windows. Callers still own Pipeline.Close for
 // deferred fsync windows, exactly as after pull sweeps.
 func (s *IngestServer) Run(ctx context.Context) error {
-	ticks := s.ticks
-	if ticks == nil {
-		period := s.pipe.cfg.window() / 4
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		ticks = ticker.C
-	}
 	var windows, failed int
 	var first error
 	sweep := func() {
-		if _, err := s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks}); err != nil {
+		if _, err := s.pipe.Sweep(ctx, ingestWindow{s}); err != nil {
 			if failed == 0 {
 				first = err
 			}
@@ -441,25 +438,33 @@ func (s *IngestServer) fold(env *SweepEnv, snap *gprofile.Snapshot) {
 
 // ingestWindow is the Source one window sweep drains: the window loop
 // folds queued snapshots until the pipeline clock crosses the window
-// deadline, checked after every fold and every tick, then returns —
-// closing the window — leaving later arrivals queued for the next
-// window. Context cancellation drains whatever is already queued (the
-// shutdown barrier) and returns.
-type ingestWindow struct {
-	s     *IngestServer
-	ticks <-chan time.Time
-}
+// deadline, checked after every fold and every wake-up (a tick, or the
+// window's deadline timer), then returns — closing the window — leaving
+// later arrivals queued for the next window. Context cancellation drains
+// whatever is already queued (the shutdown barrier) and returns.
+type ingestWindow struct{ s *IngestServer }
 
 func (ingestWindow) Name() string { return "ingest" }
 
 func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 	s := w.s
 	deadline := env.Config.now().Add(env.Config.window())
+	var timer *time.Timer
+	wake := s.ticks
+	if wake == nil {
+		timer = time.NewTimer(env.Config.window())
+		defer timer.Stop()
+		wake = timer.C
+	}
 	for {
 		select {
 		case snap := <-s.queue:
 			s.fold(env, snap)
-		case <-w.ticks:
+		case <-wake:
+			if timer != nil {
+				// The pipeline clock may lag the wall clock: wait out the rest.
+				timer.Reset(deadline.Sub(env.Config.now()))
+			}
 		case <-ctx.Done():
 			// Shutdown: stop admitting, then fold everything already
 			// admitted so no accepted dump is lost. A held slot without a

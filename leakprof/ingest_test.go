@@ -499,6 +499,89 @@ func TestIngestLateArrivalNextWindow(t *testing.T) {
 	}
 }
 
+// sleepySink spends d in every SweepDone, as a sink doing real work
+// does.
+type sleepySink struct{ d time.Duration }
+
+func (sleepySink) Snapshot(*gprofile.Snapshot) {}
+
+func (s sleepySink) SweepDone(*Sweep) error {
+	time.Sleep(s.d)
+	return nil
+}
+
+// idleWindows runs an ingest server with no IngestTicks and no arrivals
+// until n windows have closed, and returns each window's Sweep.At with
+// the pipeline clock's reading when OnSweep saw it. A nil now leaves
+// the pipeline on the wall clock.
+func idleWindows(t *testing.T, now func() time.Time, window time.Duration, n int, sinks ...Sink) (at, seen []time.Time) {
+	t.Helper()
+	opts := []Option{WithWindow(window)}
+	if now != nil {
+		opts = append(opts, WithClock(now))
+	} else {
+		now = time.Now
+	}
+	type closed struct{ at, seen time.Time }
+	// Room for the n windows, one more closing before the cancel, and
+	// the shutdown drain.
+	windows := make(chan closed, n+2)
+	pipe := New(append(opts, WithOnSweep(func(s *Sweep) { windows <- closed{s.At, now()} }))...)
+	pipe.AddSinks(sinks...)
+	srv := NewIngestServer(pipe)
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+	for i := 0; i < n; i++ {
+		select {
+		case w := <-windows:
+			at, seen = append(at, w.at), append(seen, w.seen)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("window %d of %d never closed", i+1, n)
+		}
+	}
+	return at, seen
+}
+
+// TestIngestIdleWindowClosesAtDeadline checks that without IngestTicks
+// an idle window closes when its deadline passes on the wall clock, not
+// at some later wake-up. The sink's 5 ms shifts each next window's start
+// off the phase of any periodic wake-up, so none lands just past a
+// deadline by chance.
+func TestIngestIdleWindowClosesAtDeadline(t *testing.T) {
+	const window = 200 * time.Millisecond
+	at, seen := idleWindows(t, nil, window, 4, sleepySink{5 * time.Millisecond})
+	late := make([]time.Duration, len(at))
+	for i := range at {
+		late[i] = seen[i].Sub(at[i].Add(window))
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	if median := (late[1] + late[2]) / 2; median > window/8 {
+		t.Errorf("windows closed a median %v past their deadline (each: %v), want at most %v", median, late, window/8)
+	}
+}
+
+// TestIngestSlowClockWindowsClose runs the pipeline clock at half the
+// wall clock's rate, with no IngestTicks: a wake-up armed in wall time
+// comes before the pipeline clock reaches the deadline, so the window
+// loop must wait again for the remainder. Every window must still
+// close, and none before its deadline on the pipeline clock.
+func TestIngestSlowClockWindowsClose(t *testing.T) {
+	start, t0 := time.Now(), time.Unix(1_700_000_000, 0)
+	now := func() time.Time { return t0.Add(time.Since(start) / 2) }
+	const window = 50 * time.Millisecond
+	at, seen := idleWindows(t, now, window, 3)
+	for i := range at {
+		if deadline := at[i].Add(window); seen[i].Before(deadline) {
+			t.Errorf("window %d closed at %v on the pipeline clock, before its deadline %v", i+1, seen[i].Sub(t0), deadline.Sub(t0))
+		}
+	}
+}
+
 // TestIngestDrainOnClose checks the shutdown barrier: cancelling Run
 // folds everything already admitted into one final partial-window sweep
 // before returning, and the handler refuses new work afterwards.
@@ -534,6 +617,66 @@ func TestIngestDrainOnClose(t *testing.T) {
 	}
 	if rec := postDump(srv, "pay", "late", body, false); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("POST after close: got %d, want 503", rec.Code)
+	}
+}
+
+// waitParked waits until some goroutine is blocked on a sync.Mutex
+// inside the function whose name ends in fn.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	waitIngest(t, fn+" parked on a mutex", func() bool {
+		gs, err := stack.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range gs {
+			for _, f := range g.Frames {
+				if g.State == "sync.Mutex.Lock" && strings.HasSuffix(f.Function, fn) {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
+// TestIngestAdmissionRacingDrainIsRefused pins the drain's promise that
+// an acknowledged dump is folded. A POST passes the handler's draining
+// check, then stalls (here on the quota's lock) while the shutdown drain
+// starts and finds no admission slot held, so the drain stops waiting.
+// The slot the POST takes afterwards must not earn a 202: nothing would
+// fold its dump.
+func TestIngestAdmissionRacingDrainIsRefused(t *testing.T) {
+	pipe := New(WithWindow(time.Minute), WithClock(func() time.Time { return time.Unix(1_700_000_000, 0) }))
+	srv := NewIngestServer(pipe, IngestServiceQuota(4), IngestTicks(make(chan time.Time)))
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+
+	body := renderDump(t, onePager("pay", "i0", 50))
+	srv.mu.Lock()
+	code := make(chan int, 1)
+	go func() { code <- postDump(srv, "pay", "i0", body, false).Code }()
+	waitParked(t, "(*IngestServer).chargeService")
+	cancel()
+	// The drain waits on the same lock to flush its accounting only once
+	// it has found no slot held.
+	waitParked(t, "(*IngestServer).flushAccounting")
+	srv.mu.Unlock()
+	if err := <-runDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: %v, want context.Canceled", err)
+	}
+	got := <-code
+	if st := srv.Stats(); got == http.StatusAccepted && st.Folded != st.Admitted {
+		t.Fatalf("a POST racing the drain got 202 and was never folded: Admitted %d, Folded %d", st.Admitted, st.Folded)
+	}
+	if got != http.StatusServiceUnavailable {
+		t.Errorf("POST racing the drain: got %d, want 503", got)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.slots) != 0 || len(srv.inflight) != 0 {
+		t.Errorf("the refused POST kept its admission: %d slots held, quota table %v", len(srv.slots), srv.inflight)
 	}
 }
 
