@@ -615,7 +615,7 @@ func BenchmarkAblationTrendTracker(b *testing.B) {
 		at := time.Unix(0, 0)
 		for day := 0; day < 6; day++ {
 			f.AdvanceDay()
-			tr.Observe(at, analyze(f.SnapshotsAggregated(), leakprof.WithThreshold(1000)))
+			tr.ObserveMoments(at, sweepOf(f.SnapshotsAggregated()).Moments())
 			at = at.Add(24 * time.Hour)
 		}
 		growing = len(tr.Growing())

@@ -78,6 +78,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -341,14 +342,21 @@ func runIngest(ctx context.Context, pipe *leakprof.Pipeline, addr string, queue,
 		iopts = append(iopts, leakprof.IngestAuthToken(token))
 	}
 	srv := leakprof.NewIngestServer(pipe, iopts...)
-	hs := &http.Server{Addr: addr, Handler: srv}
-	// A listener that dies (port in use, NIC gone) must stop the window
-	// loop too — otherwise the process sits headless until SIGINT.
+	// Bind before any window runs: a port in use fails the run at once,
+	// and the address printed below is the bound one (-ingest :0 picks
+	// a free port).
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: srv}
+	// A listener that dies (NIC gone) must stop the window loop too —
+	// otherwise the process sits headless until SIGINT.
 	ictx, icancel := context.WithCancel(ctx)
 	defer icancel()
 	serveErr := make(chan error, 1)
 	go func() {
-		err := hs.ListenAndServe()
+		err := hs.Serve(ln)
 		serveErr <- err
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			icancel()
@@ -358,7 +366,7 @@ func runIngest(ctx context.Context, pipe *leakprof.Pipeline, addr string, queue,
 	if w <= 0 {
 		w = leakprof.DefaultWindow
 	}
-	fmt.Fprintf(os.Stderr, "ingest: listening on %s, one sweep per %s window; POST debug=2 bodies with ?service= (Ctrl-C drains and exits)\n", addr, w)
+	fmt.Fprintf(os.Stderr, "ingest: listening on %s, one sweep per %s window; POST debug=2 bodies with ?service= (Ctrl-C drains and exits)\n", ln.Addr(), w)
 	runErr := srv.Run(ictx)
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -366,8 +374,8 @@ func runIngest(ctx context.Context, pipe *leakprof.Pipeline, addr string, queue,
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "ingest: %d admitted (%d folded), %d rejected (%d over quota), %d auth 401s, %d scan errors, %d windows closed\n",
 		st.Admitted, st.Folded, st.Rejected+st.QuotaRejected, st.QuotaRejected, st.AuthRejected, st.ScanErrors, st.Windows)
-	// ListenAndServe returns exactly once; after Shutdown this receive
-	// is immediate.
+	// Serve returns exactly once; after Shutdown this receive is
+	// immediate.
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

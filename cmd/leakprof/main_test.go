@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -95,6 +96,62 @@ func TestExitStatusAfterSweepLevelFailure(t *testing.T) {
 			t.Errorf("profile %q: exit %d, stdout %q, stderr %q; want 0, %q and no alert, and %q",
 				tc.body, code, stdout, stderr, tc.stdout, tc.stderr)
 		}
+	}
+}
+
+// TestIngestPrintsBoundAddress runs -ingest on port 0: the address it
+// prints must be the one it bound, so a dump POSTed there is admitted
+// and, after the interrupt, folded and counted in the exit summary.
+func TestIngestPrintsBoundAddress(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-ingest", "127.0.0.1:0", "-window", "100ms", "-threshold", "1")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// A child that never prints or never exits is killed, which ends the
+	// reads below.
+	defer time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() }).Stop()
+	lines := bufio.NewScanner(stderr)
+	var addr string
+	for addr == "" && lines.Scan() {
+		if rest, ok := strings.CutPrefix(lines.Text(), "ingest: listening on "); ok {
+			addr, _, _ = strings.Cut(rest, ",")
+		}
+	}
+	if addr == "" {
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatal("no \"ingest: listening on\" line on stderr")
+	}
+
+	gs := []*stack.Goroutine{{
+		ID: 1, State: "chan send",
+		Frames: []stack.Frame{{Function: "pay.leak", File: "/pay/leak.go", Line: 12}},
+	}}
+	resp, err := http.Post("http://"+addr+"/?service=pay&instance=i1", "text/plain", strings.NewReader(stack.Format(gs)))
+	if err != nil {
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatalf("POST to the printed address %s: %v", addr, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("POST: got %d, want 202", resp.StatusCode)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var rest strings.Builder
+	for lines.Scan() {
+		rest.WriteString(lines.Text() + "\n")
+	}
+	cmd.Wait()
+	if code := cmd.ProcessState.ExitCode(); code != 0 || !strings.Contains(rest.String(), "1 admitted (1 folded)") {
+		t.Errorf("after the interrupt: exit %d, stderr %q; want 0 and \"1 admitted (1 folded)\"", code, rest.String())
 	}
 }
 

@@ -191,7 +191,7 @@ func TestTrendOnLeakyFleet(t *testing.T) {
 	at := time.Unix(0, 0)
 	for day := 0; day < 6; day++ {
 		f.AdvanceDay()
-		tr.Observe(at, analyze(f.SnapshotsAggregated(), leakprof.WithThreshold(1000)))
+		tr.ObserveMoments(at, sweepOf(f.SnapshotsAggregated()).Moments())
 		at = at.Add(24 * time.Hour)
 	}
 	growing := tr.Growing()
@@ -200,11 +200,15 @@ func TestTrendOnLeakyFleet(t *testing.T) {
 	}
 }
 
-// analyze sweeps materialised snapshots through a sinkless Pipeline
-// and returns its findings.
-func analyze(snaps []*gprofile.Snapshot, opts ...leakprof.Option) []*leakprof.Finding {
+// sweepOf sweeps materialised snapshots through a sinkless Pipeline.
+func sweepOf(snaps []*gprofile.Snapshot, opts ...leakprof.Option) *leakprof.Sweep {
 	sweep, _ := leakprof.New(opts...).Sweep(context.Background(), leakprof.FromSnapshots(snaps))
-	return sweep.Findings
+	return sweep
+}
+
+// analyze returns the findings of sweepOf.
+func analyze(snaps []*gprofile.Snapshot, opts ...leakprof.Option) []*leakprof.Finding {
+	return sweepOf(snaps, opts...).Findings
 }
 
 // countOfKind counts live goroutines of one blocking kind.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -300,10 +301,12 @@ func journalOf(store *leakprof.StateStore) journaled {
 		j.Bugs[i].FiledAt = j.Bugs[i].FiledAt.UTC()
 		j.Bugs[i].LastSeen = j.Bugs[i].LastSeen.UTC()
 	}
-	for _, obs := range j.Trend {
+	for key, obs := range j.Trend {
+		obs = slices.Clone(obs) // Export's slices are the live history
 		for i := range obs {
 			obs[i].At = obs[i].At.UTC()
 		}
+		j.Trend[key] = obs
 	}
 	if j.Last != nil {
 		j.Last.At = j.Last.At.UTC()

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/report"
+	"repro/internal/stack"
 	"repro/internal/staticindex"
 	"repro/internal/synth"
 	"repro/leakprof"
@@ -83,7 +84,11 @@ func buildHarness(tb testing.TB) *harness {
 				TotalBlocked: totals[sweep],
 			})
 		}
-		trend.Observe(at, findings)
+		moments := make([]leakprof.Moment, len(findings))
+		for i, f := range findings {
+			moments[i] = leakprof.Moment{Service: f.Service, Op: stack.BlockedOp{Op: f.Op, Location: f.Location}, Total: f.TotalBlocked}
+		}
+		trend.ObserveMoments(at, moments)
 		for _, f := range findings {
 			db.File(report.Bug{
 				Key: f.Key(), Service: f.Service, Op: f.Op, Location: f.Location,

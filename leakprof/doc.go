@@ -93,12 +93,13 @@
 // On disk the store is a segmented append-only log. Each recorded sweep
 // appends one frame — a length-prefixed, CRC-32-checksummed record — to
 // the active segment-NNNN.log. The frame is a delta: the bugs the sweep
-// filed or re-sighted (report.DB.TakeDirty), the trend observations it
-// added (TrendTracker.TakeNew), and the sweep outcome. Persisting a
-// sweep therefore costs O(what the sweep changed); at a 100K-key steady
-// state rewriting the whole state every sweep costs ~10,000x more bytes
-// (see BenchmarkStateJournal), and BenchmarkSweepCriticalPath measures
-// the end-to-end sweep latency the remaining knobs buy back.
+// filed or re-sighted (report.DB.TakeDirty), the trend observations
+// recorded since the last frame (the tail of each key's history, read
+// in place), and the sweep outcome. Persisting a sweep therefore costs
+// O(what the sweep changed); at a 100K-key steady state rewriting the
+// whole state every sweep costs ~10,000x more bytes (see
+// BenchmarkStateJournal), and BenchmarkSweepCriticalPath measures the
+// end-to-end sweep latency the remaining knobs buy back.
 //
 // Frames are binary (StateVersion 3): varint-packed fields, strings as
 // references into a per-segment dictionary, and flate-compressed
@@ -271,11 +272,11 @@
 // rule is that an acknowledged dump is folded: a POST that takes its
 // admission slot after the drain began is answered 503, as a later one
 // is, never 202. A scan still in flight gets a fixed two seconds to
-// land; one slower than that is not folded, and is the rule's one
-// exception, since its POST is still answered 202. A window whose sweep
-// fails (a sink's SweepDone, the journal append) does not stop the
-// loop, and is not lost either: Run's error after the cancel wraps the
-// first failed window's error and counts the windows that failed.
+// land; one that lands later is answered 503 too, and is not folded.
+// A window whose sweep fails (a sink's SweepDone, the journal append)
+// does not stop the loop, and is not lost either: Run's error after the
+// cancel wraps the first failed window's error and counts the windows
+// that failed.
 //
 // Durability interacts with windows through the fsync policy
 // (WithStateSync), and the loss bound on a crash is per-policy exactly

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/frame"
@@ -191,11 +192,13 @@ func replayed(store *StateStore) replayedState {
 		nanFree(&b.Impact)
 		b.FiledAt, b.LastSeen = b.FiledAt.UTC(), b.LastSeen.UTC()
 	}
-	for _, obs := range st.Trend {
+	for key, obs := range st.Trend {
+		obs = slices.Clone(obs) // Export's slices are the live history
 		for i := range obs {
 			nanFree(&obs[i].SumSquares)
 			obs[i].At = obs[i].At.UTC()
 		}
+		st.Trend[key] = obs
 	}
 	if st.Last != nil {
 		st.Last.At = st.Last.At.UTC()

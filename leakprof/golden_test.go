@@ -88,7 +88,7 @@ func goldenLargeSnapshot() *journalRecord {
 		obs[i] = TrendObservation{At: at.Add(time.Duration(i) * time.Hour), Total: 100 + 3*i, Profiles: 8 + i%4, SumSquares: 12.5 * float64(i)}
 	}
 	tracker := &TrendTracker{}
-	tracker.Restore(map[string][]TrendObservation{"svc00\x00send\x00/svc00/handler0000.go:10": obs})
+	tracker.restore(map[string][]TrendObservation{"svc00\x00send\x00/svc00/handler0000.go:10": obs})
 	return &journalRecord{
 		Kind:    recordSnapshot,
 		SavedAt: at.Add(6 * 24 * time.Hour),

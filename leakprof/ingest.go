@@ -36,8 +36,9 @@ const DefaultIngestQueue = 1024
 
 // drainGrace bounds how long a shutting-down window waits for scans
 // still in flight, so a stalled client cannot pin shutdown; dumps
-// already queued fold whatever the bound. The wait ends as soon as no
-// admission slot is held, so an idle server exits at once.
+// already queued fold whatever the bound, and a scan that lands after
+// it is refused. The wait ends as soon as no admission slot is held, so
+// an idle server exits at once.
 const drainGrace = 2 * time.Second
 
 // ErrIngestOverflow is the admission failure recorded for each dump
@@ -134,10 +135,13 @@ type IngestServer struct {
 	// inflight counts each service's admissions holding a slot under
 	// the quota, from before the slot is taken until the dump folds or
 	// its request fails; a service leaves it when its count returns to
-	// zero, so client-chosen names cannot grow it. mu guards both.
+	// zero, so client-chosen names cannot grow it. drained is set once
+	// the shutdown drain has stopped waiting for scans: from then on no
+	// scanned dump is queued. mu guards all three.
 	mu       sync.Mutex
 	pending  *Sweep
 	inflight map[string]int
+	drained  bool
 
 	// closeStart marks when the current window began closing, for the
 	// window-close pause statistic (real time, not the pipeline clock:
@@ -315,8 +319,8 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, ErrIngestOverflow.Error(), http.StatusTooManyRequests)
 		return
 	}
-	// The shutdown drain may have begun since the check above and found
-	// no slot held; it would never fold a dump this slot queues.
+	// The shutdown drain may have begun since the check above: a slot
+	// taken after it began is refused before its scan is paid for.
 	if s.closed.Load() {
 		s.releaseAdmission(service)
 		http.Error(w, "ingest server draining", http.StatusServiceUnavailable)
@@ -352,8 +356,18 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
+	// Queue under mu, where the drain sets drained: it folds every dump
+	// queued before the flag, and no dump after it.
+	s.mu.Lock()
+	if s.drained {
+		s.mu.Unlock()
+		s.releaseAdmission(service)
+		http.Error(w, "ingest server draining", http.StatusServiceUnavailable)
+		return
+	}
 	s.queue <- snap // cannot block: a slot is held
 	s.admitted.Add(1)
+	s.mu.Unlock()
 	w.WriteHeader(http.StatusAccepted)
 }
 
@@ -377,11 +391,14 @@ func (s *IngestServer) fail(service, instance string, err error) {
 // flushAccounting hands the failures counted since the previous window
 // close to env as a report with no moments, so admission loss feeds
 // Sweep.FailedByService and, through the journal, the next sweep's
-// error budgets exactly as pull-plane fetch failures do.
-func (s *IngestServer) flushAccounting(env *SweepEnv) {
+// error budgets exactly as pull-plane fetch failures do. The shutdown
+// drain's flush also sets drained, in the same critical section, so
+// every failure counted for a dump it folds is in the flush.
+func (s *IngestServer) flushAccounting(env *SweepEnv, drained bool) {
 	s.mu.Lock()
 	p := s.pending
 	s.pending = &Sweep{}
+	s.drained = drained
 	s.mu.Unlock()
 	env.MergeReport(&ShardReport{Errors: p.Errors, FailedByService: p.FailedByService, Failures: p.Failures})
 }
@@ -392,12 +409,13 @@ func (s *IngestServer) flushAccounting(env *SweepEnv) {
 // admission stops (further POSTs get 503), everything already queued is
 // folded into one final partial-window sweep — delivered to sinks and
 // journal like any other — after scans still in flight get drainGrace
-// to land, and Run returns. A window whose Sweep fails (a sink's
-// SweepDone, the journal append) does not stop the loop; Run returns
-// ctx's error itself when every window succeeded, and otherwise an
-// error wrapping both ctx's error and the first failed window's, with
-// the count of failed windows. Callers still own Pipeline.Close for
-// deferred fsync windows, exactly as after pull sweeps.
+// to land (one that lands later gets 503), and Run returns. A window
+// whose Sweep fails (a sink's SweepDone, the journal append) does not
+// stop the loop; Run returns ctx's error itself when every window
+// succeeded, and otherwise an error wrapping both ctx's error and the
+// first failed window's, with the count of failed windows. Callers
+// still own Pipeline.Close for deferred fsync windows, exactly as after
+// pull sweeps.
 func (s *IngestServer) Run(ctx context.Context) error {
 	var windows, failed int
 	var first error
@@ -469,28 +487,32 @@ func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 			// Shutdown: stop admitting, then fold everything already
 			// admitted so no accepted dump is lost. A held slot without a
 			// queued item is a scan still in flight — wait for it to land
-			// (or fail, releasing the slot), for at most drainGrace. What is
-			// already queued folds however long it takes: that is local
-			// work, bounded by the queue.
+			// (or fail, releasing the slot), for at most drainGrace. Then
+			// set drained, which refuses a scan that lands later, and fold
+			// what is queued however long it takes: that is local work,
+			// bounded by the queue.
 			s.closed.Store(true)
 			giveUp := time.After(drainGrace)
 			poll := time.NewTicker(time.Millisecond)
 			defer poll.Stop()
-			for expired := false; len(s.slots) > 0 && !(expired && len(s.queue) == 0); {
+			for waiting := true; waiting && len(s.slots) > 0; {
 				select {
 				case snap := <-s.queue:
 					s.fold(env, snap)
 				case <-poll.C:
 				case <-giveUp:
-					expired = true
+					waiting = false
 				}
 			}
-			s.flushAccounting(env)
+			s.flushAccounting(env, true)
+			for len(s.queue) > 0 {
+				s.fold(env, <-s.queue)
+			}
 			return nil
 		}
 		if !env.Config.now().Before(deadline) {
 			s.closeStart.Store(time.Now().UnixNano())
-			s.flushAccounting(env)
+			s.flushAccounting(env, false)
 			return nil
 		}
 	}

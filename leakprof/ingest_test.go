@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -677,6 +678,56 @@ func TestIngestAdmissionRacingDrainIsRefused(t *testing.T) {
 	defer srv.mu.Unlock()
 	if len(srv.slots) != 0 || len(srv.inflight) != 0 {
 		t.Errorf("the refused POST kept its admission: %d slots held, quota table %v", len(srv.slots), srv.inflight)
+	}
+}
+
+// TestIngestScanLandingAfterDrainIsRefused holds a POST's body open
+// across the cancel and past the drain's grace. Once the drain has
+// stopped waiting nothing will fold the dump, so the scan that lands
+// after it must be refused with 503, not acknowledged.
+func TestIngestScanLandingAfterDrainIsRefused(t *testing.T) {
+	pipe := New(WithWindow(time.Minute), WithClock(func() time.Time { return time.Unix(1_700_000_000, 0) }))
+	srv := NewIngestServer(pipe, IngestTicks(make(chan time.Time)))
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+
+	body := renderDump(t, onePager("pay", "i0", 50))
+	pr, pw := io.Pipe()
+	code := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/?service=pay&instance=i0", pr)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		code <- rec.Code
+	}()
+	// Write returns once the handler has read these bytes, so its scan
+	// holds a slot when the cancel lands.
+	half := len(body) / 2
+	if _, err := pw.Write(body[:half]); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	start := time.Now()
+	if err := <-runDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: %v, want context.Canceled", err)
+	}
+	if waited := time.Since(start); waited < drainGrace {
+		t.Fatalf("Run returned %v after the cancel, before the %v grace, with a scan in flight", waited, drainGrace)
+	}
+	if _, err := pw.Write(body[half:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	got := <-code
+	if st := srv.Stats(); st.Admitted != st.Folded {
+		t.Errorf("a scan landing after the drain got %d: Admitted %d, Folded %d", got, st.Admitted, st.Folded)
+	}
+	if got != http.StatusServiceUnavailable {
+		t.Errorf("a scan landing after the drain: got %d, want 503", got)
+	}
+	if len(srv.slots) != 0 {
+		t.Errorf("the refused POST kept its admission slot: %d held", len(srv.slots))
 	}
 }
 

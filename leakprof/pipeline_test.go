@@ -244,7 +244,7 @@ func TestObserveMomentsMergesSameKey(t *testing.T) {
 	if len(obs) != 1 {
 		t.Fatalf("one sweep produced %d observations", len(obs))
 	}
-	if obs[0].total != 150 || obs[0].profiles != 4 || obs[0].sumSquares != 100*100+50*50 {
+	if obs[0].Total != 150 || obs[0].Profiles != 4 || obs[0].SumSquares != 100*100+50*50 {
 		t.Errorf("merged observation = %+v", obs[0])
 	}
 }

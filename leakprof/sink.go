@@ -173,9 +173,9 @@ func (s *ReportSink) Alerts() []*report.Alert {
 	return append([]*report.Alert(nil), s.all...)
 }
 
-// TrendSink feeds the aggregator's streaming moments into a TrendTracker
-// after every sweep, giving cross-sweep verdicts the per-instance
-// variance the old findings-total feed lacked.
+// TrendSink feeds each sweep's aggregator moments into a TrendTracker:
+// every observed group, above the threshold or not, with the
+// per-instance variance that variance-aware verdicts read.
 type TrendSink struct {
 	// Tracker accumulates cross-sweep history; required.
 	Tracker *TrendTracker

@@ -260,9 +260,6 @@ func openStateStore(dir string, cfg *Config) (*StateStore, error) {
 	if cfg.StateMaxSegments > 0 {
 		s.maxSegments = cfg.StateMaxSegments
 	}
-	// Arm the tracker's delta export before any observation is recorded:
-	// this store is the journal that drains it.
-	s.tracker.TakeNew()
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -513,8 +510,7 @@ func (s *StateStore) applyRecord(rec *journalRecord) error {
 		// leans on.
 		s.db = report.NewDB()
 		s.db.Restore(rec.Bugs)
-		s.tracker.reset()
-		s.tracker.Restore(rec.Trend)
+		s.tracker.restore(rec.Trend)
 		s.last = rec.Sweep
 	case recordDelta:
 		s.db.Restore(rec.Bugs)
@@ -670,7 +666,7 @@ func (s *StateStore) appendPendingLocked() error {
 		Kind:    recordDelta,
 		SavedAt: s.now(),
 		Bugs:    s.db.TakeDirty(),
-		Trend:   s.tracker.TakeNew(),
+		Trend:   s.tracker.takeNew(),
 	}
 	if err := s.appendRecord(rec); err != nil {
 		s.requeueDeltaLocked(rec)
@@ -731,7 +727,7 @@ func (s *StateStore) LastFailureCounts() map[string]int {
 
 // RecordSweep journals one completed sweep by appending a single delta
 // frame: the bugs the sweep filed or re-sighted (report.DB.TakeDirty),
-// the trend observations it added (TrendTracker.TakeNew), and the sweep
+// the trend observations recorded since the last frame, and the sweep
 // outcome. The write cost is O(the sweep's findings), not O(every key
 // ever tracked), and the frame is made durable per the sync policy —
 // fsynced before RecordSweep returns under SyncEverySweep, left for
@@ -764,7 +760,7 @@ func (s *StateStore) RecordSweep(sweep *Sweep) error {
 		Kind:    recordDelta,
 		SavedAt: s.now(),
 		Bugs:    s.db.TakeDirty(),
-		Trend:   s.tracker.TakeNew(),
+		Trend:   s.tracker.takeNew(),
 		Sweep:   outcome,
 	}
 	if err := s.appendRecord(rec); err != nil {

@@ -48,7 +48,7 @@ func BenchmarkStateJournal(b *testing.B) {
 				BlockedGoroutines: 1000,
 			})
 		}
-		store.Tracker().Observe(baseTime, findings)
+		store.Tracker().ObserveMoments(baseTime, momentsOf(findings))
 		// Fold the seed into one snapshot segment: the steady state a
 		// long-running daily sweep sits at.
 		if err := store.Save(); err != nil {
@@ -74,7 +74,7 @@ func BenchmarkStateJournal(b *testing.B) {
 				BlockedGoroutines: 1000 + day,
 			})
 		}
-		store.Tracker().Observe(at, findings)
+		store.Tracker().ObserveMoments(at, momentsOf(findings))
 	}
 
 	b.Run("delta-append", func(b *testing.B) {

@@ -466,7 +466,7 @@ func recordDay(store *StateStore, day int, keys map[string]int) error {
 		store.BugDB().File(report.Bug{Key: f.Key(), Service: "svc", Op: "send", Location: loc, FiledAt: at})
 		findings = append(findings, f)
 	}
-	store.Tracker().Observe(at, findings)
+	store.Tracker().ObserveMoments(at, momentsOf(findings))
 	return store.RecordSweep(&Sweep{At: at, Source: "test", Profiles: 10})
 }
 
@@ -880,7 +880,7 @@ func TestStateStoreFailedAppendRequeuesDelta(t *testing.T) {
 	at := time.Unix(0, 0).Add(48 * time.Hour)
 	f := &Finding{Service: "svc", Op: "send", Location: "/b.go:2", TotalBlocked: 50}
 	store.BugDB().File(report.Bug{Key: f.Key(), Service: "svc", Op: "send", Location: "/b.go:2", FiledAt: at})
-	store.Tracker().Observe(at, []*Finding{f})
+	store.Tracker().ObserveMoments(at, momentsOf([]*Finding{f}))
 	if err := store.RecordSweep(&Sweep{At: at, Source: "test", Profiles: 10}); err == nil {
 		t.Fatal("append through a read-only fd did not error")
 	}
@@ -1036,7 +1036,7 @@ func TestStateStoreFoldKeepsConcurrentMutations(t *testing.T) {
 		if _, err := os.Stat(store.segmentPath(4)); err == nil && !mutated {
 			mutated = true
 			store.BugDB().SetStatus(svcKey("/a.go:1"), report.StatusFixed)
-			store.Tracker().Observe(lateAt, []*Finding{late})
+			store.Tracker().ObserveMoments(lateAt, momentsOf([]*Finding{late}))
 		}
 		return orig(d)
 	}

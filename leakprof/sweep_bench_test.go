@@ -68,7 +68,7 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 				BlockedGoroutines: 1000,
 			})
 		}
-		store.Tracker().Observe(baseTime, findings)
+		store.Tracker().ObserveMoments(baseTime, momentsOf(findings))
 		if err := store.Save(); err != nil {
 			b.Fatal(err)
 		}
