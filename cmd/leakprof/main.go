@@ -18,21 +18,21 @@
 // -state-dir the run is durable: the bug DB, cross-sweep trend history,
 // and error-budget seeds journal to disk — as an append-only segment log
 // whose per-sweep cost is the sweep's delta, compacted by the sweep that
-// leaves more than -state-segments segments live, with -trend-keep
-// bounding per-key trend history and -bug-keep aging closed bugs out —
-// so repeated invocations dedup against every bug ever filed, resume
-// trend verdicts, and probe yesterday's failing services with a reduced
-// budget. -fsync picks the journal's durability policy: sweep fsyncs
-// inside every sweep, close defers every fsync to exit. A -dir
-// pointing at a multi-sweep archive (one sweep-NNNN subdirectory per
-// sweep) replays every recorded sweep at its manifested timestamp. Both
-// input kinds drive the same streaming pipeline: each profile flows
-// through the stack scanner into the fleet aggregator as it arrives,
-// so memory stays flat regardless of fleet and profile size. SIGINT
-// cancels an in-flight sweep cleanly. With -static-index pointing at a
-// findings index written by leakrank, every filed bug is decorated with
-// the static alarm for its site ("static: gcatch-like,goat-like: ..."
-// in the alert) — the static↔dynamic loop's production half.
+// leaves more than -state-segments segments live, and left by anything
+// unseen in the last 30 sweeps but an open bug — so repeated invocations
+// dedup against the bugs on record, resume trend verdicts, and probe
+// yesterday's failing services with a reduced budget. -fsync picks the
+// journal's durability policy: sweep fsyncs inside every sweep, close
+// defers every fsync to exit. A -dir pointing at a multi-sweep archive
+// (one sweep-NNNN subdirectory per sweep) replays every recorded sweep at
+// its manifested timestamp. Both input kinds drive the same streaming
+// pipeline: each profile flows through the stack scanner into the fleet
+// aggregator as it arrives, so memory stays flat regardless of fleet and
+// profile size. SIGINT cancels an in-flight sweep cleanly. With
+// -static-index pointing at a findings index written by leakrank, every
+// filed bug is decorated with the static alarm for its site ("static:
+// gcatch-like,goat-like: ..." in the alert) — the static↔dynamic loop's
+// production half.
 //
 // Distributed sweeps split one fleet across processes. A worker runs
 // with -shard K/N: it sweeps only the endpoints whose services hash to
@@ -107,8 +107,6 @@ func main() {
 	archiveKeep := flag.Int("archive-keep", 0, "with -archive: keep only the newest N finalised sweeps, pruning older sweep-NNNN directories (0 = keep all)")
 	stateDir := flag.String("state-dir", "", "directory for the durable state journal: bug-DB dedup, trend history, and error-budget seeds survive restarts")
 	stateSegments := flag.Int("state-segments", 0, "with -state-dir: the sweep that leaves more than N journal segments live compacts them before it returns (0 = default)")
-	trendKeep := flag.Int("trend-keep", 0, "with -state-dir: retain only the last N trend observations per finding key, in memory and in the journal (0 = unlimited)")
-	bugKeep := flag.Duration("bug-keep", 0, "with -state-dir: age closed (fixed/rejected) bugs out of the bug DB and journal once unseen for this long (0 = keep forever)")
 	fsync := flag.String("fsync", "sweep", "state journal fsync policy: sweep (fsync inside every sweep) or close (fsync only at exit)")
 	shard := flag.String("shard", "", "worker mode: sweep partition K/N of the -endpoints fleet (services hashed across N shards) and emit a shard report instead of findings; requires -report-out or -report-url")
 	shardName := flag.String("shard-name", "", "worker mode: shard name in the report and in coordinator failure accounting (default shard-<K>)")
@@ -153,8 +151,6 @@ func main() {
 		opts = append(opts,
 			leakprof.WithStateDir(*stateDir),
 			leakprof.WithStateCompaction(0, *stateSegments),
-			leakprof.WithTrendRetention(*trendKeep),
-			leakprof.WithBugRetention(*bugKeep),
 			leakprof.WithStateSync(syncPolicy),
 		)
 	}

@@ -146,13 +146,13 @@
 // harmlessly after the segments it folded; after it, the leftovers below
 // the pointer are swept up on open.
 //
-// Two retention windows keep state from growing with the age of the
-// deployment. WithTrendRetention keeps only the last N trend
-// observations per key — in verdicts, in exports, and through
-// compaction. WithBugRetention ages closed (fixed or rejected) bugs out
-// of memory, delta frames, and compaction folds once unseen for the
-// window; open bugs never age out, so dedup against a still-open report
-// holds forever.
+// One rule, on by default, keeps state from growing with the age of the
+// deployment: anything unseen in the last Horizon (30) sweeps leaves,
+// except an open bug. Older trend observations, and keys left with none,
+// drop out of exports, verdicts and folds at once, and are freed when a
+// key's history reaches 2×Horizon and is copied down, by a fold or by a
+// reopen. Closed bugs last seen before the horizon go at the next fold
+// or reopen; open bugs never leave, so dedup against them holds forever.
 //
 // Wire the store's journal-backed components into the sinks at startup:
 //
@@ -446,16 +446,16 @@
 //	actionable := rep.Actionable()                // evidence-ranked alarms
 //	rep.WriteSuppressions("goleak.supp")          // demoted false positives
 //
-// The join partitions the alarm space by evidence. A static alarm the
-// bug DB has sighted, with a growing or stable trend verdict, is
+// The join partitions the alarm space by evidence. A static alarm the bug
+// DB has sighted, with a growing or stable trend verdict, is
 // near-certainly real and ranks by sightings and blocked-goroutine
-// counts. An alarm production has never sighted across the journal's
-// history is a suppression candidate: the emitted goleak.SuppressionList
-// carries a machine-generated Reason line with the evidence, so owners
-// reviewing the file see why each alarm was demoted. A confirmed site
-// whose trend oscillates is congestion, not a leak, and is demoted the
-// same way. Sightings with no static alarm stay ranked on dynamic
-// evidence alone.
+// counts. An alarm no open bug matches, nor any bug seen within the trend
+// horizon, is unsighted, a suppression candidate: the emitted
+// goleak.SuppressionList carries a machine-generated Reason line with the
+// evidence, so owners reviewing the file see why each alarm was demoted.
+// A confirmed site whose trend oscillates is congestion, not a leak, and
+// is demoted the same way. Sightings with no static alarm stay ranked on
+// dynamic evidence alone.
 //
 // The loop closes in both directions. Reporter.StaticAlarm (wired from
 // staticindex.Index.AlarmFunc, or cmd/leakprof's -static-index flag)

@@ -340,14 +340,15 @@ func TestStateStoreConcurrentCompactionStress(t *testing.T) {
 	}
 }
 
-// TestStateStoreBugRetention pins the age-out satellite at the store
-// level: closed bugs older than the window leave memory, delta frames,
-// and compaction folds; open bugs and recently-seen closed bugs stay.
+// TestStateStoreBugRetention pins the age-out of closed bugs at the store
+// level: a closed bug last seen before the trend horizon leaves at the
+// next fold, which leaves it out of the snapshot, or at the next open,
+// which drops it after replay; open bugs and closed bugs seen within the
+// horizon stay. No sweep walks the bug DB, so until then it stays in
+// memory.
 func TestStateStoreBugRetention(t *testing.T) {
 	dir := t.TempDir()
-	day := 1
-	clock := func() time.Time { return time.Unix(0, 0).Add(time.Duration(day) * 24 * time.Hour) }
-	store, err := OpenStateStore(dir, WithClock(clock), WithBugRetention(3*24*time.Hour))
+	store, err := OpenStateStore(dir, WithStateSync(SyncOnClose))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,21 +356,28 @@ func TestStateStoreBugRetention(t *testing.T) {
 	if !store.BugDB().SetStatus(svcKey("/fixed.go:1"), report.StatusFixed) {
 		t.Fatal("SetStatus failed")
 	}
-
-	// Day 10: the fixed bug's last sighting (day 1) is 9 days old, far
-	// past the 3-day window; the open bug is just as old but immortal.
-	day = 10
-	journalSweep(t, store, 10, map[string]int{"/fresh.go:1": 25})
-	if _, ok := store.BugDB().Get(svcKey("/fixed.go:1")); ok {
-		t.Error("closed bug survived its age-out window in memory")
+	// Day Horizon+1: the horizon starts on day 2, after the fixed bug's
+	// last sighting; the open bug is just as old but never leaves.
+	for day := 2; day <= Horizon+1; day++ {
+		keys := map[string]int{"/fresh.go:1": 25}
+		if day == Horizon+1 {
+			keys["/recent.go:1"] = 25
+		}
+		journalSweep(t, store, day, keys)
 	}
-	if _, ok := store.BugDB().Get(svcKey("/open.go:1")); !ok {
-		t.Error("open bug aged out; retention must only drop closed bugs")
+	if !store.BugDB().SetStatus(svcKey("/recent.go:1"), report.StatusFixed) {
+		t.Fatal("SetStatus failed")
+	}
+	if _, ok := store.BugDB().Get(svcKey("/fixed.go:1")); !ok {
+		t.Error("a sweep aged the closed bug out; only a fold or an open walks the bug DB")
 	}
 
-	// The compaction fold excludes the aged bug from the snapshot.
+	// The fold drops the aged bug and leaves it out of the snapshot.
 	if err := store.Save(); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := store.BugDB().Get(svcKey("/fixed.go:1")); ok {
+		t.Error("closed bug survived a fold past the horizon in memory")
 	}
 	frames := readJournalFrames(t, store.segmentPath(store.activeSeq))
 	if len(frames) != 1 || frames[0].Kind != recordSnapshot {
@@ -380,20 +388,30 @@ func TestStateStoreBugRetention(t *testing.T) {
 			t.Error("aged-out bug journaled into the compaction fold")
 		}
 	}
-	store.Close()
+	for _, loc := range []string{"/open.go:1", "/recent.go:1"} {
+		if _, ok := store.BugDB().Get(svcKey(loc)); !ok {
+			t.Errorf("%s left at the fold; only closed bugs last seen before the horizon leave", loc)
+		}
+	}
 
-	// Recovery replays history that still names the aged bug; the window
-	// re-applies at open.
-	re, err := OpenStateStore(dir, WithClock(clock), WithBugRetention(3*24*time.Hour))
+	// A horizon later the recently fixed bug has aged too. Replay
+	// resurrects it from the snapshot, and the open drops it again.
+	for day := Horizon + 2; day <= 2*Horizon+1; day++ {
+		journalSweep(t, store, day, map[string]int{"/fresh.go:1": 25})
+	}
+	store.Close()
+	re, err := OpenStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if _, ok := re.BugDB().Get(svcKey("/fixed.go:1")); ok {
-		t.Error("aged-out bug resurrected by recovery")
+	for _, loc := range []string{"/fixed.go:1", "/recent.go:1"} {
+		if _, ok := re.BugDB().Get(svcKey(loc)); ok {
+			t.Errorf("aged-out bug %s resurrected by recovery", loc)
+		}
 	}
 	if _, ok := re.BugDB().Get(svcKey("/open.go:1")); !ok {
-		t.Error("open bug lost in retention-aware recovery")
+		t.Error("open bug lost in recovery")
 	}
 }
 

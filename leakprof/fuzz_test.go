@@ -121,11 +121,13 @@ func FuzzDecodeJournalPayload(f *testing.F) {
 	})
 }
 
-// replaySegmentSeeds returns three segments, each with its frame end
+// replaySegmentSeeds returns four segments, each with its frame end
 // offsets: two as a store writes them — a rolled delta segment and a
-// compacted snapshot segment — and one headed by the dictionary-seed
-// frame earlier builds wrote at a roll, with a frame this build appended
-// after its seeded data frame.
+// compacted snapshot segment — one headed by the dictionary-seed frame
+// earlier builds wrote at a roll, with a frame this build appended after
+// its seeded data frame, and one whose snapshot and deltas span
+// Horizon+2 sweeps, so its replay drops the first two sweeps'
+// observations, the keys only they saw and a bug closed after the first.
 func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
 	store, err := OpenStateStore(f.TempDir(), WithStateCompaction(1, 100))
 	if err != nil {
@@ -172,6 +174,30 @@ func replaySegmentSeeds(f *testing.F) (segs [][]byte, ends [][]int64) {
 		f.Fatal(err)
 	}
 	keep(seeded)
+
+	span, err := OpenStateStore(f.TempDir(), WithStateSync(SyncOnClose))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer span.Close()
+	for day := 1; day <= Horizon+2; day++ {
+		keys := map[string]int{"/a.go:1": 100 * day, fmt.Sprintf("/d%d.go:%d", day, day): day}
+		if err := recordDay(span, day, keys); err != nil {
+			f.Fatal(err)
+		}
+		if day == 1 {
+			span.BugDB().SetStatus(svcKey("/d1.go:1"), report.StatusFixed)
+		}
+		if day == 2 {
+			if err := span.Save(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := span.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	keep(span.segmentPath(span.activeSeq))
 	return segs, ends
 }
 

@@ -53,7 +53,7 @@ func goldenShardReport(moments int) *ShardReport {
 // its frame spans flate's 32 KB window and several deflate blocks: 3,000
 // bugs over 64 services, each at its own location and function, filed
 // on five days and captured in DB.All's order; one trend key with 500
-// observations, exported by a tracker; and one failed service. Each map
+// observations; and one failed service. Each map
 // holds one entry, so the encoding does not depend on map order.
 func goldenLargeSnapshot() *journalRecord {
 	at := time.Unix(1700000000, 0).UTC()
@@ -87,13 +87,13 @@ func goldenLargeSnapshot() *journalRecord {
 	for i := range obs {
 		obs[i] = TrendObservation{At: at.Add(time.Duration(i) * time.Hour), Total: 100 + 3*i, Profiles: 8 + i%4, SumSquares: 12.5 * float64(i)}
 	}
-	tracker := &TrendTracker{}
-	tracker.restore(map[string][]TrendObservation{"svc00\x00send\x00/svc00/handler0000.go:10": obs})
+	// The trend map is built directly: a tracker would hide all but the
+	// last Horizon of these 500 hourly observations.
 	return &journalRecord{
 		Kind:    recordSnapshot,
 		SavedAt: at.Add(6 * 24 * time.Hour),
 		Bugs:    db.All(),
-		Trend:   tracker.Export(),
+		Trend:   map[string][]TrendObservation{"svc00\x00send\x00/svc00/handler0000.go:10": obs},
 		Sweep: &SweepRecord{
 			At: at.Add(5 * 24 * time.Hour), Source: "fleet", Profiles: 256, Errors: 2, Findings: 3000,
 			FailedByService: map[string]int{"svc07": 2},

@@ -56,16 +56,9 @@ type Config struct {
 	// StateStore defaults.
 	StateSegmentBytes int64
 	StateMaxSegments  int
-	// TrendRetention bounds the trend history kept (and journaled) per
-	// key to the last N observations (see WithTrendRetention); zero
-	// means unlimited.
-	TrendRetention int
 	// StateSync is the state journal's fsync policy (see WithStateSync);
 	// the zero value is SyncEverySweep.
 	StateSync SyncPolicy
-	// BugRetention ages closed bugs out of the durable bug database (see
-	// WithBugRetention); zero keeps every bug ever filed.
-	BugRetention time.Duration
 	// Window is the streaming-ingest tumbling-window duration (see
 	// WithWindow); zero means DefaultWindow. Only the push-ingestion
 	// plane (IngestServer) consumes it — each pull sweep is one call.
@@ -224,15 +217,6 @@ func WithStateCompaction(segmentBytes int64, maxSegments int) Option {
 	}
 }
 
-// WithTrendRetention keeps only the last n trend observations per finding
-// key — in the tracker's verdicts and exports, in every journaled
-// snapshot, and across restores — so cross-sweep history (and the state
-// journal) stops growing with the age of the deployment. Zero retains
-// unlimited history.
-func WithTrendRetention(n int) Option {
-	return func(c *Config) { c.TrendRetention = n }
-}
-
 // WithStateSync sets the state journal's fsync policy: SyncEverySweep
 // (default) syncs each recorded sweep before RecordSweep returns;
 // SyncOnClose defers to Flush/Close. The loss window on a crash equals
@@ -249,15 +233,6 @@ func WithStateSync(p SyncPolicy) Option {
 // DefaultWindow.
 func WithWindow(d time.Duration) Option {
 	return func(c *Config) { c.Window = d }
-}
-
-// WithBugRetention ages closed (fixed or rejected) bugs out of the
-// durable bug database once their last sighting is older than age — from
-// memory, from delta frames, and from compaction folds. Open bugs never
-// age out, so dedup against a still-open report is unaffected. Zero
-// keeps every bug ever filed.
-func WithBugRetention(age time.Duration) Option {
-	return func(c *Config) { c.BugRetention = age }
 }
 
 // Pipeline is the single entry point to LEAKPROF's collect → detect →

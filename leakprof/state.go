@@ -163,7 +163,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // keys.
 //
 // A pipeline opens its store under WithStateDir, with the pipeline's
-// clock, compaction thresholds, sync policy, and retention windows;
+// clock, compaction thresholds, and sync policy;
 // Pipeline.State returns it, and its BugDB and Tracker are what the
 // sinks wire to:
 //
@@ -184,7 +184,6 @@ type StateStore struct {
 	segmentBytes int64 // roll the active segment beyond this size
 	maxSegments  int   // compact once more than this many segments are live
 	syncPolicy   SyncPolicy
-	bugRetention time.Duration // age-out window for closed bugs (0 = keep forever)
 
 	mu      sync.Mutex
 	db      *report.DB
@@ -224,9 +223,8 @@ func StateClock(now func() time.Time) Option { return WithClock(now) }
 // the frames the sync policy had not yet made durable.
 //
 // The store takes the pipeline's options and reads the ones that concern
-// it: WithClock stamps every journal frame's SavedAt, and
-// WithStateCompaction, WithStateSync, WithTrendRetention and
-// WithBugRetention tune the journal. Other options are ignored.
+// it: WithClock stamps every journal frame's SavedAt, WithStateCompaction
+// and WithStateSync tune the journal, and the rest are ignored.
 func OpenStateStore(dir string, opts ...Option) (*StateStore, error) {
 	var cfg Config
 	for _, opt := range opts {
@@ -236,7 +234,7 @@ func OpenStateStore(dir string, opts ...Option) (*StateStore, error) {
 }
 
 // openStateStore opens the store under cfg's clock and journal settings;
-// non-positive thresholds and retention windows keep the defaults.
+// non-positive thresholds keep the defaults.
 func openStateStore(dir string, cfg *Config) (*StateStore, error) {
 	if dir == "" {
 		return nil, errors.New("leakprof: state dir must be non-empty")
@@ -250,9 +248,8 @@ func openStateStore(dir string, cfg *Config) (*StateStore, error) {
 		segmentBytes: DefaultStateSegmentBytes,
 		maxSegments:  DefaultStateMaxSegments,
 		syncPolicy:   cfg.StateSync,
-		bugRetention: cfg.BugRetention,
 		db:           report.NewDB(),
-		tracker:      &TrendTracker{Retention: cfg.TrendRetention},
+		tracker:      &TrendTracker{},
 	}
 	if cfg.StateSegmentBytes > 0 {
 		s.segmentBytes = cfg.StateSegmentBytes
@@ -263,10 +260,11 @@ func openStateStore(dir string, cfg *Config) (*StateStore, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	if s.bugRetention > 0 {
-		// Replayed deltas resurrect aged-out closed bugs; re-apply the
-		// window so recovery and a live store agree on what exists.
-		s.db.DropAged(s.now().Add(-s.bugRetention))
+	// Replay rebuilt the trend horizon (nothing shares the tracker yet):
+	// keys out of it leave in an export, closed bugs seen before it too.
+	if start := s.tracker.start; !start.IsZero() {
+		s.tracker.Export()
+		s.db.DropAged(start)
 	}
 	return s, nil
 }
@@ -771,12 +769,6 @@ func (s *StateStore) RecordSweep(sweep *Sweep) error {
 		s.requeueDeltaLocked(rec)
 		return err
 	}
-	if s.bugRetention > 0 {
-		// Age out after the append: a closing status transition must hit
-		// the journal before its bug leaves memory, or replay would
-		// resurrect the bug with its last journaled (open) status.
-		s.db.DropAged(s.now().Add(-s.bugRetention))
-	}
 	if s.segCount > s.maxSegments {
 		return s.compactLocked()
 	}
@@ -830,9 +822,6 @@ func encodeSnapshotFrame(rec *journalRecord) ([]byte, *frame.Dict, error) {
 // the active segment open with its window synced, and the drained
 // deltas pending again for the next frame.
 func (s *StateStore) compactLocked() error {
-	if s.bugRetention > 0 {
-		s.db.DropAged(s.now().Add(-s.bugRetention))
-	}
 	// Once the snapshot lands the active segment is no longer the final
 	// one, and only the final segment may ever hold a torn frame: sync
 	// its window before anything can fail.
@@ -847,16 +836,20 @@ func (s *StateStore) compactLocked() error {
 	// changed between the drain and the capture may sit in both). The
 	// trend export and drain are one step, since observations replay by
 	// appending. The drain keeps only the dirty keys and the new
-	// observations, to hand back if the fold fails.
+	// observations, to hand back if the fold fails. The trend goes first:
+	// closed bugs last seen before its horizon leave with its keys.
+	trend, newTrend, start := s.tracker.exportTakeNew()
+	if !start.IsZero() {
+		s.db.DropAged(start)
+	}
 	dirty := s.db.TakeDirtyKeys()
 	rec := &journalRecord{
 		Kind:    recordSnapshot,
 		SavedAt: s.now(),
 		Bugs:    s.db.All(),
+		Trend:   trend,
 		Sweep:   s.last,
 	}
-	var newTrend map[string][]TrendObservation
-	rec.Trend, newTrend = s.tracker.exportTakeNew()
 	requeue := func() {
 		s.db.MarkDirty(dirty...)
 		s.tracker.requeueNew(newTrend)

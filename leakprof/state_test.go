@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -693,21 +694,22 @@ func TestStateStoreMidCompactionCrash(t *testing.T) {
 
 func errorsIsNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }
 
-// TestStateStoreTrendRetention pins the retention acceptance criterion:
-// with retention N, no key holds more than N observations — in the live
-// tracker, in the compacted journal, and after recovery.
+// TestStateStoreTrendRetention pins the horizon through a store: no key
+// holds more than Horizon observations — in the live tracker, in the
+// compacted journal, and after recovery — and the ones it holds are the
+// most recent.
 func TestStateStoreTrendRetention(t *testing.T) {
-	const retention = 3
+	const days = Horizon + 5
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir, WithTrendRetention(retention))
+	store, err := OpenStateStore(dir, WithStateSync(SyncOnClose))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for day := 1; day <= 7; day++ {
+	for day := 1; day <= days; day++ {
 		journalSweep(t, store, day, map[string]int{"/hot.go:1": 100 * day})
 	}
-	if got := len(store.Tracker().Export()[svcKey("/hot.go:1")]); got != retention {
-		t.Fatalf("live history = %d observations, want %d", got, retention)
+	if got := len(store.Tracker().Export()[svcKey("/hot.go:1")]); got != Horizon {
+		t.Fatalf("live history = %d observations, want %d", got, Horizon)
 	}
 	if err := store.Save(); err != nil {
 		t.Fatal(err)
@@ -719,24 +721,158 @@ func TestStateStoreTrendRetention(t *testing.T) {
 		t.Fatalf("compacted journal = %+v, want one snapshot frame", frames)
 	}
 	for key, obs := range frames[0].Trend {
-		if len(obs) > retention {
-			t.Errorf("compacted journal holds %d observations for %s, want <= %d", len(obs), key, retention)
+		if len(obs) > Horizon {
+			t.Errorf("compacted journal holds %d observations for %s, want <= %d", len(obs), key, Horizon)
 		}
 	}
-	// The retained window is the *most recent* N: the last observation
-	// must be day 7's total.
+	// The horizon holds the *most recent* sweeps: the last observation
+	// must be the last day's total.
 	obs := frames[0].Trend[svcKey("/hot.go:1")]
-	if len(obs) == 0 || obs[len(obs)-1].Total != 700 {
-		t.Errorf("retained window = %+v, want it to end at total 700", obs)
+	if len(obs) == 0 || obs[len(obs)-1].Total != 100*days {
+		t.Errorf("journaled window = %+v, want it to end at total %d", obs, 100*days)
 	}
 
-	re, err := OpenStateStore(dir, WithTrendRetention(retention))
+	re, err := OpenStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := len(re.Tracker().Export()[svcKey("/hot.go:1")]); got != retention {
-		t.Errorf("recovered history = %d observations, want %d", got, retention)
+	if got := len(re.Tracker().Export()[svcKey("/hot.go:1")]); got != Horizon {
+		t.Errorf("recovered history = %d observations, want %d", got, Horizon)
+	}
+}
+
+// TestStateStoreBoundedAcrossDay runs the default one-minute ingest
+// window for a simulated day over 1,000 steady groups, under SyncOnClose
+// and with a fold at 1 h and at 24 h. The horizon bounds what a fold
+// writes: at 24 h the exported observations and the folded journal's
+// bytes are within 2× of their 1 h values.
+func TestStateStoreBoundedAcrossDay(t *testing.T) {
+	const groups = 1000
+	dir := t.TempDir()
+	store, err := OpenStateStore(dir, WithStateSync(SyncOnClose))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	moments := make([]Moment, groups)
+	for i := range moments {
+		moments[i] = Moment{
+			Service: fmt.Sprintf("svc%02d", i%16),
+			Op:      stack.BlockedOp{Op: "send", Location: fmt.Sprintf("/svc/f%04d.go:%d", i, 10+i%50)},
+			Total:   100 + i, ServiceProfiles: 4, SumSquares: float64((100 + i) * (100 + i) / 4),
+		}
+	}
+	fold := func() (observations int, bytes int64) {
+		t.Helper()
+		if err := store.Save(); err != nil {
+			t.Fatal(err)
+		}
+		for _, obs := range store.Tracker().Export() {
+			observations += len(obs)
+		}
+		fi, err := os.Stat(store.segmentPath(store.activeSeq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return observations, fi.Size()
+	}
+	var hourObs int
+	var hourBytes int64
+	for w := 1; w <= 24*60; w++ {
+		at := time.Unix(0, 0).Add(time.Duration(w) * DefaultWindow)
+		for i := range moments {
+			moments[i].Total = 100 + i + w%7
+		}
+		store.Tracker().ObserveMoments(at, moments)
+		if err := store.RecordSweep(&Sweep{At: at, Source: "ingest", Profiles: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if w == 60 {
+			hourObs, hourBytes = fold()
+		}
+	}
+	dayObs, dayBytes := fold()
+	t.Logf("folded at 1 h: %d observations, %d bytes; at 24 h: %d observations, %d bytes", hourObs, hourBytes, dayObs, dayBytes)
+	if dayObs > 2*hourObs {
+		t.Errorf("exported observations grew from %d at 1 h to %d at 24 h, want within 2×", hourObs, dayObs)
+	}
+	if dayBytes > 2*hourBytes {
+		t.Errorf("the folded journal grew from %d bytes at 1 h to %d at 24 h, want within 2×", hourBytes, dayBytes)
+	}
+}
+
+// TestStateStoreHorizonReopen runs sweeps past the horizon with a fold
+// among them: the live store and the reopened one agree on the trend
+// export, every verdict and the bug DB. A key only the first sweep saw
+// leaves at the fold, as does a closed bug last seen then; an open bug
+// of the same age stays.
+func TestStateStoreHorizonReopen(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStateStore(dir, WithStateSync(SyncOnClose))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalSweep(t, store, 1, map[string]int{"/leak.go:1": 100, "/gone.go:1": 10, "/open.go:1": 5, "/fixed.go:1": 5})
+	if !store.BugDB().SetStatus(svcKey("/fixed.go:1"), report.StatusFixed) {
+		t.Fatal("SetStatus failed")
+	}
+	for day := 2; day <= Horizon+5; day++ {
+		// The leak drops once, on day 4, and grows 20% on every other day.
+		total := int(100 * math.Pow(1.2, float64(day)))
+		if day == 4 {
+			total = 50
+		}
+		journalSweep(t, store, day, map[string]int{"/leak.go:1": total, "/busy.go:1": 300 + 200*(day%2)})
+		if day == Horizon+2 {
+			if err := store.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := store.Tracker().history[svcKey("/gone.go:1")]; ok {
+				t.Error("a key with no observation in the horizon survived the fold")
+			}
+			if _, ok := store.BugDB().Get(svcKey("/fixed.go:1")); ok {
+				t.Error("a closed bug last seen before the horizon survived the fold")
+			}
+		}
+	}
+	live := replayed(store)
+	verdicts := func(store *StateStore) map[string]TrendVerdict {
+		out := map[string]TrendVerdict{}
+		for key := range live.Trend {
+			out[key] = store.Tracker().Verdict(key)
+		}
+		return out
+	}
+	liveVerdicts := verdicts(store)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := replayed(re); !reflect.DeepEqual(got, live) {
+		t.Errorf("reopened state diverged from the live one:\n%+v\n%+v", got, live)
+	}
+	if got := verdicts(re); !reflect.DeepEqual(got, liveVerdicts) {
+		t.Errorf("reopened verdicts %v, want the live %v", got, liveVerdicts)
+	}
+	if _, ok := live.Trend[svcKey("/gone.go:1")]; ok {
+		t.Error("a key out of the horizon is exported")
+	}
+	if v := liveVerdicts[svcKey("/leak.go:1")]; v != TrendGrowing {
+		t.Errorf("leak verdict = %v, want growing once its drop left the horizon", v)
+	}
+	if v := liveVerdicts[svcKey("/busy.go:1")]; v != TrendOscillating {
+		t.Errorf("busy verdict = %v, want oscillating", v)
+	}
+	if _, ok := re.BugDB().Get(svcKey("/fixed.go:1")); ok {
+		t.Error("a closed bug last seen before the horizon came back at reopen")
+	}
+	if _, ok := re.BugDB().Get(svcKey("/open.go:1")); !ok {
+		t.Error("an open bug left; open bugs never leave")
 	}
 }
 

@@ -83,47 +83,62 @@ func (o TrendObservation) noise() float64 {
 // (±15%).
 const stableBand = 0.15
 
-// TrendTracker accumulates per-location counts across sweeps. Its
+// Horizon is how far back trend history reaches: the latest Horizon
+// distinct times at which a sweep observed something. Counting sweeps,
+// not time, bounds daily pulls (a month) and minute windows (half an hour).
+const Horizon = 30
+
+// TrendTracker accumulates per-location counts across the last Horizon
+// sweeps; older observations are out of its exports and verdicts. Its
 // observation, export, and verdict methods are safe for concurrent use,
-// but the exported tuning fields (MinObservations, Retention) must be
-// set before the first observation.
+// but MinObservations must be set before the first observation.
 type TrendTracker struct {
 	// MinObservations before a verdict is issued; default 3.
 	MinObservations int
-	// Retention bounds the history kept per key: only the most recent
-	// Retention observations survive an append, a restore, or a journal
-	// compaction, so daily sweeps stop growing tracker state (and the
-	// journal) without bound. Zero means unlimited. Verdicts, Export,
-	// and the journal's deltas all operate on the retained window — set
-	// it before the first observation or restore.
-	Retention int
 
 	mu sync.Mutex
 	// history holds each key's observations in record order. Export and
 	// the journal share its slices, so nothing may write into one in
-	// place: record only appends, and retain copies when it trims.
+	// place: record only appends, and its trim copies.
 	history map[string][]TrendObservation
 	// unjournaled counts, per key, the observations at the tail of its
 	// history recorded since the last takeNew: the per-sweep delta an
 	// append-only journal persists. Restored history is never counted —
 	// it came from the journal.
 	unjournaled map[string]int
+	// times holds the horizon's times, ascending, rebuilt on replay; start
+	// is their oldest once there are Horizon of them, zero until then.
+	times []time.Time
+	start time.Time
 }
 
-// retain trims obs to the tracker's retention window.
-func (t *TrendTracker) retain(obs []TrendObservation) []TrendObservation {
-	if t.Retention > 0 && len(obs) > t.Retention {
-		// Copy the tail so the backing array does not pin trimmed
-		// observations (and repeated appends do not grow it forever).
-		trimmed := make([]TrendObservation, t.Retention)
-		copy(trimmed, obs[len(obs)-t.Retention:])
-		return trimmed
+// noteTime counts a time at which a sweep observed something.
+func (t *TrendTracker) noteTime(at time.Time) {
+	if i, found := slices.BinarySearchFunc(t.times, at, time.Time.Compare); !found {
+		t.times = slices.Insert(t.times, i, at)
+		if t.times = t.times[max(0, len(t.times)-Horizon):]; len(t.times) == Horizon {
+			t.start = t.times[0]
+		}
+	}
+}
+
+// visible returns the observations of obs at or after start: a subslice
+// when the older ones lead, as they do in time order, else a copy.
+func visible(obs []TrendObservation, start time.Time) []TrendObservation {
+	hidden := func(o TrendObservation) bool { return o.At.Before(start) }
+	for len(obs) > 0 && hidden(obs[0]) {
+		obs = obs[1:]
+	}
+	if slices.ContainsFunc(obs, hidden) {
+		// Out of time order. The history is shared: filter a copy.
+		return slices.DeleteFunc(slices.Clone(obs), hidden)
 	}
 	return obs
 }
 
-// record appends one observation to a key's history, honouring
-// retention, and counts it as unjournaled.
+// record appends one observation to a key's history and counts it as
+// unjournaled. At 2×Horizon observations the history is copied down to
+// the horizon: one copy per Horizon appends, never a shift in place.
 func (t *TrendTracker) record(key string, o TrendObservation) {
 	if t.history == nil {
 		t.history = map[string][]TrendObservation{}
@@ -131,8 +146,19 @@ func (t *TrendTracker) record(key string, o TrendObservation) {
 	if t.unjournaled == nil {
 		t.unjournaled = map[string]int{}
 	}
-	t.history[key] = t.retain(append(t.history[key], o))
+	obs := append(t.history[key], o)
 	t.unjournaled[key]++
+	if len(obs) >= 2*Horizon {
+		if vis := visible(obs, t.start); len(vis) < len(obs) {
+			for _, old := range obs[len(obs)-min(t.unjournaled[key], len(obs)):] {
+				if old.At.Before(t.start) {
+					t.unjournaled[key]--
+				}
+			}
+			obs = append(make([]TrendObservation, 0, len(vis)+Horizon), vis...)
+		}
+	}
+	t.history[key] = obs
 }
 
 // ObserveMoments records one sweep's aggregator moments — the feed the
@@ -165,16 +191,19 @@ func (t *TrendTracker) ObserveMoments(at time.Time, moments []Moment) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(merged) > 0 {
+		t.noteTime(at)
+	}
 	for key, o := range merged {
 		t.record(key, o)
 	}
 }
 
-// Export returns the tracker's full cross-sweep history — already trimmed
-// to the retention window — keyed by finding key, each key's
-// observations in record order. The slices are the tracker's live
-// history, capped at their length: read them, never write into them.
-// This is what a journal snapshot (compaction) persists.
+// Export returns the tracker's cross-sweep history within the horizon,
+// keyed by finding key, each key's observations in record order; a key
+// with none leaves the tracker. The slices are its live history, capped
+// at their length: read them, never write into them. This is what a
+// journal snapshot (compaction) persists.
 func (t *TrendTracker) Export() map[string][]TrendObservation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -182,12 +211,14 @@ func (t *TrendTracker) Export() map[string][]TrendObservation {
 }
 
 func (t *TrendTracker) exportLocked() map[string][]TrendObservation {
-	if len(t.history) == 0 {
-		return nil
-	}
 	out := make(map[string][]TrendObservation, len(t.history))
 	for key, obs := range t.history {
-		out[key] = slices.Clip(obs)
+		if obs = visible(obs, t.start); len(obs) > 0 {
+			out[key] = slices.Clip(obs)
+		} else {
+			delete(t.history, key)
+			delete(t.unjournaled, key)
+		}
 	}
 	return out
 }
@@ -208,8 +239,8 @@ func (t *TrendTracker) takeNewLocked() map[string][]TrendObservation {
 	}
 	out := make(map[string][]TrendObservation, len(t.unjournaled))
 	for key, n := range t.unjournaled {
-		// Retention may have trimmed unjournaled observations away; the
-		// journal's replay would trim them the same way.
+		// The horizon may have dropped unjournaled observations; the
+		// journal's replay would drop them the same way.
 		obs := t.history[key]
 		out[key] = slices.Clip(obs[len(obs)-min(n, len(obs)):])
 	}
@@ -221,25 +252,27 @@ func (t *TrendTracker) takeNewLocked() map[string][]TrendObservation {
 // capture a journal fold takes: an observation recorded concurrently
 // lands in both the export and the drained delta or in neither, so the
 // snapshot and the deltas journaled after it never hold it twice and
-// never lose it.
-func (t *TrendTracker) exportTakeNew() (history, taken map[string][]TrendObservation) {
+// never lose it. start is the horizon's oldest time, or zero.
+func (t *TrendTracker) exportTakeNew() (history, taken map[string][]TrendObservation, start time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.exportLocked(), t.takeNewLocked()
+	return t.exportLocked(), t.takeNewLocked(), t.start
 }
 
 // restore replaces the whole history with a journal snapshot's, adopting
-// its map and slices, each trimmed to the retention window: the restart
-// path StateStore replays so verdicts resume with yesterday's moments
-// instead of starting blind. Restored observations are never
-// unjournaled.
+// its map and slices, and rebuilds the horizon from its observations:
+// the restart path StateStore replays so verdicts resume with
+// yesterday's moments instead of starting blind. Restored observations
+// are never unjournaled.
 func (t *TrendTracker) restore(history map[string][]TrendObservation) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for key, obs := range history {
-		history[key] = t.retain(obs)
+	t.history, t.times, t.start = history, t.times[:0], time.Time{}
+	for _, obs := range history {
+		for _, o := range obs {
+			t.noteTime(o.At)
+		}
 	}
-	t.history = history
 	clear(t.unjournaled)
 }
 
@@ -282,10 +315,13 @@ func (t *TrendTracker) restoreDelta(delta map[string][]TrendObservation) {
 		t.history = make(map[string][]TrendObservation, len(delta))
 	}
 	for key, obs := range delta {
+		for _, o := range obs {
+			t.noteTime(o.At)
+		}
 		if cur := t.history[key]; len(cur) > 0 {
 			obs = append(cur, obs...)
 		}
-		t.history[key] = t.retain(obs)
+		t.history[key] = obs
 	}
 }
 
@@ -301,7 +337,7 @@ func (t *TrendTracker) verdictLocked(key string) TrendVerdict {
 	if min == 0 {
 		min = 3
 	}
-	obs := t.history[key]
+	obs := visible(t.history[key], t.start)
 	if len(obs) < min {
 		return TrendUnknown
 	}

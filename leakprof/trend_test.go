@@ -2,6 +2,7 @@ package leakprof
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -113,41 +114,98 @@ func TestTrendTakeNew(t *testing.T) {
 	}
 }
 
-// TestTrendRetention pins the retention window: appends, restores, and
-// exports all hold at most Retention observations per key, keeping the
-// most recent ones, and verdicts run on the retained window.
+// TestTrendRetention pins the horizon on one key: exports and verdicts
+// hold the last Horizon sweeps' observations, the most recent ones, and
+// the append that brings a history to 2×Horizon copies it down to them.
+// A restore rebuilds the horizon from the observations it restores.
 func TestTrendRetention(t *testing.T) {
-	tr := &TrendTracker{Retention: 3, MinObservations: 2}
-	observeSeries(t, tr, "/leak.go:1", []int{10, 20, 40, 80, 160, 320})
-	hist := tr.Export()[keyFor("/leak.go:1")]
-	if len(hist) != 3 {
-		t.Fatalf("retained history = %d observations, want 3", len(hist))
+	tr := &TrendTracker{MinObservations: 2}
+	counts := make([]int, 2*Horizon)
+	for i := range counts {
+		counts[i] = int(100 * math.Pow(1.2, float64(i)))
 	}
-	if hist[0].Total != 80 || hist[2].Total != 320 {
-		t.Fatalf("retained window = %+v, want the most recent [80 160 320]", hist)
+	observeSeries(t, tr, "/leak.go:1", counts)
+	key := keyFor("/leak.go:1")
+	hist := tr.Export()[key]
+	if len(hist) != Horizon {
+		t.Fatalf("exported history = %d observations, want %d", len(hist), Horizon)
+	}
+	if hist[0].Total != counts[Horizon] || hist[Horizon-1].Total != counts[2*Horizon-1] {
+		t.Fatalf("exported window runs %d..%d, want the most recent %d..%d",
+			hist[0].Total, hist[Horizon-1].Total, counts[Horizon], counts[2*Horizon-1])
+	}
+	if got := len(tr.history[key]); got != Horizon {
+		t.Errorf("held history = %d observations after 2×Horizon appends, want %d", got, Horizon)
 	}
 	// Verdicts still work on the window.
-	if v := tr.Verdict(keyFor("/leak.go:1")); v != TrendGrowing {
-		t.Errorf("verdict on retained window = %v, want growing", v)
+	if v := tr.Verdict(key); v != TrendGrowing {
+		t.Errorf("verdict on the horizon = %v, want growing", v)
 	}
-	// Six observations await the journal, but only the retained three
-	// are left to hand it.
-	if delta := tr.takeNew()[keyFor("/leak.go:1")]; len(delta) != 3 || delta[0].Total != 80 {
-		t.Fatalf("delta after trimming = %+v, want the retained [80 160 320]", delta)
+	// 2×Horizon observations await the journal, but only the Horizon
+	// left are there to hand it.
+	if delta := tr.takeNew()[key]; len(delta) != Horizon || delta[0].Total != counts[Horizon] {
+		t.Fatalf("delta after trimming = %+v, want the %d in the horizon", delta, Horizon)
 	}
 
-	// restore trims long histories too.
-	long := map[string][]TrendObservation{"k": make([]TrendObservation, 10)}
+	// A restored history is held to the horizon too.
+	long := map[string][]TrendObservation{"k": make([]TrendObservation, Horizon+10)}
 	for i := range long["k"] {
 		long["k"][i] = TrendObservation{At: time.Unix(int64(i), 0), Total: i}
 	}
-	tr2 := &TrendTracker{Retention: 4}
+	tr2 := &TrendTracker{}
 	tr2.restore(long)
-	if got := len(tr2.Export()["k"]); got != 4 {
-		t.Fatalf("restored history = %d observations, want 4", got)
+	if got := tr2.Export()["k"]; len(got) != Horizon || got[0].Total != 10 {
+		t.Fatalf("restored history exports %+v, want the most recent %d, from total 10", got, Horizon)
 	}
-	if first := tr2.Export()["k"][0].Total; first != 6 {
-		t.Fatalf("restored window starts at total %d, want 6 (most recent 4)", first)
+}
+
+// TestTrendVerdictAfterDeployReset grows a leak, resets it with a
+// deploy, and grows it again: the reset reads oscillating while the
+// drop is in the horizon, and once it has left, the leak reads growing.
+func TestTrendVerdictAfterDeployReset(t *testing.T) {
+	tr := &TrendTracker{}
+	key := keyFor("/leak.go:1")
+	counts := []int{100, 200, 400, 800, 50} // a deploy on day 5 resets it
+	for i := 1; i <= Horizon+1; i++ {
+		counts = append(counts, 50+25*i)
+	}
+	observeSeries(t, tr, "/leak.go:1", counts[:8])
+	if v := tr.Verdict(key); v != TrendOscillating {
+		t.Errorf("verdict with the reset in the horizon = %v, want oscillating", v)
+	}
+	tr2 := &TrendTracker{}
+	observeSeries(t, tr2, "/leak.go:1", counts)
+	if v := tr2.Verdict(key); v != TrendGrowing {
+		t.Errorf("verdict after %d sweeps of growth since the reset = %v, want growing", Horizon+1, v)
+	}
+}
+
+// TestTrendDeployChurnKeepsHorizonKeys deploys daily for 100 days, each
+// deploy moving ten blocked lines: only the keys the last Horizon sweeps
+// observed are exported.
+func TestTrendDeployChurnKeepsHorizonKeys(t *testing.T) {
+	const days, perDeploy = 100, 10
+	moment := func(day, i int) Moment {
+		return Moment{Service: "s", Op: stack.BlockedOp{Op: "send", Location: fmt.Sprintf("/deploy%03d/f%d.go:1", day, i)}, Total: 100}
+	}
+	tr := &TrendTracker{}
+	for day := 0; day < days; day++ {
+		moments := make([]Moment, perDeploy)
+		for i := range moments {
+			moments[i] = moment(day, i)
+		}
+		tr.ObserveMoments(time.Unix(0, 0).Add(time.Duration(day)*24*time.Hour), moments)
+	}
+	exported := tr.Export()
+	if len(exported) != Horizon*perDeploy {
+		t.Fatalf("export holds %d keys after %d daily deploys, want %d", len(exported), days, Horizon*perDeploy)
+	}
+	for day := days - Horizon; day < days; day++ {
+		for i := 0; i < perDeploy; i++ {
+			if key := moment(day, i).Key(); len(exported[key]) != 1 {
+				t.Errorf("export holds %d observations of %q, want 1", len(exported[key]), key)
+			}
+		}
 	}
 }
 
@@ -197,11 +255,11 @@ func TestTrendOutOfOrderRecord(t *testing.T) {
 // TestTrendConcurrentFolds runs verdicts and observations against
 // concurrent folds and delta frames. Both encode slices of the live
 // history outside the tracker's lock while observations append to it and
-// retention trims it, so under -race a write into a shared slice fails
+// the horizon trims it, so under -race a write into a shared slice fails
 // here. The journal, reopened, must give back the live history.
 func TestTrendConcurrentFolds(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStateStore(dir, WithTrendRetention(4), WithStateSync(SyncOnClose))
+	store, err := OpenStateStore(dir, WithStateSync(SyncOnClose))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +269,7 @@ func TestTrendConcurrentFolds(t *testing.T) {
 	for i := range moments {
 		moments[i] = Moment{Service: "s", Op: stack.BlockedOp{Op: "send", Location: fmt.Sprintf("/f%02d.go:1", i)}, ServiceProfiles: 2}
 	}
-	stop := make(chan struct{})
+	stop, trimmed := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -225,6 +283,9 @@ func TestTrendConcurrentFolds(t *testing.T) {
 			// Pairs of sweeps land out of time order, so a verdict that
 			// sorted the shared history in place would write into it.
 			tr.ObserveMoments(time.Unix(0, 0).Add(time.Duration(day^1)*time.Minute), sweep)
+			if day == 2*Horizon {
+				close(trimmed) // every key's history has been trimmed once
+			}
 			select {
 			case <-stop:
 				return
@@ -255,6 +316,7 @@ func TestTrendConcurrentFolds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	<-trimmed
 	close(stop)
 	wg.Wait()
 
@@ -265,7 +327,7 @@ func TestTrendConcurrentFolds(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenStateStore(dir, WithTrendRetention(4))
+	re, err := OpenStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
